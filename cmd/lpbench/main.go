@@ -11,12 +11,9 @@
 //	lpbench -exp fig12 -quick     # smaller inputs, faster
 //	lpbench -exp fig10 -threads 4 # override the worker-thread count
 //	lpbench -json                 # machine-readable benchmark matrix
-//	lpbench -serveout BENCH_serve.json      # append a kvserve loopback throughput snapshot
-//	lpbench -clusterout BENCH_cluster.json  # append a routed-cluster throughput snapshot
 //
-// -serveout and -clusterout append dated snapshots to their files (see
-// harness.BenchHistory); scripts/bench_gate.sh compares a fresh quick
-// run against the committed history and fails CI on a regression.
+// The serving stack's benchmark is the nested bench/ module
+// (`go run -C bench .`, declared in BENCHMARK.json), not this command.
 //
 // Independent simulations are executed by a worker pool (-parallel,
 // default GOMAXPROCS) and memoized process-wide — byte-identical specs
@@ -48,8 +45,6 @@ func main() {
 		nocache    = flag.Bool("nocache", false, "disable Spec→Result memoization")
 		jsonOut    = flag.Bool("json", false, "run the benchmark matrix and emit JSON metrics")
 		benchout   = flag.String("benchout", "", "also write the -json document to this file (e.g. BENCH_sched.json); implies -json")
-		serveout   = flag.String("serveout", "", "run the kvserve loopback benchmark and append a dated snapshot to this file (e.g. BENCH_serve.json)")
-		clusterout = flag.String("clusterout", "", "run the routed-cluster benchmark and append a dated snapshot to this file (e.g. BENCH_cluster.json)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -58,7 +53,7 @@ func main() {
 	if *benchout != "" {
 		*jsonOut = true
 	}
-	noWork := *exp == "" && !*jsonOut && *serveout == "" && *clusterout == ""
+	noWork := *exp == "" && !*jsonOut
 	if *list || noWork {
 		fmt.Println("experiments:")
 		for _, e := range harness.Experiments() {
@@ -91,12 +86,6 @@ func main() {
 		if err == nil {
 			err = harness.RunExperiments(os.Stdout, os.Stderr, exps, opt)
 		}
-	}
-	if err == nil && *serveout != "" {
-		err = runServeJSON(os.Stdout, *serveout, opt)
-	}
-	if err == nil && *clusterout != "" {
-		err = runClusterJSON(os.Stdout, *clusterout, opt)
 	}
 	printSummary(pool, time.Since(start))
 	if err != nil {
@@ -145,39 +134,6 @@ func runJSON(w io.Writer, outFile string, opt harness.Options) error {
 		return f.Close()
 	}
 	return nil
-}
-
-// runServeJSON runs the kvserve loopback benchmark (real TCP, real
-// goroutines, wall-clock throughput — no simulation pool involved),
-// appends a dated snapshot to outFile — the BENCH_serve.json
-// serve-throughput trajectory committed alongside BENCH_sched.json —
-// and echoes the stamped snapshot to w.
-func runServeJSON(w io.Writer, outFile string, opt harness.Options) error {
-	doc, err := harness.RunServeBench(opt)
-	if err != nil {
-		return err
-	}
-	return emitSnapshot(w, outFile, "serve", opt.Quick, doc)
-}
-
-// runClusterJSON is runServeJSON's routed-cluster sibling, feeding
-// BENCH_cluster.json.
-func runClusterJSON(w io.Writer, outFile string, opt harness.Options) error {
-	doc, err := harness.RunClusterBench(opt)
-	if err != nil {
-		return err
-	}
-	return emitSnapshot(w, outFile, "cluster", opt.Quick, doc)
-}
-
-func emitSnapshot(w io.Writer, outFile, benchmark string, quick bool, doc any) error {
-	snap, err := harness.AppendSnapshot(outFile, benchmark, quick, doc)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
 }
 
 // printSummary reports runner statistics on stderr.

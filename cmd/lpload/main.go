@@ -1,25 +1,38 @@
-// Command lpload drives open-window load against a running lpserve or
-// a cluster: pipelined connections replaying the same deterministic
-// YCSB-style kvgen streams the in-simulator experiments use, with
-// jittered exponential backoff on overload. It reports throughput and
-// latency percentiles — the measured numbers behind EXPERIMENTS.md
-// E15/E16.
+// Command lpload drives load against a running lpserve or a cluster
+// through the one client engine (internal/loadmodel): pipelined
+// connections under a single issue rule — an op leaves when it is due
+// and a slot of the -window is free. It reports throughput and latency
+// percentiles per SLO class — the measured numbers behind
+// EXPERIMENTS.md E15–E17.
+//
+// What is due when depends on the source:
+//
+//   - a kvgen mix (-mix, the default) or -insert replays the same
+//     deterministic YCSB-style streams the in-simulator experiments
+//     use, every op due at once, so the window paces the run (a closed
+//     loop) and overloads retry with jittered exponential backoff
+//     (-max-retries);
+//   - -spec, -builtin or -trace-in dispatch a multi-class op schedule
+//     at its recorded times, never retried unless -max-retries is
+//     given; a full window is counted as a stall. -trace-out records
+//     the generated stream as a JSONL trace; -trace-in replays a
+//     recorded trace byte-for-byte instead of generating; -gen-only
+//     writes the trace and exits without a server.
 //
 // Two ways to reach a cluster:
 //
 //   - proxy mode: point -addr at lprouter's data port; the router
 //     routes every request and the client is none the wiser;
 //   - smart-client mode: -topo fetches the slot table from lprouter's
-//     control port and each worker routes per key, opening one
-//     connection per node — the router is out of the data path. The
-//     table refreshes on every connection failure (and on a periodic
-//     timer), so a failover re-routes mid-run.
+//     control port and each connection routes per key, opening one
+//     TCP connection per node — the router is out of the data path.
+//     The table refreshes on every connection failure (and on a
+//     periodic timer), so a failover re-routes mid-run.
 //
-// -reconnect makes workers survive node deaths: in-flight ops on a
+// -reconnect makes connections survive node deaths: in-flight ops on a
 // dead connection retry (bounded by -max-retries each) with jittered
-// backoff instead of aborting the run — required for driving load
-// through a failover. Per-target connection stats land in the -json
-// report.
+// backoff instead of ending the run — required for driving load
+// through a failover. Per-target connection stats land in the report.
 //
 // Usage:
 //
@@ -28,15 +41,6 @@
 //	lpload -insert -ops 5000      # unique-key inserts (crash-demo shape)
 //	lpload -addr 127.0.0.1:7400 -reconnect -dur 5s          # via lprouter
 //	lpload -topo http://127.0.0.1:7500 -reconnect -dur 5s   # smart client
-//
-// Spec-driven open-loop mode (internal/loadmodel): -spec or -builtin
-// switches from the closed-loop window driver to deterministic
-// generation of a multi-class op schedule, dispatched at its recorded
-// times and never retried — the report then carries one row per SLO
-// class. -trace-out records the generated stream as a JSONL trace;
-// -trace-in replays a recorded trace byte-for-byte instead of
-// generating; -gen-only writes the trace and exits without a server.
-//
 //	lpload -builtin bursty -rate 0.5 -dur 2s -addr 127.0.0.1:7411
 //	lpload -spec work.json -trace-out run.jsonl -addr 127.0.0.1:7411
 //	lpload -trace-in run.jsonl -addr 127.0.0.1:7411
@@ -110,7 +114,7 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:7411", "server (or lprouter data) address")
 		topo       = flag.String("topo", "", "lprouter control URL for smart-client routing (e.g. http://127.0.0.1:7500)")
 		conns      = flag.Int("conns", 2, "concurrent connections")
-		window     = flag.Int("window", 32, "in-flight ops per connection")
+		window     = flag.Int("window", 0, "in-flight ops per connection (default 32; 512 for a -spec/-builtin/-trace-in replay)")
 		ops        = flag.Int("ops", 0, "ops per connection (0 = run for -dur)")
 		dur        = flag.Duration("dur", 2*time.Second, "run duration when -ops is 0")
 		mix        = flag.String("mix", "a", "request mix: a | b | c | d")
@@ -120,50 +124,60 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "stream seed (must match the server)")
 		insert     = flag.Bool("insert", false, "insert-only unique keys instead of a mix")
 		reconnect  = flag.Bool("reconnect", false, "survive connection failures: requeue in-flight ops and redial with backoff")
-		maxRetries = flag.Int("max-retries", 0, "retries per op on overload or dead connection (0 = default 8)")
+		maxRetries = flag.Int("max-retries", 8, "retries per op on overload, stale routing or a dead connection; a -spec/-builtin/-trace-in replay never retries unless this is given")
 		jsonOut    = flag.Bool("json", false, "emit the report as JSON")
 		interval   = flag.Duration("interval", 0, "emit periodic throughput/latency lines on stderr (0 = off)")
-		traceEvery = flag.Int("trace-every", 0, "propagate a trace ID on every Nth op per worker (0 = off)")
+		traceEvery = flag.Int("trace-every", 0, "propagate a trace ID on every Nth op per connection (0 = off)")
 		spanOut    = flag.String("span-out", "", "write the client-side span drain (client_send/client_ack JSONL) here for lptrace")
 
-		specPath    = flag.String("spec", "", "loadmodel spec file: open-loop multi-class generation instead of the closed-loop mix")
-		builtin     = flag.String("builtin", "", "built-in loadmodel spec ("+loadmodel.BuiltinNames()+") instead of -spec")
-		rate        = flag.Float64("rate", 1.0, "rate multiplier for -builtin specs")
-		traceOut    = flag.String("trace-out", "", "record the generated op stream to this JSONL trace file")
-		traceIn     = flag.String("trace-in", "", "replay a recorded trace file instead of generating")
-		genOnly     = flag.Bool("gen-only", false, "generate (and -trace-out) without contacting a server")
-		maxInflight = flag.Int("max-inflight", 0, "open-loop in-flight cap per connection (default 512)")
+		specPath = flag.String("spec", "", "loadmodel spec file: a multi-class op schedule instead of the kvgen mix")
+		builtin  = flag.String("builtin", "", "built-in loadmodel spec ("+loadmodel.BuiltinNames()+") instead of -spec")
+		rate     = flag.Float64("rate", 1.0, "rate multiplier for -builtin specs")
+		traceOut = flag.String("trace-out", "", "record the generated op stream to this JSONL trace file")
+		traceIn  = flag.String("trace-in", "", "replay a recorded trace file instead of generating")
+		genOnly  = flag.Bool("gen-only", false, "generate (and -trace-out) without contacting a server")
 	)
 	flag.Parse()
 
-	var clientTr *obs.Tracer
-	if *traceEvery > 0 {
-		// Size the ring for the whole run: two events per traced op.
-		clientTr = obs.NewTracer(1 << 16)
-		clientTr.Enable(true)
-	}
-
-	if *specPath != "" || *builtin != "" || *traceIn != "" {
-		runSpec(*addr, *specPath, *builtin, *rate, *dur, *traceOut, *traceIn,
-			*genOnly, *conns, *maxInflight, *interval, *jsonOut,
-			*traceEvery, clientTr, *spanOut)
-		return
-	}
-
-	opts := kvserve.LoadOpts{
-		Conns: *conns, Window: *window, Ops: *ops,
-		Mix: *mix, Dist: *dist,
-		Streams: *streams, Keys: *keys, Seed: *seed,
-		InsertOnly: *insert, MaxRetries: *maxRetries,
+	opts := loadmodel.Options{
+		Conns: *conns, Window: *window, MaxRetries: *maxRetries,
 		Reconnect: *reconnect,
 		Interval:  *interval, Progress: os.Stderr,
 		TraceEvery: *traceEvery,
-		Tracer:     clientTr,
 	}
-	if *ops == 0 {
-		// -dur governs only duration-bounded runs; an ops-bounded run
-		// ends when every op settles, however long a failover stalls it.
-		opts.Dur = *dur
+	if *traceEvery > 0 {
+		// Size the ring for the whole run: two events per traced op.
+		opts.Tracer = obs.NewTracer(1 << 16)
+		opts.Tracer.Enable(true)
+	}
+
+	var src loadmodel.Source
+	if *specPath != "" || *builtin != "" || *traceIn != "" {
+		tr := resolveTrace(*specPath, *builtin, *rate, *dur, *traceOut, *traceIn)
+		if *genOnly {
+			return
+		}
+		src = tr
+		if *window == 0 {
+			opts.Window = 512
+		}
+		retriesGiven := false
+		flag.Visit(func(f *flag.Flag) { retriesGiven = retriesGiven || f.Name == "max-retries" })
+		if !retriesGiven {
+			opts.MaxRetries = 0
+		}
+	} else {
+		m := loadmodel.MixLoad{
+			Mix: *mix, Dist: *dist,
+			Streams: *streams, Keys: *keys, Seed: *seed,
+			InsertOnly: *insert, Ops: *ops,
+		}
+		if *ops == 0 {
+			// -dur governs only duration-bounded runs; an ops-bounded run
+			// ends when every op settles, however long a failover stalls it.
+			m.Dur = *dur
+		}
+		src = m
 	}
 
 	if *topo != "" {
@@ -173,8 +187,7 @@ func main() {
 			if err := tv.fetch(); err == nil {
 				break
 			} else if time.Now().After(deadline) {
-				fmt.Fprintf(os.Stderr, "lpload: fetching topology from %s: %v\n", *topo, err)
-				os.Exit(1)
+				die("fetching topology from %s: %v", *topo, err)
 			}
 			time.Sleep(100 * time.Millisecond)
 		}
@@ -199,35 +212,23 @@ func main() {
 		t := tv.cur.Load()
 		fmt.Fprintf(os.Stderr, "lpload: smart-client routing, epoch %d, %d nodes\n", t.Epoch, len(t.Nodes))
 	} else if err := kvserve.WaitReady(*addr, 10*time.Second); err != nil {
-		fmt.Fprintf(os.Stderr, "lpload: %v\n", err)
-		os.Exit(1)
+		die("%v", err)
 	}
 
-	rep, err := kvserve.RunLoad(*addr, opts)
+	rep, err := loadmodel.Run(*addr, src, opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lpload: %v\n", err)
-		os.Exit(1)
+		die("%v", err)
 	}
-	drainSpans(*spanOut, clientTr)
+	drainSpans(*spanOut, opts.Tracer)
 	if rep.Partial {
-		fmt.Fprintln(os.Stderr, "lpload: connection lost mid-run — report covers completed ops only")
+		fmt.Fprintln(os.Stderr, "lpload: connection lost mid-run — report covers settled ops only")
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		enc.Encode(rep)
 	} else {
-		fmt.Printf("conns %d, window %d, %.2fs\n", rep.Conns, rep.Window, rep.ElapsedS)
-		fmt.Printf("  %d ops, %.0f ops/s\n", rep.Ops, rep.Throughput)
-		fmt.Printf("  puts acked %d, gets %d (miss %d)\n", rep.AckedPuts, rep.Gets, rep.NotFound)
-		fmt.Printf("  overloads %d (retries %d), expired %d, full %d, errors %d\n",
-			rep.Overloads, rep.Retries, rep.Expired, rep.Full, rep.Errors)
-		fmt.Printf("  latency p50 %.0fµs  p90 %.0fµs  p99 %.0fµs  max %.0fµs\n",
-			rep.P50us, rep.P90us, rep.P99us, rep.MaxUs)
-		for _, ts := range rep.Targets {
-			fmt.Printf("  target %s: ops %d, acked %d, dials %d, resets %d\n",
-				ts.Addr, ts.Ops, ts.AckedPuts, ts.Dials, ts.Resets)
-		}
+		printReport(rep)
 	}
 	if rep.Errors > 0 || rep.Partial {
 		os.Exit(2)
@@ -239,9 +240,6 @@ func die(format string, args ...any) {
 	os.Exit(1)
 }
 
-// runSpec is the loadmodel path: resolve a trace (generate from a
-// spec, or read one back), optionally record it, then replay it
-// open-loop and report per SLO class.
 // drainSpans writes the client-side tracer ring to spanOut as JSONL
 // for lptrace; a no-op unless both the flag and the tracer are set.
 func drainSpans(spanOut string, tr *obs.Tracer) {
@@ -260,13 +258,11 @@ func drainSpans(spanOut string, tr *obs.Tracer) {
 	fmt.Fprintf(os.Stderr, "lpload: %d client span events written to %s\n", len(evs), spanOut)
 }
 
-func runSpec(addr, specPath, builtin string, rate float64, dur time.Duration,
-	traceOut, traceIn string, genOnly bool, conns, maxInflight int,
-	interval time.Duration, jsonOut bool,
-	traceEvery int, tracer *obs.Tracer, spanOut string) {
+// resolveTrace produces the op schedule of a spec-driven run: generate
+// it from a spec, or read a recorded one back; optionally record it.
+func resolveTrace(specPath, builtin string, rate float64, dur time.Duration, traceOut, traceIn string) *loadmodel.Trace {
 	var tr *loadmodel.Trace
-	switch {
-	case traceIn != "":
+	if traceIn != "" {
 		if specPath != "" || builtin != "" {
 			die("-trace-in replaces generation; drop -spec/-builtin")
 		}
@@ -275,7 +271,7 @@ func runSpec(addr, specPath, builtin string, rate float64, dur time.Duration,
 			die("%v", err)
 		}
 		tr = t
-	default:
+	} else {
 		var spec *loadmodel.Spec
 		var err error
 		if specPath != "" {
@@ -295,53 +291,36 @@ func runSpec(addr, specPath, builtin string, rate float64, dur time.Duration,
 			tr.Header.Name, len(ops), float64(tr.Header.DurNs)/1e9,
 			spec.TotalClients(), len(spec.Classes))
 	}
-
 	if traceOut != "" {
 		if err := loadmodel.WriteTraceFile(traceOut, tr); err != nil {
 			die("%v", err)
 		}
 		fmt.Fprintf(os.Stderr, "lpload: trace written to %s (%d ops)\n", traceOut, len(tr.Ops))
 	}
-	if genOnly {
-		return
-	}
-
-	if err := kvserve.WaitReady(addr, 10*time.Second); err != nil {
-		die("%v", err)
-	}
-	rep, err := loadmodel.Run(addr, tr, loadmodel.RunOpts{
-		Conns: conns, MaxInflight: maxInflight,
-		Interval: interval, Progress: os.Stderr,
-		Tracer: tracer, TraceEvery: traceEvery,
-	})
-	if err != nil {
-		die("%v", err)
-	}
-	drainSpans(spanOut, tracer)
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(rep)
-	} else {
-		printRunReport(rep)
-	}
-	if rep.Errors > 0 || rep.Partial {
-		os.Exit(2)
-	}
+	return tr
 }
 
-func printRunReport(rep *loadmodel.RunReport) {
-	fmt.Printf("spec %s: open-loop, conns %d, %.2fs\n", rep.Spec, rep.Conns, rep.ElapsedS)
-	rows := append([]loadmodel.ClassPlan{rep.Total}, rep.Classes...)
+func printReport(rep *loadmodel.Report) {
+	fmt.Printf("%s: conns %d, window %d, %.2fs\n", rep.Spec, rep.Conns, rep.Window, rep.ElapsedS)
+	fmt.Printf("  %d ops, %.0f ops/s; puts acked %d, gets %d (miss %d)\n",
+		rep.Ops, rep.Throughput, rep.AckedPuts, rep.Gets, rep.NotFound)
+	rows := []loadmodel.ClassPlan{rep.Total}
+	if len(rep.Classes) > 1 {
+		rows = append(rows, rep.Classes...)
+	}
 	for i, cp := range rows {
 		name := cp.Name
 		if i == 0 {
 			name = "TOTAL"
 		}
-		fmt.Printf("  %-12s %7d ops  ok %8.0f/s  p50 %7.0fµs  p99 %7.0fµs  put-p99 %7.0fµs  rej %.3f (ov/exp/full %d/%d/%d)\n",
-			name, cp.Ops, cp.OKOpsS, cp.P50us, cp.P99us, cp.PutP99us,
+		fmt.Printf("  %-12s %7d ops  ok %8.0f/s  p50 %7.0fµs  p99 %7.0fµs  put-p99 %7.0fµs  max %7.0fµs  rej %.3f (ov/exp/full %d/%d/%d)\n",
+			name, cp.Ops, cp.OKOpsS, cp.P50us, cp.P99us, cp.PutP99us, cp.MaxUs,
 			cp.RejectRate, cp.Overloads, cp.Expired, cp.Full)
 	}
-	fmt.Printf("  notfound %d  moved %d  errors %d  stalls %d  lag-max %.0fµs (>1ms on %d ops)\n",
-		rep.NotFound, rep.Moved, rep.Errors, rep.Stalls, rep.LagMaxUs, rep.LagOps)
+	fmt.Printf("  retries %d  moved %d  errors %d  stalls %d  lag-max %.0fµs (>1ms on %d ops)  sched p50/p99 %.0f/%.0fµs\n",
+		rep.Retries, rep.Moved, rep.Errors, rep.Stalls, rep.LagMaxUs, rep.LagOps, rep.SchedP50us, rep.SchedP99us)
+	for _, ts := range rep.Targets {
+		fmt.Printf("  target %s: ops %d, acked %d, dials %d, resets %d\n",
+			ts.Addr, ts.Ops, ts.AckedPuts, ts.Dials, ts.Resets)
+	}
 }

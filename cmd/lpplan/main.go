@@ -6,20 +6,17 @@
 // throughput, latency percentiles, and reject rates for a given server
 // geometry — before booting a single server.
 //
-// The model runs on calibration constants from one of three sources,
-// in increasing fidelity:
+// The model runs on calibration constants from one of two sources:
 //
 //   - defaults: rough localhost numbers, order-of-magnitude only;
-//   - -bench BENCH_serve.json[,BENCH_cluster.json]: derived from the
-//     committed benchmark snapshots;
-//   - -probe addr: four short closed-loop probes against a live server
+//   - -probe addr: four short window-paced probes against a live server
 //     (the server's geometry must match -shards/-batch/-batchwait and
 //     the spec's streams/keys/preload seed).
 //
 // Usage:
 //
 //	lpplan -builtin bursty -rate 0.5 -shards 4
-//	lpplan -spec work.json -bench BENCH_serve.json,BENCH_cluster.json -replicated
+//	lpplan -spec work.json -replicated
 //	lpplan -builtin steady -probe 127.0.0.1:7411 -json
 //	lpplan -builtin steady -sweep-shards 1,2,4,8
 package main
@@ -59,7 +56,6 @@ func main() {
 		fsync     = flag.Bool("fsync", false, "model fsync-per-commit")
 		repl      = flag.Bool("replicated", false, "model the synchronous replication hop")
 
-		bench       = flag.String("bench", "", "calibrate from bench snapshots: BENCH_serve.json[,BENCH_cluster.json]")
 		probe       = flag.String("probe", "", "calibrate live against this server address")
 		sweepShards = flag.String("sweep-shards", "", "comma-separated shard counts to compare (e.g. 1,2,4,8)")
 		jsonOut     = flag.Bool("json", false, "emit the report(s) as JSON")
@@ -83,16 +79,7 @@ func main() {
 	}
 
 	cal := loadmodel.DefaultCalibration()
-	switch {
-	case *bench != "" && *probe != "":
-		die("-bench and -probe are mutually exclusive")
-	case *bench != "":
-		servePath, clusterPath, _ := strings.Cut(*bench, ",")
-		cal, err = loadmodel.CalibrateFromBench(servePath, clusterPath)
-		if err != nil {
-			die("%v", err)
-		}
-	case *probe != "":
+	if *probe != "" {
 		cal, err = loadmodel.CalibrateLive(*probe, loadmodel.ProbeGeometry{
 			Shards: *shards, BatchK: *batch, BatchWait: *batchwait,
 			Streams: spec.Streams, Keys: spec.Keys, Seed: spec.PreloadSeed,

@@ -15,9 +15,9 @@
 // cannot trust its own role to distinguish "client put, forward it"
 // from "forwarded put, just apply it": instead every pair member
 // forwards client puts (OpPut) to the slot's other static member,
-// and forwarded copies travel as OpReplPut frames, which are applied
-// but never re-forwarded — replication echo is impossible by opcode,
-// not by role agreement.
+// and forwarded copies travel in OpReplBatch frames, whose members
+// the receiver tags OpReplPut: applied but never re-forwarded —
+// replication echo is impossible by opcode, not by role agreement.
 //
 // The durability contract, cluster-wide: a put is acked to the client
 // only after (a) the primary's LP group commit made the put's batch

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"lazyp/internal/kvserve"
+	"lazyp/internal/loadmodel"
 	"lazyp/internal/lpstore"
 	"lazyp/internal/workloads"
 )
@@ -39,6 +40,13 @@ func testNodeCfg(path string) kvserve.Config {
 		BatchWait:     300 * time.Microsecond,
 		PipelineDepth: 2,
 	}
+}
+
+// insertLoad is the unique-key insert source the cluster tests drive:
+// ops per connection, or dur when ops is 0.
+func insertLoad(cfg kvserve.Config, ops int, dur time.Duration) loadmodel.MixLoad {
+	return loadmodel.MixLoad{InsertOnly: true, Ops: ops, Dur: dur,
+		Streams: cfg.Streams, Keys: cfg.Keys, Seed: cfg.Seed}
 }
 
 func startTestNode(t *testing.T, id, path string) *Node {
@@ -219,9 +227,8 @@ func TestClusterReplicatedLoad(t *testing.T) {
 	var mu sync.Mutex
 	sent := map[uint64]uint64{}
 	acked := map[uint64]uint64{}
-	rep, err := kvserve.RunLoad(r.Addr(), kvserve.LoadOpts{
-		Conns: 2, Window: 16, Ops: 1500, InsertOnly: true,
-		Streams: cfg.Streams, Keys: cfg.Keys, Seed: cfg.Seed,
+	rep, err := loadmodel.Run(r.Addr(), insertLoad(cfg, 1500, 0), loadmodel.Options{
+		Conns: 2, Window: 16, MaxRetries: 8,
 		OnSend: func(_ int, k, v uint64) { mu.Lock(); sent[k] = v; mu.Unlock() },
 		OnAck:  func(_ int, k, v uint64) { mu.Lock(); acked[k] = v; mu.Unlock() },
 	})
@@ -294,12 +301,10 @@ func TestClusterFailoverRejoin(t *testing.T) {
 	acked := map[uint64]uint64{}
 	ackedN := func() int { mu.Lock(); defer mu.Unlock(); return len(acked) }
 
-	loadDone := make(chan kvserve.LoadReport, 1)
+	loadDone := make(chan *loadmodel.Report, 1)
 	go func() {
-		rep, _ := kvserve.RunLoad(r.Addr(), kvserve.LoadOpts{
-			Conns: 2, Window: 16, Dur: 6 * time.Second, InsertOnly: true,
-			MaxRetries: 100, Reconnect: true,
-			Streams: cfg.Streams, Keys: cfg.Keys, Seed: cfg.Seed,
+		rep, _ := loadmodel.Run(r.Addr(), insertLoad(cfg, 0, 6*time.Second), loadmodel.Options{
+			Conns: 2, Window: 16, MaxRetries: 100, Reconnect: true,
 			OnSend: func(_ int, k, v uint64) { mu.Lock(); sent[k] = v; mu.Unlock() },
 			OnAck:  func(_ int, k, v uint64) { mu.Lock(); acked[k] = v; mu.Unlock() },
 		})
@@ -349,7 +354,7 @@ func TestClusterFailoverRejoin(t *testing.T) {
 	// keep their connections and see Overload flushes, which the
 	// engine retries — so the failover shows up as retries, not
 	// client-side resets.
-	if rep.Retries == 0 && rep.Overloads == 0 {
+	if rep.Retries == 0 && rep.Total.Overloads == 0 {
 		t.Error("expected overload/retry churn through the failover")
 	}
 	if rep.AckedPuts == 0 {

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"lazyp/internal/kvserve"
+	"lazyp/internal/loadmodel"
 )
 
 const (
@@ -186,12 +187,10 @@ func TestClusterCrashKillFailover(t *testing.T) {
 	ackedN := func() int { mu.Lock(); defer mu.Unlock(); return len(acked) }
 	setPhase := func(p int) { mu.Lock(); curPhase = p; mu.Unlock() }
 
-	loadDone := make(chan kvserve.LoadReport, 1)
+	loadDone := make(chan *loadmodel.Report, 1)
 	go func() {
-		rep, _ := kvserve.RunLoad(r.Addr(), kvserve.LoadOpts{
-			Conns: 2, Window: 16, Dur: 6 * time.Second, InsertOnly: true,
-			MaxRetries: 100, Reconnect: true,
-			Streams: cfg.Streams, Keys: cfg.Keys, Seed: cfg.Seed,
+		rep, _ := loadmodel.Run(r.Addr(), insertLoad(cfg, 0, 6*time.Second), loadmodel.Options{
+			Conns: 2, Window: 16, MaxRetries: 100, Reconnect: true,
 			OnSend: func(_ int, k, v uint64) { mu.Lock(); sent[k] = v; mu.Unlock() },
 			OnAck: func(_ int, k, v uint64) {
 				mu.Lock()
@@ -235,7 +234,7 @@ func TestClusterCrashKillFailover(t *testing.T) {
 	if rep.AckedPuts == 0 {
 		t.Fatal("no puts acked")
 	}
-	if rep.Retries == 0 && rep.Overloads == 0 {
+	if rep.Retries == 0 && rep.Total.Overloads == 0 {
 		t.Error("expected overload/retry churn through the failover")
 	}
 	t.Logf("load: %d ops, %d acked, %d retries, %d resets, %d errors",
@@ -382,12 +381,10 @@ func TestClusterCrashFollowerMidBatch(t *testing.T) {
 	ackedN := func() int { mu.Lock(); defer mu.Unlock(); return len(acked) }
 	setPhase := func(p int) { mu.Lock(); curPhase = p; mu.Unlock() }
 
-	loadDone := make(chan kvserve.LoadReport, 1)
+	loadDone := make(chan *loadmodel.Report, 1)
 	go func() {
-		rep, _ := kvserve.RunLoad(r.Addr(), kvserve.LoadOpts{
-			Conns: 2, Window: 16, Dur: 6 * time.Second, InsertOnly: true,
-			MaxRetries: 100, Reconnect: true,
-			Streams: cfg.Streams, Keys: cfg.Keys, Seed: cfg.Seed,
+		rep, _ := loadmodel.Run(r.Addr(), insertLoad(cfg, 0, 6*time.Second), loadmodel.Options{
+			Conns: 2, Window: 16, MaxRetries: 100, Reconnect: true,
 			OnSend: func(_ int, k, v uint64) { mu.Lock(); sent[k] = v; mu.Unlock() },
 			OnAck: func(_ int, k, v uint64) {
 				mu.Lock()

@@ -481,7 +481,7 @@ func (r *Replicator) ApplyTopology(t *Topology) error {
 	// only — and a later orphan reclaim can hand the slot to the other
 	// member, losing an acked key. Pair membership is static, so
 	// forwarding to the other member is correct under any role skew,
-	// and OpReplPut keeps the copy from echoing back.
+	// and the OpReplPut tag keeps the copy from echoing back.
 	other := func(sa SlotAssign) int {
 		switch self {
 		case sa.Primary:

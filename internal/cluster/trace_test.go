@@ -6,12 +6,12 @@ import (
 	"testing"
 	"time"
 
-	"lazyp/internal/kvserve"
+	"lazyp/internal/loadmodel"
 	"lazyp/internal/obs"
 )
 
 // TestClusterTracePropagation is the end-to-end span regression: a
-// trace ID minted at the loadgen client must survive the router's
+// trace ID minted at the load engine must survive the router's
 // zero-copy proxy (OpTraceCtx routed with its successor frame), the
 // primary's pipeline, and the OpReplBatch trace-entry extension into
 // the follower's apply path. The drains then make the same JSONL
@@ -43,9 +43,8 @@ func TestClusterTracePropagation(t *testing.T) {
 	clientTr := obs.NewTracer(1 << 14)
 	clientTr.Enable(true)
 	cfg := testNodeCfg("")
-	rep, err := kvserve.RunLoad(r.Addr(), kvserve.LoadOpts{
-		Conns: 2, Window: 16, Ops: 600, InsertOnly: true,
-		Streams: cfg.Streams, Keys: cfg.Keys, Seed: cfg.Seed,
+	rep, err := loadmodel.Run(r.Addr(), insertLoad(cfg, 600, 0), loadmodel.Options{
+		Conns: 2, Window: 16, MaxRetries: 8,
 		TraceEvery: 4, Tracer: clientTr,
 	})
 	if err != nil {

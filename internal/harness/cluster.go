@@ -12,6 +12,8 @@ import (
 
 	"lazyp/internal/cluster"
 	"lazyp/internal/kvserve"
+	"lazyp/internal/loadmodel"
+	"lazyp/internal/lpstore"
 )
 
 // expCluster is E16: the multi-node story measured end to end. Three
@@ -32,8 +34,33 @@ func expCluster(w io.Writer, o Options) error {
 	}
 	defer os.RemoveAll(dir)
 
-	nodeCfg := func(path string) kvserve.Config { return clusterNodeCfg(o, path) }
-	load := clusterLoadOpts(o, nodeCfg(""))
+	// Shrink the table under Quick but not the journal: rounds share
+	// the nodes, and insert-heavy phases must not exhaust a shard's LP
+	// journal — a full journal answers StatusFull, which stalls
+	// replication catch-up (replays degrade forever) instead of failing
+	// loudly.
+	nodeCfg := func(path string) kvserve.Config {
+		c := kvserve.Config{
+			Addr: "127.0.0.1:0", Path: path, Mode: lpstore.ModeLP,
+			Shards: 2, Capacity: 1 << 15, MaxOps: 1 << 17, BatchK: 32,
+			Streams: 4, Keys: 2048, Seed: 16,
+			Mailbox: 256, BatchWait: 300 * time.Microsecond,
+			PipelineDepth: 2,
+		}
+		if o.Quick {
+			c.Capacity = 1 << 13
+			c.Streams, c.Keys = 2, 256
+		}
+		return c
+	}
+	// Few fat connections, so response flushes and replication batches
+	// actually fill (see DESIGN.md §11).
+	ref := nodeCfg("")
+	load := loadmodel.MixLoad{
+		Mix: "a", Dist: "zipfian", Ops: 40000,
+		Streams: ref.Streams, Keys: ref.Keys, Seed: ref.Seed,
+	}
+	opts := loadmodel.Options{Conns: 2, Window: 128, MaxRetries: 8}
 	if o.Quick {
 		load.Ops = 300
 	}
@@ -51,7 +78,7 @@ func expCluster(w io.Writer, o Options) error {
 		single.Close()
 		return fmt.Errorf("cluster e16: single: %w", err)
 	}
-	rep, lerr := kvserve.RunLoad(single.Addr(), load)
+	rep, lerr := loadmodel.Run(single.Addr(), load, opts)
 	if cerr := single.Close(); cerr != nil {
 		return fmt.Errorf("cluster e16: single drain: %w", cerr)
 	}
@@ -59,7 +86,7 @@ func expCluster(w io.Writer, o Options) error {
 		return fmt.Errorf("cluster e16: single load: %w", lerr)
 	}
 	fmt.Fprintf(tw, "1 node direct\t%d\t%.0f\t%.0f\t%.0f\t%d/%d\n",
-		rep.Ops, rep.Throughput, rep.P50us, rep.P99us, rep.Overloads, rep.ConnResets)
+		rep.Ops, rep.Throughput, rep.Total.P50us, rep.Total.P99us, rep.Total.Overloads, rep.ConnResets)
 
 	// Round 2: three members behind the router, every put replicated to
 	// its slot's pair peer and acked only after the follower's group
@@ -106,12 +133,12 @@ func expCluster(w io.Writer, o Options) error {
 	}
 	defer r.Close()
 
-	rep, lerr = kvserve.RunLoad(r.Addr(), load)
+	rep, lerr = loadmodel.Run(r.Addr(), load, opts)
 	if lerr != nil {
 		return fmt.Errorf("cluster e16: cluster load: %w", lerr)
 	}
 	fmt.Fprintf(tw, "3 nodes via router\t%d\t%.0f\t%.0f\t%.0f\t%d/%d\n",
-		rep.Ops, rep.Throughput, rep.P50us, rep.P99us, rep.Overloads, rep.ConnResets)
+		rep.Ops, rep.Throughput, rep.Total.P50us, rep.Total.P99us, rep.Total.Overloads, rep.ConnResets)
 
 	// Round 3: the failover drill. Insert-only load with retries on,
 	// kill the victim mid-run, and time two spans on the host clock:
@@ -133,8 +160,9 @@ func expCluster(w io.Writer, o Options) error {
 	drill := load
 	drill.Ops = 8000
 	drill.InsertOnly = true
-	drill.MaxRetries = 200
-	drill.Reconnect = true
+	dopts := opts
+	dopts.MaxRetries = 200
+	dopts.Reconnect = true
 	if o.Quick {
 		drill.Ops = 2000
 	}
@@ -149,7 +177,7 @@ func expCluster(w io.Writer, o Options) error {
 	var killAt, lastVictimAck time.Time
 	var blip time.Duration
 	ackN := 0
-	drill.OnAck = func(_ int, k, _ uint64) {
+	dopts.OnAck = func(_ int, k, _ uint64) {
 		mu.Lock()
 		ackN++
 		if pairs[cluster.SlotOf(k)][0] == 0 {
@@ -164,15 +192,15 @@ func expCluster(w io.Writer, o Options) error {
 		mu.Unlock()
 	}
 
-	loadDone := make(chan kvserve.LoadReport, 1)
+	loadDone := make(chan *loadmodel.Report, 1)
 	go func() {
-		rep, _ := kvserve.RunLoad(r.Addr(), drill)
+		rep, _ := loadmodel.Run(r.Addr(), drill, dopts)
 		loadDone <- rep
 	}()
 	// Kill a quarter of the way in — enough warmup that victim-owned
 	// slots have a pre-kill ack cadence, enough runway that the
 	// post-promotion (and post-rejoin) cluster carries real load.
-	killTarget := drill.Ops * drill.Conns / 4
+	killTarget := drill.Ops * dopts.Conns / 4
 	for deadline := time.Now().Add(20 * time.Second * slack); ; {
 		mu.Lock()
 		n := ackN
@@ -252,7 +280,7 @@ func expCluster(w io.Writer, o Options) error {
 		return fmt.Errorf("cluster e16: no post-kill ack on a victim-owned slot observed")
 	}
 	fmt.Fprintf(tw, "3 nodes, kill+rejoin\t%d\t%.0f\t%.0f\t%.0f\t%d/%d\n",
-		rep.Ops, rep.Throughput, rep.P50us, rep.P99us, rep.Overloads, rep.ConnResets)
+		rep.Ops, rep.Throughput, rep.Total.P50us, rep.Total.P99us, rep.Total.Overloads, rep.ConnResets)
 	fmt.Fprintf(tw, "failover\t\t\t\t\tblip %.0f ms (kill → promoted ack), rejoin %.0f ms (restart → alive)\n",
 		float64(stall.Milliseconds()), float64(rejoin.Milliseconds()))
 	return tw.Flush()

@@ -15,9 +15,9 @@ import (
 
 // expPlan is E17: the capacity planner validated against the live
 // service. One server boots to donate calibration constants (four
-// short closed-loop probes); then, per built-in spec, the same
+// short window-paced probes); then, per built-in spec, the same
 // deterministic op stream is (a) run through the planner's
-// discrete-event model and (b) replayed open-loop against a fresh
+// discrete-event model and (b) replayed on its schedule against a fresh
 // server, and the predicted vs measured throughput and latency land
 // side by side with their relative error. Native: wall-clock latency
 // on a live TCP server, so the runner executes it alone.
@@ -116,14 +116,14 @@ func expPlan(w io.Writer, o Options) error {
 		// A 1-CPU host's scheduler can stall any single run for
 		// milliseconds and blow up that run's measured tail; the
 		// median-by-put-p99 trial is the representative one.
-		runs := make([]*loadmodel.RunReport, 0, trials)
+		runs := make([]*loadmodel.Report, 0, trials)
 		for t := 0; t < trials; t++ {
 			s, err := boot(fmt.Sprintf("%s-%d", name, t))
 			if err != nil {
 				return err
 			}
 			meas, err := loadmodel.Run(s.Addr(), loadmodel.TraceOf(spec, ops),
-				loadmodel.RunOpts{Conns: pcfg.Conns})
+				loadmodel.Options{Conns: pcfg.Conns, Window: 512})
 			if cerr := s.Close(); cerr != nil && err == nil {
 				err = fmt.Errorf("plan %s: drain: %w", name, cerr)
 			}

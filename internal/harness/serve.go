@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lazyp/internal/kvserve"
+	"lazyp/internal/loadmodel"
 	"lazyp/internal/lpstore"
 )
 
@@ -33,9 +34,8 @@ func expServe(w io.Writer, o Options) error {
 		Streams: 4, Keys: 2048, Seed: 1,
 		Mailbox: 256, BatchWait: 500 * time.Microsecond,
 	}
-	load := kvserve.LoadOpts{
-		Conns: 2, Window: 64, Ops: 10000,
-		Mix: "a", Dist: "zipfian",
+	load := loadmodel.MixLoad{
+		Mix: "a", Dist: "zipfian", Ops: 10000,
 		Streams: cfg.Streams, Keys: cfg.Keys, Seed: cfg.Seed,
 	}
 	if o.Quick {
@@ -46,7 +46,7 @@ func expServe(w io.Writer, o Options) error {
 	}
 
 	modes := []lpstore.Mode{lpstore.ModeBase, lpstore.ModeLP, lpstore.ModeEP, lpstore.ModeWAL}
-	round := func(tw io.Writer, cfg kvserve.Config, load kvserve.LoadOpts, tag string) (kvserve.Config, error) {
+	round := func(tw io.Writer, cfg kvserve.Config, load loadmodel.MixLoad, tag string) (kvserve.Config, error) {
 		var lpCfg kvserve.Config
 		for _, m := range modes {
 			if cfg.Fsync && m == lpstore.ModeBase {
@@ -66,7 +66,7 @@ func expServe(w io.Writer, o Options) error {
 				s.Close()
 				return lpCfg, fmt.Errorf("serve %s: %w", m, err)
 			}
-			rep, lerr := kvserve.RunLoad(s.Addr(), load)
+			rep, lerr := loadmodel.Run(s.Addr(), load, loadmodel.Options{Conns: 2, Window: 64, MaxRetries: 8})
 			st := s.Stats()
 			if err := s.Close(); err != nil {
 				return lpCfg, fmt.Errorf("serve %s: drain: %w", m, err)
@@ -79,7 +79,7 @@ func expServe(w io.Writer, o Options) error {
 			}
 			fmt.Fprintf(tw, "%s%s\t%d\t%.0f\t%d\t%d\t%.0f\t%.0f\t%d/%d\n",
 				m, tag, rep.Ops, rep.Throughput, st.AckedPuts, st.Batches,
-				rep.P50us, rep.P99us, rep.Overloads, rep.Full)
+				rep.Total.P50us, rep.Total.P99us, rep.Total.Overloads, rep.Total.Full)
 		}
 		return lpCfg, nil
 	}

@@ -1,4 +1,4 @@
-package kvserve
+package kvserve_test
 
 // The crash test this file holds is the subsystem's reason to exist:
 // a real server process killed with SIGKILL mid-load, restarted, and
@@ -19,6 +19,8 @@ import (
 	"testing"
 	"time"
 
+	"lazyp/internal/kvserve"
+	"lazyp/internal/loadmodel"
 	"lazyp/internal/lpstore"
 	"lazyp/internal/workloads"
 )
@@ -41,8 +43,8 @@ func TestMain(m *testing.M) {
 // widens the seal→durable window the pipelined commit keeps open: up
 // to PipelineDepth sealed-but-unacked batches are in flight when the
 // kill lands, and none of them may have been acked.
-func crashChildCfg(path string, fsync bool) Config {
-	return Config{
+func crashChildCfg(path string, fsync bool) kvserve.Config {
+	return kvserve.Config{
 		Addr:          "127.0.0.1:0",
 		Path:          path,
 		Mode:          lpstore.ModeLP,
@@ -61,7 +63,7 @@ func crashChildCfg(path string, fsync bool) Config {
 }
 
 func runCrashChild(path string, fsync bool) {
-	s, err := New(crashChildCfg(path, fsync))
+	s, err := kvserve.New(crashChildCfg(path, fsync))
 	if err == nil {
 		err = s.Start()
 	}
@@ -129,11 +131,10 @@ func runCrashKill(t *testing.T, fsync bool) {
 	sent := map[uint64]uint64{}
 	acked := map[uint64]uint64{}
 	var ackedN atomic.Uint64
-	loadDone := make(chan LoadReport, 1)
+	loadDone := make(chan *loadmodel.Report, 1)
 	go func() {
-		rep, _ := RunLoad(addr, LoadOpts{
-			Conns: 3, Window: 32, Ops: 200000, InsertOnly: true,
-			Streams: cfg.Streams, Keys: cfg.Keys, Seed: cfg.Seed,
+		rep, _ := loadmodel.Run(addr, insertLoad(cfg, 200000), loadmodel.Options{
+			Conns: 3, Window: 32, MaxRetries: 8,
 			OnSend: func(_ int, k, v uint64) { mu.Lock(); sent[k] = v; mu.Unlock() },
 			OnAck: func(_ int, k, v uint64) {
 				mu.Lock()
@@ -161,7 +162,7 @@ func runCrashKill(t *testing.T, fsync bool) {
 		t.Error("expected in-flight operations to fail when the server died")
 	}
 
-	s2, err := New(cfg)
+	s2, err := kvserve.New(cfg)
 	if err != nil {
 		t.Fatalf("restart recovery: %v", err)
 	}

@@ -192,8 +192,8 @@ type Config struct {
 // Ready reports whether the replicator can uphold that contract at
 // all — for internal/cluster, whether a topology epoch has been
 // applied. While a configured Replicator is not ready, the server
-// rejects client puts (OpPut; forwarded OpReplPut/OpReplBatch copies
-// and gets are unaffected) with StatusOverload: a freshly
+// rejects client puts (OpPut; forwarded OpReplBatch copies and gets
+// are unaffected) with StatusOverload: a freshly
 // (re)started member acking before its first topology push would ack
 // at RF=1 with no forward and no delta charge, outside the cluster's
 // epoch fence.
@@ -208,7 +208,7 @@ type Replicator interface {
 // every client put against the cluster topology and rejects puts for
 // keys this member does not own (StatusMoved) instead of relying on
 // membership-based forwarding to paper over a stale client. The check
-// covers OpPut only — OpReplPut/OpReplBatch copies are authorized by
+// covers OpPut only — OpReplBatch copies are authorized by
 // the *forwarding* member's view, and refusing them here would stall
 // a lagging peer's catch-up into us mid-epoch-change. IsPrimary must
 // be safe for concurrent use from every connection reader; a member

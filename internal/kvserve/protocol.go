@@ -21,24 +21,26 @@ import (
 // The frame constants and codecs are exported because two other layers
 // speak this protocol verbatim: the lprouter proxy (internal/cluster)
 // forwards client frames to node backends unchanged, and the cluster
-// Replicator forwards puts pair-member→pair-member as OpReplPut frames.
+// Replicator forwards sealed batches pair-member→pair-member as
+// OpReplBatch frames.
 const (
 	OpPut = 'P'
 	OpGet = 'G'
-	// OpReplPut is a put arriving over a replication session from the
-	// slot's other pair member: it is journaled and group-committed
-	// like OpPut but never re-forwarded. The dedicated opcode is what
+	// OpReplPut is the in-process tag the server stamps on each member
+	// of a received OpReplBatch run: it is journaled and group-committed
+	// like OpPut but never re-forwarded. The dedicated tag is what
 	// makes replication echo structurally impossible — with role views
 	// converging per node, two members can transiently both believe
 	// they own a slot, and ordinary puts bounced between them would
-	// amplify forever.
+	// amplify forever. It is never accepted from the wire: a frame
+	// carrying it is answered StatusBadRequest.
 	OpReplPut = 'R'
 	OpPing    = 'N'
 	// OpReplBatch is a run of replicated puts sharing one header and
 	// one ack: a standard request header whose key field carries the
 	// put count, followed by count 16-byte (key, val) pairs. Each put
-	// is applied exactly like OpReplPut (admission, journaling, group
-	// commit, never re-forwarded); the receiver answers a single
+	// is tagged OpReplPut (admission, journaling, group commit, never
+	// re-forwarded); the receiver answers a single
 	// response carrying the header's seq once every put in the run has
 	// settled inside its own group commit — the worst member status
 	// wins, so one StatusOK ack still means "every put in this run is

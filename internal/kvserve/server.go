@@ -959,7 +959,10 @@ func (s *Server) connReader(cn *srvConn) {
 			rb = appendResp(rb, seq, StatusOK, key&FeatTrace)
 		case op == OpPing:
 			rb = appendResp(rb, seq, StatusOK, 0)
-		case (op != OpGet && op != OpPut && op != OpReplPut) || key == 0 || key == lpstore.NopKey:
+		case (op != OpGet && op != OpPut) || key == 0 || key == lpstore.NopKey:
+			// OpReplPut lands here too: it is an in-process tag, and a
+			// wire frame carrying it would skip the primary check and
+			// the topology gate below and never be forwarded.
 			rb = appendResp(rb, seq, StatusBadRequest, 0)
 		case s.draining.Load():
 			rb = appendResp(rb, seq, StatusShutdown, 0)
@@ -981,9 +984,9 @@ func (s *Server) connReader(cn *srvConn) {
 			if gets >= 512 {
 				flushTallies()
 			}
-		default: // put
+		default: // OpPut
 			sd := s.shards[shardOf(key, len(s.shards))]
-			if op == OpPut && s.auth != nil && s.cfg.Repl.Ready() && !s.auth.IsPrimary(key) {
+			if s.auth != nil && s.cfg.Repl.Ready() && !s.auth.IsPrimary(key) {
 				// Primary authorization: this member's applied epoch
 				// says the key belongs to someone else, so the client's
 				// routing table is stale. Reject with StatusMoved — the
@@ -996,14 +999,14 @@ func (s *Server) connReader(cn *srvConn) {
 				rb = appendResp(rb, seq, StatusMoved, 0)
 				break
 			}
-			if op == OpPut && s.cfg.Repl != nil && !s.cfg.Repl.Ready() {
+			if s.cfg.Repl != nil && !s.cfg.Repl.Ready() {
 				// A clustered member with no applied topology must not
 				// ack client puts: Forward would return 0 (no view), so
 				// the put would be acked at RF=1 with no forward and no
 				// delta charge, outside the router's epoch fence. The
 				// gate is per-op, not per-boot, so it also covers a
 				// node whose data plane came up before the first push.
-				// OpReplPut stays open — the forwarding peer's view is
+				// OpReplBatch stays open — the forwarding peer's view is
 				// what charged the pair, and refusing the copy would
 				// stall that peer's catch-up into us.
 				sd.obs.rejOver.Inc()
@@ -1080,7 +1083,7 @@ func (s *Server) flushResponses(cn *srvConn, rb []byte) bool {
 // (key, val) pairs follow the header on the wire, then tcount 12-byte
 // [idx:4][tid:8] trace entries (the header's val field; 0 from
 // pre-trace primaries) tagging pair idx with a trace ID, ascending by
-// idx. Members route to their shards exactly like OpReplPut, sharing
+// idx. Members route to their shards tagged OpReplPut, sharing
 // one aggregate that answers the run's single response when its last
 // member settles (worst status wins; members may settle from
 // different shards' flushers). Returns false only on a malformed
@@ -1368,7 +1371,7 @@ func (s *Server) seal(sd *shardState, padded bool) {
 // ForwardBatch may block on replication-window backpressure until a
 // *remote* ack frees a slot, and a flusher blocked on remote progress
 // deadlocks two nodes that forward to each other (each node's
-// follower acks are produced by its flusher). OpReplPut arrivals are
+// follower acks are produced by its flusher). OpReplPut entries are
 // the peer's forwarded copies — re-forwarding them would echo puts
 // between pair members forever, so only OpPut entries forward.
 func (s *Server) forwardBatch(sd *shardState, it *commitItem) {

@@ -5,8 +5,6 @@ import (
 	"net"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,6 +98,7 @@ func TestServeBadRequest(t *testing.T) {
 		{OpPut, 0, "zero key"},
 		{OpGet, lpstore.NopKey, "NopKey"},
 		{'X', 5, "unknown op"},
+		{OpReplPut, 5, "single-put replication frame from the wire"},
 	} {
 		ch, err := cl.start(c.op, c.key, 1)
 		if err != nil {
@@ -204,144 +203,6 @@ func TestServeFullTable(t *testing.T) {
 	}
 }
 
-// TestServeDrainRestart: a loaded server that drains via Close leaves
-// an image that reopens with zero repair; every acked put is present
-// and servable after the restart.
-func TestServeDrainRestart(t *testing.T) {
-	cfg := testCfg(t, lpstore.ModeLP)
-	s := startServer(t, cfg)
-
-	var mu sync.Mutex
-	acked := map[uint64]uint64{}
-	rep, err := RunLoad(s.Addr(), LoadOpts{
-		Conns: 3, Window: 16, Ops: 400, InsertOnly: true,
-		Streams: cfg.Streams, Keys: cfg.Keys, Seed: 1,
-		OnAck: func(_ int, k, v uint64) { mu.Lock(); acked[k] = v; mu.Unlock() },
-	})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
-	if rep.Errors != 0 || rep.AckedPuts != 1200 {
-		t.Fatalf("load: %d errors, %d acked, want 0/1200", rep.Errors, rep.AckedPuts)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("drain Close: %v", err)
-	}
-
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	if !s2.Restored() {
-		t.Fatal("reopen did not detect the image")
-	}
-	for _, st := range s2.RecoveryStats() {
-		if !st.Verified {
-			t.Fatalf("graceful drain required repair: %+v", st)
-		}
-	}
-	contents := s2.Contents()
-	preload := cfg.Streams * cfg.Keys
-	if len(contents) != preload+len(acked) {
-		t.Fatalf("recovered %d keys, want %d preload + %d acked", len(contents), preload, len(acked))
-	}
-	for k, v := range acked {
-		if contents[k] != v {
-			t.Fatalf("acked key %#x = %#x, want %#x", k, contents[k], v)
-		}
-	}
-	if err := s2.VerifyRecovered(); err != nil {
-		t.Fatalf("VerifyRecovered: %v", err)
-	}
-	// The restarted server serves the recovered data.
-	if err := s2.Start(); err != nil {
-		t.Fatalf("restart Start: %v", err)
-	}
-	cl := dial(t, s2.Addr())
-	for k, v := range acked {
-		if got, st, _ := cl.Get(k); st != StatusOK || got != v {
-			t.Fatalf("restarted Get(%#x) = %#x,%s want %#x,ok", k, got, StatusName(st), v)
-		}
-		break
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-}
-
-// TestServeAbortRecover: an in-process unclean stop mid-load. Every
-// put acked before the abort must survive the restart's recovery, and
-// the recovered image holds no values that were never written.
-func TestServeAbortRecover(t *testing.T) {
-	cfg := testCfg(t, lpstore.ModeLP)
-	s := startServer(t, cfg)
-
-	var mu sync.Mutex
-	sent := map[uint64]uint64{}
-	acked := map[uint64]uint64{}
-	var ackedN atomic.Uint64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		RunLoad(s.Addr(), LoadOpts{
-			Conns: 3, Window: 16, Ops: 100000, InsertOnly: true,
-			Streams: cfg.Streams, Keys: cfg.Keys, Seed: 1,
-			OnSend: func(_ int, k, v uint64) { mu.Lock(); sent[k] = v; mu.Unlock() },
-			OnAck: func(_ int, k, v uint64) {
-				mu.Lock()
-				acked[k] = v
-				mu.Unlock()
-				ackedN.Add(1)
-			},
-		})
-	}()
-	deadline := time.Now().Add(15 * time.Second)
-	for ackedN.Load() < 200 {
-		if time.Now().After(deadline) {
-			t.Fatal("load never reached 200 acked puts")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.Abort()
-	<-done
-
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	defer s2.Close()
-	contents := s2.Contents()
-	mu.Lock()
-	defer mu.Unlock()
-	for k, v := range acked {
-		got, ok := contents[k]
-		if !ok || got != v {
-			t.Fatalf("acked key %#x = %#x,%v want %#x", k, got, ok, v)
-		}
-	}
-	preload := map[uint64]uint64{}
-	for tid := 0; tid < cfg.Streams; tid++ {
-		for i := 0; i < cfg.Keys; i++ {
-			k := workloads.KVKey(tid, i)
-			preload[k] = workloads.KVInitVal(1, k)
-		}
-	}
-	for k, v := range contents {
-		if pv, ok := preload[k]; ok {
-			if v != pv {
-				t.Fatalf("preloaded key %#x corrupted: %#x != %#x", k, v, pv)
-			}
-			continue
-		}
-		if sv, ok := sent[k]; !ok || v != sv {
-			t.Fatalf("key %#x holds %#x never written (sent %#x,%v)", k, v, sv, ok)
-		}
-	}
-	if err := s2.VerifyRecovered(); err != nil {
-		t.Fatalf("VerifyRecovered: %v", err)
-	}
-}
-
 // TestServeEPWALRestart: the eager disciplines ack per put, so a
 // drained image reopens with their data intact and servable.
 func TestServeEPWALRestart(t *testing.T) {
@@ -392,49 +253,5 @@ func TestServeGeometryMismatch(t *testing.T) {
 	bad.BatchK = 32
 	if _, err := New(bad); err == nil || !strings.Contains(err.Error(), "geometry") {
 		t.Fatalf("mismatched geometry accepted: %v", err)
-	}
-}
-
-// TestLoadRefreshOnDialFailure: a smart client whose routed target
-// cannot even be dialed must re-resolve the topology (Refresh) before
-// the op reissues — otherwise every retry re-dials the dead address
-// and the op dies by MaxRetries while a promoted primary is serving.
-func TestLoadRefreshOnDialFailure(t *testing.T) {
-	cfg := testCfg(t, lpstore.ModeLP)
-	s := startServer(t, cfg)
-
-	// A dead address: bind, note the port, close. Dials are refused.
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
-
-	// The route pins every key to the dead address until Refresh fires,
-	// then falls back to the live server — the shape of a failover the
-	// client only learns about by re-fetching the routing table.
-	var refreshed atomic.Bool
-	rep, err := RunLoad(s.Addr(), LoadOpts{
-		Conns: 1, Window: 4, Ops: 40,
-		Streams: cfg.Streams, Keys: cfg.Keys, Seed: cfg.Seed,
-		Reconnect: true, MaxRetries: 50,
-		Route: func(uint64) string {
-			if refreshed.Load() {
-				return ""
-			}
-			return deadAddr
-		},
-		Refresh: func() { refreshed.Store(true) },
-	})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
-	if !refreshed.Load() {
-		t.Fatal("dial failure did not trigger a topology refresh")
-	}
-	if rep.Errors != 0 || rep.Ops != 40 {
-		t.Fatalf("load: %d errors, %d completed, want 0/40 (retries %d)",
-			rep.Errors, rep.Ops, rep.Retries)
 	}
 }

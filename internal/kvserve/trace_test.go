@@ -9,6 +9,17 @@ import (
 	"lazyp/internal/obs"
 )
 
+// promLine returns the first sample line of the scrape that starts
+// with prefix (skipping # comments), or "".
+func promLine(scrape, prefix string) string {
+	for _, ln := range strings.Split(scrape, "\n") {
+		if strings.HasPrefix(ln, prefix) {
+			return ln
+		}
+	}
+	return ""
+}
+
 // TestTracedPutSpans pins the single-node span pipeline: a client that
 // negotiated FeatTrace sends a put behind an OpTraceCtx prefix, and
 // the server's tracer must hold the full stage ladder for that trace

@@ -2,10 +2,11 @@
 // service: a deterministic generator of production-shaped load
 // (heterogeneous client populations, skewed per-client rates, bursty
 // interarrival processes, diurnal ramps), a byte-stable JSONL trace
-// format with record/replay, an open-loop runner that drives a live
-// server from a generated op stream, and a capacity planner that runs
-// the same stream through a discrete-event model of the kvserve
-// pipeline calibrated from benchmark snapshots or live probes.
+// format with record/replay, the client engine every load against a
+// live server goes through (Run: window-paced for a kvgen mix,
+// schedule-paced for a trace — one issue rule, see engine.go), and a
+// capacity planner that runs the same stream through a discrete-event
+// model of the kvserve pipeline calibrated from live probes.
 //
 // The package contract is determinism end to end: the same Spec and
 // seed produce a byte-identical op stream on every machine, the trace

@@ -1,9 +1,7 @@
 package loadmodel
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -12,11 +10,10 @@ import (
 )
 
 // Calibration holds the service-time constants the planner's queueing
-// model runs on, in nanoseconds. They come from one of three sources,
-// in increasing fidelity: DefaultCalibration (rough localhost
-// numbers), CalibrateFromBench (derived from committed BENCH_*.json
-// throughput snapshots), or CalibrateLive (closed-loop probes against
-// a real server on this machine — what E17 and the CI smoke use).
+// model runs on, in nanoseconds. They come from one of two sources:
+// DefaultCalibration (rough localhost numbers) or CalibrateLive
+// (window-paced probes against a real server on this machine — what
+// E17 and the CI smoke use).
 type Calibration struct {
 	// GetSvcNs is the per-get conn-reader service time: parse, seqlock
 	// read, response write, amortized across a pipelined stream.
@@ -38,7 +35,7 @@ type Calibration struct {
 	// server's seal timer actually fires at the tail (host timer
 	// granularity; ~1ms on coarse-tick VMs, ~0 on bare metal). Probed
 	// as the p99−mean gap of the lone-put path; the model delays every
-	// timer-driven seal by it. Zero for default/bench calibrations.
+	// timer-driven seal by it. Zero for the default calibration.
 	SealLagNs float64 `json:"seal_lag_ns"`
 	// ReplHopNs is the extra ack delay per batch when the server
 	// replicates synchronously before acking (cluster mode).
@@ -61,109 +58,6 @@ func DefaultCalibration() Calibration {
 	}
 }
 
-// benchFile mirrors the committed BENCH_serve.json / BENCH_cluster.json
-// shape closely enough to calibrate from.
-type benchFile struct {
-	Snapshots []struct {
-		Quick bool `json:"quick"`
-		Doc   struct {
-			Conns   int `json:"conns"`
-			Shards  int `json:"shards"`
-			BatchK  int `json:"batch_k"`
-			Records []struct {
-				Mix       string  `json:"mix"`
-				Topology  string  `json:"topology"`
-				Fsync     bool    `json:"fsync"`
-				Ops       float64 `json:"ops"`
-				Thr       float64 `json:"throughput_ops_s"`
-				AckedPuts float64 `json:"acked_puts"`
-				P50us     float64 `json:"p50_us"`
-			} `json:"records"`
-		} `json:"doc"`
-	} `json:"snapshots"`
-}
-
-// CalibrateFromBench derives service times from the committed
-// benchmark snapshots: GetSvcNs from the mix-c ceiling, PutSvcNs from
-// the mix-a put rate, FsyncNs from the fsync-cell delta, ReplHopNs
-// from the routed-vs-single p50 gap in the cluster snapshot.
-// clusterPath may be "" to skip the replication constant. NetRTTNs is
-// not extractable from closed-loop aggregates and keeps its default —
-// prefer CalibrateLive when a server is reachable.
-func CalibrateFromBench(servePath, clusterPath string) (Calibration, error) {
-	cal := DefaultCalibration()
-	data, err := os.ReadFile(servePath)
-	if err != nil {
-		return cal, err
-	}
-	var bf benchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return cal, fmt.Errorf("loadmodel: %s: %w", servePath, err)
-	}
-	if len(bf.Snapshots) == 0 {
-		return cal, fmt.Errorf("loadmodel: %s: no snapshots", servePath)
-	}
-	snap := bf.Snapshots[len(bf.Snapshots)-1].Doc
-	if snap.Conns == 0 || snap.Shards == 0 {
-		return cal, fmt.Errorf("loadmodel: %s: snapshot missing geometry", servePath)
-	}
-	for _, r := range snap.Records {
-		if r.Thr <= 0 || r.Ops <= 0 {
-			continue
-		}
-		switch {
-		case r.Mix == "c" && !r.Fsync:
-			cal.GetSvcNs = float64(snap.Conns) / r.Thr * 1e9
-		case r.Mix == "a" && !r.Fsync && r.AckedPuts > 0:
-			putThr := r.Thr * r.AckedPuts / r.Ops
-			cal.PutSvcNs = float64(snap.Shards) / putThr * 1e9
-		case r.Mix == "a" && r.Fsync && r.AckedPuts > 0 && snap.BatchK > 0:
-			// Fsync mode is flusher-bound: each shard sustains one
-			// batch per (FlushNs+FsyncNs), so the saturated put rate
-			// pins the sum.
-			putThr := r.Thr * r.AckedPuts / r.Ops
-			perBatch := float64(snap.Shards*snap.BatchK) / putThr * 1e9
-			if f := perBatch - cal.FlushNs; f > 0 {
-				cal.FsyncNs = f
-			}
-		}
-	}
-	cal.Source = "bench:" + servePath
-	if clusterPath != "" {
-		if err := calibrateReplFromBench(&cal, clusterPath); err != nil {
-			return cal, err
-		}
-	}
-	return cal, nil
-}
-
-func calibrateReplFromBench(cal *Calibration, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var bf benchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return fmt.Errorf("loadmodel: %s: %w", path, err)
-	}
-	if len(bf.Snapshots) == 0 {
-		return fmt.Errorf("loadmodel: %s: no snapshots", path)
-	}
-	var single, routed float64
-	for _, r := range bf.Snapshots[len(bf.Snapshots)-1].Doc.Records {
-		switch r.Topology {
-		case "single":
-			single = r.P50us
-		case "routed":
-			routed = r.P50us
-		}
-	}
-	if routed > single && single > 0 {
-		cal.ReplHopNs = (routed - single) * 1e3
-	}
-	return nil
-}
-
 // ProbeGeometry tells CalibrateLive the server's shape; Shards/BatchK/
 // BatchWait/Streams/Keys/Seed must match the probed server's Config.
 type ProbeGeometry struct {
@@ -177,7 +71,7 @@ type ProbeGeometry struct {
 	Conns     int           // probe connections; default 4
 }
 
-// CalibrateLive derives the constants from four short closed-loop
+// CalibrateLive derives the constants from four short window-paced
 // probes against a running server:
 //
 //  1. mix c, pipelined  -> GetSvcNs  = Conns / get throughput
@@ -199,33 +93,30 @@ func CalibrateLive(addr string, g ProbeGeometry) (Calibration, error) {
 	if g.Conns <= 0 {
 		g.Conns = 4
 	}
-	base := kvserve.LoadOpts{
-		Conns: g.Conns, Window: 64, Dur: g.Dur,
-		Dist: "zipfian", Streams: g.Streams, Keys: g.Keys, Seed: g.Seed,
-	}
-
-	probe := func(o kvserve.LoadOpts) (kvserve.LoadReport, error) {
-		rep, err := kvserve.RunLoad(addr, o)
-		if err != nil {
-			return rep, fmt.Errorf("loadmodel: calibration probe (mix %s, window %d): %w", o.Mix, o.Window, err)
+	// Probes retry overloads like any window-paced client: they measure
+	// capacity, not admission control.
+	probe := func(mix string, conns, window, ops int) (*Report, error) {
+		m := MixLoad{Mix: mix, Dist: "zipfian", Streams: g.Streams, Keys: g.Keys, Seed: g.Seed, Ops: ops}
+		if ops == 0 {
+			m.Dur = g.Dur
 		}
-		if rep.Throughput <= 0 {
-			return rep, fmt.Errorf("loadmodel: calibration probe (mix %s, window %d): zero throughput", o.Mix, o.Window)
+		rep, err := Run(addr, m, Options{Conns: conns, Window: window, MaxRetries: 8})
+		if err == nil && rep.Throughput <= 0 {
+			err = fmt.Errorf("zero throughput")
+		}
+		if err != nil {
+			return rep, fmt.Errorf("loadmodel: calibration probe (mix %s, window %d): %w", mix, window, err)
 		}
 		return rep, nil
 	}
 
-	oc := base
-	oc.Mix = "c"
-	rep, err := probe(oc)
+	rep, err := probe("c", g.Conns, 64, 0)
 	if err != nil {
 		return cal, err
 	}
 	cal.GetSvcNs = float64(g.Conns) / rep.Throughput * 1e9
 
-	oa := base
-	oa.Mix = "a"
-	rep, err = probe(oa)
+	rep, err = probe("a", g.Conns, 64, 0)
 	if err != nil {
 		return cal, err
 	}
@@ -234,9 +125,7 @@ func CalibrateLive(addr string, g ProbeGeometry) (Calibration, error) {
 		cal.PutSvcNs = float64(g.Shards) / putThr * 1e9
 	}
 
-	o1 := base
-	o1.Mix, o1.Conns, o1.Window, o1.Dur, o1.Ops = "c", 1, 1, 0, 400
-	rep, err = probe(o1)
+	rep, err = probe("c", 1, 1, 400)
 	if err != nil {
 		return cal, err
 	}
@@ -250,11 +139,9 @@ func CalibrateLive(addr string, g ProbeGeometry) (Calibration, error) {
 	// Probe 4 is the fragile one — at 200 ops a single scheduler stall
 	// on a busy host pollutes both estimates — so it runs three times
 	// and the median of each constant wins.
-	o2 := base
-	o2.Mix, o2.Conns, o2.Window, o2.Dur, o2.Ops = "a", 1, 1, 0, 200
 	var flushes, lags []float64
 	for i := 0; i < 3; i++ {
-		rep, err = probe(o2)
+		rep, err = probe("a", 1, 1, 200)
 		if err != nil {
 			return cal, err
 		}
@@ -269,7 +156,7 @@ func CalibrateLive(addr string, g ProbeGeometry) (Calibration, error) {
 		// timer firing late. (A 200-op probe's p99 is its 2nd-worst op
 		// — fragile alone, which is what the median across the three
 		// probe runs is for.)
-		lags = append(lags, rep.P99us*1e3-perOp)
+		lags = append(lags, rep.Total.P99us*1e3-perOp)
 	}
 	sort.Float64s(flushes)
 	sort.Float64s(lags)
@@ -416,7 +303,6 @@ type classAcc struct {
 	over    uint64
 	exp     uint64
 	full    uint64
-	maxNs   uint64
 }
 
 func (a *classAcc) settle(latNs int64, isPut bool) {
@@ -427,9 +313,6 @@ func (a *classAcc) settle(latNs int64, isPut bool) {
 	a.hist.Observe(v)
 	if isPut {
 		a.putHist.Observe(v)
-	}
-	if v > a.maxNs {
-		a.maxNs = v
 	}
 	a.served++
 }
@@ -678,20 +561,18 @@ func buildReport(spec *Spec, ops []Op, cfg PlanConfig, accs []classAcc) *PlanRep
 	}
 	for ci := range accs {
 		a := &accs[ci]
-		cp := classPlanOf(spec.Classes[ci].Name, counts[ci], durS, a)
-		rep.Classes = append(rep.Classes, cp)
+		rep.Classes = append(rep.Classes, classPlanOf(spec.Classes[ci].Name, counts[ci], durS,
+			&a.hist, &a.putHist, a.served, a.over, a.exp, a.full))
 		totalOps += counts[ci]
 		total.served += a.served
 		total.over += a.over
 		total.exp += a.exp
 		total.full += a.full
-		if a.maxNs > total.maxNs {
-			total.maxNs = a.maxNs
-		}
 		total.hist.Merge(&a.hist)
 		total.putHist.Merge(&a.putHist)
 	}
-	rep.Total = classPlanOf("total", totalOps, durS, &total)
+	rep.Total = classPlanOf("total", totalOps, durS,
+		&total.hist, &total.putHist, total.served, total.over, total.exp, total.full)
 
 	cal := cfg.Cal
 	putRate := float64(puts) / durS
@@ -706,24 +587,27 @@ func buildReport(spec *Spec, ops []Op, cfg PlanConfig, accs []classAcc) *PlanRep
 	return rep
 }
 
-func classPlanOf(name string, offered int, durS float64, a *classAcc) ClassPlan {
-	s := a.hist.Snapshot()
-	ps := a.putHist.Snapshot()
+// classPlanOf renders one class row from its accumulated outcomes; the
+// planner and the engine share it so their rows compare field by field.
+func classPlanOf(name string, offered int, durS float64, hist, putHist *obs.Histogram,
+	served, over, exp, full uint64) ClassPlan {
+	s := hist.Snapshot()
+	ps := putHist.Snapshot()
 	cp := ClassPlan{
 		Name:        name,
 		Ops:         offered,
 		OfferedOpsS: float64(offered) / durS,
-		OKOpsS:      float64(a.served) / durS,
+		OKOpsS:      float64(served) / durS,
 		P50us:       float64(s.Quantile(0.50)) / 1e3,
 		P99us:       float64(s.Quantile(0.99)) / 1e3,
 		PutP99us:    float64(ps.Quantile(0.99)) / 1e3,
-		MaxUs:       float64(a.maxNs) / 1e3,
-		Overloads:   a.over,
-		Expired:     a.exp,
-		Full:        a.full,
+		MaxUs:       float64(s.Max) / 1e3,
+		Overloads:   over,
+		Expired:     exp,
+		Full:        full,
 	}
 	if offered > 0 {
-		cp.RejectRate = float64(a.over+a.exp+a.full) / float64(offered)
+		cp.RejectRate = float64(over+exp+full) / float64(offered)
 	}
 	return cp
 }

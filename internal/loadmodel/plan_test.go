@@ -173,9 +173,3 @@ func TestPlanReplicatedSlower(t *testing.T) {
 		t.Fatalf("replicated put p99 %.1fµs < plain %.1fµs", repl.Total.PutP99us, plain.Total.PutP99us)
 	}
 }
-
-func TestCalibrationFromBenchMissing(t *testing.T) {
-	if _, err := CalibrateFromBench("/nonexistent/BENCH.json", ""); err == nil {
-		t.Fatal("missing bench file accepted")
-	}
-}
