@@ -7,6 +7,7 @@ package lazyp_test
 
 import (
 	"testing"
+	"time"
 
 	"lazyp/internal/checksum"
 	"lazyp/internal/harness"
@@ -400,13 +401,17 @@ func BenchmarkRunnerMemoized(b *testing.B) {
 // work is cheap), with frequent flush+fence episodes — the op mix of an
 // eager-persistency kernel, whose fence stalls jump the clock and force
 // a yield — and a barrier every 1024 iterations. Wall-clock here is
-// dominated by the engine's per-quantum cost (grant handoffs and
-// scheduling decisions), which is what the direct-handoff scheduler
-// targets; BenchmarkKV covers the memory-bound profile.
-func engineSession(mem *memsim.Memory, threads, iters int) {
+// dominated by the engine's per-quantum cost (scheduling decisions and
+// the handoffs they cause); BenchmarkKV covers the memory-bound
+// profile. quantum overrides the scheduling window (0 = default). It
+// returns the handoffs the session made and the host time of its Run.
+func engineSession(mem *memsim.Memory, threads, iters int, quantum int64) (int64, time.Duration) {
 	base := mem.Alloc("d", 256<<10)
-	eng := sim.New(sim.DefaultConfig(threads), mem)
+	cfg := sim.DefaultConfig(threads)
+	cfg.Quantum = quantum
+	eng := sim.New(cfg, mem)
 	bar := eng.NewBarrier()
+	start := time.Now()
 	eng.Run(func(t *sim.Thread) {
 		off := memsim.Addr(t.ThreadID() * 16 << 10)
 		for i := 0; i < iters; i++ {
@@ -423,20 +428,42 @@ func engineSession(mem *memsim.Memory, threads, iters int) {
 			}
 		}
 	})
+	return eng.Sched().Handoffs, time.Since(start)
 }
 
+// benchEngine reports, beside ns/op, the handoffs one session makes and
+// — for multi-thread sessions — what each costs. The cost is taken as a
+// difference: the same session is first run off the clock with a
+// quantum so large that threads switch only at barriers, which does the
+// same simulated work on the same footprint with a few dozen handoffs
+// instead of thousands; the extra wall time over the extra handoffs is
+// the price of one.
 func benchEngine(b *testing.B, threads int) {
+	const iters = 20000
+	var handoffs, coarseHandoffs int64
+	var run, coarseRun time.Duration
 	for i := 0; i < b.N; i++ {
 		b.StopTimer() // memory allocation + zeroing is not engine work
+		if threads > 1 {
+			h, d := engineSession(memsim.NewMemory(1<<20), threads, iters, 1<<40)
+			coarseHandoffs += h
+			coarseRun += d
+		}
 		mem := memsim.NewMemory(1 << 20)
 		b.StartTimer()
-		engineSession(mem, threads, 20000)
+		h, d := engineSession(mem, threads, iters, 0)
+		handoffs += h
+		run += d
+	}
+	b.ReportMetric(float64(handoffs)/float64(b.N), "handoffs/op")
+	if threads > 1 {
+		b.ReportMetric(float64((run-coarseRun).Nanoseconds())/float64(handoffs-coarseHandoffs), "ns/handoff")
 	}
 }
 
 // BenchmarkEngine1T..8T measure one scheduler-stress session per
 // iteration at fixed per-thread work; compare each size against its
-// pre-PR number (EXPERIMENTS.md "Scheduler v2") rather than across
+// earlier number (EXPERIMENTS.md "Scheduler v3") rather than across
 // sizes.
 func BenchmarkEngine1T(b *testing.B) { benchEngine(b, 1) }
 

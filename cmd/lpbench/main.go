@@ -44,15 +44,11 @@ func main() {
 		parallel   = flag.Int("parallel", 0, "host worker goroutines for independent runs (0 = GOMAXPROCS, 1 = sequential)")
 		nocache    = flag.Bool("nocache", false, "disable Spec→Result memoization")
 		jsonOut    = flag.Bool("json", false, "run the benchmark matrix and emit JSON metrics")
-		benchout   = flag.String("benchout", "", "also write the -json document to this file (e.g. BENCH_sched.json); implies -json")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
-	if *benchout != "" {
-		*jsonOut = true
-	}
 	noWork := *exp == "" && !*jsonOut
 	if *list || noWork {
 		fmt.Println("experiments:")
@@ -79,7 +75,7 @@ func main() {
 	start := time.Now()
 	var err error
 	if *jsonOut {
-		err = runJSON(os.Stdout, *benchout, opt)
+		err = runJSON(os.Stdout, opt)
 	} else if *exp != "" {
 		var exps []harness.Experiment
 		exps, err = harness.Select(*exp)
@@ -99,9 +95,7 @@ func main() {
 // document with per-benchmark metrics, the runner's statistics
 // (including memo-cache hits/misses), and the resolved simulator
 // configuration the records were produced under, plus its short hash.
-// When outFile is non-empty the same document is also written there —
-// the BENCH_<name>.json perf-trajectory artifact committed across PRs.
-func runJSON(w io.Writer, outFile string, opt harness.Options) error {
+func runJSON(w io.Writer, opt harness.Options) error {
 	records, err := harness.RunBenchMatrix(opt)
 	if err != nil {
 		return err
@@ -117,23 +111,7 @@ func runJSON(w io.Writer, outFile string, opt harness.Options) error {
 		opt.ResolvedSim(), harness.ConfigHash(opt.ResolvedSim()), records}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return err
-	}
-	if outFile != "" {
-		f, err := os.Create(outFile)
-		if err != nil {
-			return err
-		}
-		fenc := json.NewEncoder(f)
-		fenc.SetIndent("", "  ")
-		if err := fenc.Encode(doc); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	return nil
+	return enc.Encode(doc)
 }
 
 // printSummary reports runner statistics on stderr.

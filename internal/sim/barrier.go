@@ -42,11 +42,11 @@ func (t *Thread) BarrierWait(b *Barrier) {
 	b.arrived++
 	if b.arrived < b.n {
 		// Not last: leave the schedulable set and park until released.
-		// blockWorker hands the grant to the next runnable thread; no
-		// token holder will grant this thread again until the last
-		// arriver pushes it back via unblock below.
+		// block gives the grant to the next runnable thread; no
+		// decision picks this thread again until the last arriver
+		// pushes it back via unblock below.
 		b.waiters = append(b.waiters, t)
-		t.eng.blockWorker(t)
+		t.eng.block(t)
 		return
 	}
 	// Last arriver: release everyone at the common release cycle.

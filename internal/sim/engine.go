@@ -1,21 +1,24 @@
+//go:build go1.23
+
+// The constraint admits iter.Pull (go1.23) to this file under the
+// module's go 1.22 line; see DESIGN.md §3a.
+
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/bits"
 
 	"lazyp/internal/memsim"
 	"lazyp/internal/obs"
 )
 
-// errCrashed is the sentinel delivered to threads when a crash is
-// injected; the worker wrapper recovers it.
-var errCrashed = errors.New("sim: crash injected")
-
-// abortGrant, sent on a thread's grant channel, makes the blocked thread
-// panic with errCrashed instead of resuming.
-const abortGrant = int64(-1)
+// errStopped unwinds a suspended thread's body when Run stops its
+// coroutine (crash, deadlock, or another body's panic); the coroutine
+// wrapper recovers it.
+var errStopped = errors.New("sim: thread stopped")
 
 // maxClock is the sentinel "no second runnable thread" clock value.
 const maxClock = int64(1) << 62
@@ -31,15 +34,11 @@ const soloQuanta = 4
 // state and clocks persist across calls; statistics windows are managed
 // with Memory.ResetCounters and Hierarchy.ResetStats.
 //
-// Scheduling is direct-handoff (DESIGN.md §3a): there is no scheduler
-// goroutine in steady state. The grant — permission to be the one
-// executing simulated thread — is a token handed worker-to-worker; the
-// yielding worker runs the scheduling decision itself and either
-// extends its own grant in place or sends the grant straight to the
-// next runnable worker's channel. The engine goroutine only dispatches
-// the first grant of a Run and then parks on ctl until a worker reports
-// a terminal event (completion, crash, deadlock, or a propagated
-// panic).
+// Scheduling is by coroutines (DESIGN.md §3a): every simulated thread
+// of a Run is a coroutine of the goroutine that called Run. The running
+// thread makes the scheduling decision itself and either extends its
+// own window in place or suspends to Run's trampoline, which resumes
+// the thread the decision picked.
 type Engine struct {
 	cfg  Config
 	Mem  *memsim.Memory
@@ -48,21 +47,12 @@ type Engine struct {
 	startCycle int64
 	crashed    bool
 
-	// Handoff plumbing. grants[i] delivers i's next window (or
-	// abortGrant); acks carries abort acknowledgements back to the
-	// aborting token holder; ctl carries the single terminal event of a
-	// Run to the engine goroutine.
-	grants  []chan int64
-	acks    chan ackMsg
-	ctl     chan ctlMsg
 	threads []*Thread
 
-	// Scheduler state, all guarded by the grant token: exactly one
-	// goroutine — the grant-holding worker, or the engine goroutine
-	// before the first grant and after the terminal ctl message — may
-	// touch it, and every token transfer is a channel operation, which
-	// orders the accesses for the race detector and the memory model
-	// alike. heap holds the ids of schedulable (parked, not
+	// Scheduler state. Only the running thread — or Run's trampoline
+	// while every thread is suspended — touches it, and all of them are
+	// coroutines of one goroutine, so accesses are ordered without
+	// locks. heap holds the ids of schedulable (suspended, not
 	// barrier-blocked, not finished) threads ordered by (clock, id);
 	// dead and alive track retirement.
 	heap      []int
@@ -70,6 +60,7 @@ type Engine struct {
 	alive     int
 	nextClean int64
 	cleanTick int64
+	sched     SchedCounts
 
 	// mcLast is the shared memory controller's drain pointer: the cycle
 	// at which the most recently accepted NVMM line write finishes
@@ -118,45 +109,23 @@ func (e *Engine) Hazards() Hazards { return e.haz }
 // Ops returns dynamic operation counts summed over all threads and Runs.
 func (e *Engine) Ops() OpCounts { return e.ops }
 
-// ackMsg acknowledges an abortGrant: the aborted worker hands its
-// Thread back so the aborting token holder can fold in its counters.
-// err is the recovered value — errCrashed, or (defensively) a real
-// panic that raced the abort.
-type ackMsg struct {
-	t   *Thread
-	err interface{}
-}
-
-// ctlMsg is the single terminal event a Run delivers to the engine
-// goroutine.
-type ctlMsg struct {
-	kind ctlKind
-	err  interface{} // real panic value to propagate, if any
-}
-
-type ctlKind int
-
-const (
-	ctlDone     ctlKind = iota // every thread finished
-	ctlCrashed                 // crash injected; all threads retired
-	ctlPanic                   // a thread body panicked; err holds the value
-	ctlDeadlock                // every live thread is blocked at a barrier
-)
+// Sched returns scheduling-decision counts summed over all Runs.
+func (e *Engine) Sched() SchedCounts { return e.sched }
 
 // Run executes body on every thread (body receives the Thread) and
 // blocks until all threads complete or a crash is injected. It returns
 // true when the session crashed; the caller must then call Mem.Crash()
 // and Hier.Reset() — or simply start a fresh engine after Mem.Crash() —
-// before inspecting durable state.
+// before inspecting durable state. A panic in a body propagates out of
+// Run.
 func (e *Engine) Run(body func(t *Thread)) (crashed bool) {
 	if e.crashed {
 		panic("sim: Run after crash — start a new engine on the crashed memory")
 	}
 	n := e.cfg.Threads
 	threads := make([]*Thread, n)
-	e.grants = make([]chan int64, n)
-	e.acks = make(chan ackMsg)
-	e.ctl = make(chan ctlMsg)
+	resume := make([]func() (dispatchKind, bool), n)
+	stop := make([]func(), n)
 	e.threads = threads
 	e.dead = make([]bool, n)
 	e.alive = n
@@ -172,7 +141,16 @@ func (e *Engine) Run(body func(t *Thread)) (crashed bool) {
 		t.mshr.init(e.cfg.MSHRs)
 		t.storeq.init(e.cfg.StoreQ)
 		threads[i] = t
-		e.grants[i] = make(chan int64)
+		resume[i], stop[i] = iter.Pull(func(yield func(dispatchKind) bool) {
+			t.yield = yield
+			defer func() {
+				if r := recover(); r != nil && r != errStopped {
+					panic(r)
+				}
+			}()
+			body(t)
+			t.finish()
+		})
 		e.heapPush(i)
 	}
 	// Periodic cleanup runs as a spaced background sweep: every
@@ -187,60 +165,40 @@ func (e *Engine) Run(body func(t *Thread)) (crashed bool) {
 		e.nextClean = e.startCycle + e.cleanTick
 	}
 
-	for i := 0; i < n; i++ {
-		t := threads[i]
-		g := e.grants[i]
-		go func() {
-			defer func() {
-				r := recover()
-				switch {
-				case t.retired:
-					// exitWorker or selfCrash already accounted for this
-					// thread and reported; nothing may touch the engine
-					// past this point — Run may already have returned.
-				case r == errCrashed:
-					// Aborted while parked: hand the counters back to
-					// the aborting token holder.
-					e.acks <- ackMsg{t: t, err: r}
-				case r != nil:
-					// Real panic while holding the grant: abort every
-					// other thread so the panic surfaces through Run
-					// instead of deadlocking a barrier.
-					prop := e.abortOthers(t.id)
-					if prop == nil {
-						prop = r
-					}
-					e.retire(t)
-					t.retired = true
-					e.ctl <- ctlMsg{kind: ctlPanic, err: prop}
-				}
-			}()
-			t.grantUntil = t.waitGrant(g)
-			body(t)
-			t.finish()
-			e.exitWorker(t)
-		}()
-	}
+	// No coroutine outlives Run, however it ends. Completion leaves none
+	// alive; after a crash, a deadlock, or a body's panic on its way out
+	// through resume, every thread still live is stopped here — its body
+	// unwinds on errStopped (one that never started simply never runs) —
+	// and its counters are folded into the session totals.
+	defer func() {
+		for i, t := range threads {
+			if !e.dead[i] {
+				stop[i]()
+				e.retire(t)
+			}
+		}
+	}()
 
-	// First grant of the Run: the engine goroutine runs one scheduling
-	// decision, hands the token into the worker set, and parks.
-	switch kind, _, prop := e.dispatch(-1); kind {
-	case dispatchHandoff:
-		msg := <-e.ctl
-		if msg.kind == ctlDeadlock {
-			panic("sim: scheduler deadlock — every live thread is blocked at a barrier")
+	// The trampoline: resume the thread the last decision picked (the
+	// heap root) and get control back with the decision that thread
+	// made when it gave the grant up.
+	kind := e.dispatch(-1)
+	for kind == dispatchHandoff {
+		id := e.heap[0]
+		var suspended bool
+		if kind, suspended = resume[id](); !suspended {
+			// The body returned with the grant in hand: the thread
+			// leaves the heap in place and the trampoline decides.
+			e.heapPop()
+			e.retire(threads[id])
+			if e.alive == 0 {
+				break
+			}
+			kind = e.dispatch(-1)
 		}
-		if msg.err != nil {
-			panic(msg.err)
-		}
-	case dispatchCrashed:
-		// The crash cycle predates every thread clock: all workers were
-		// aborted before executing a single operation.
-		if prop != nil {
-			panic(prop)
-		}
-	default:
-		panic("sim: impossible first dispatch")
+	}
+	if kind == dispatchDeadlock {
+		panic("sim: scheduler deadlock — every live thread is blocked at a barrier")
 	}
 
 	// Advance the session clock to the makespan.
@@ -272,16 +230,11 @@ func (e *Engine) mcAccept(now int64) int64 {
 	return e.mcLast
 }
 
-// collect folds a finished thread's counters into the session totals.
-func (e *Engine) collect(t *Thread) {
+// retire folds t's counters into the session totals and removes it from
+// the live set.
+func (e *Engine) retire(t *Thread) {
 	e.haz.add(t.haz)
 	e.ops.add(t.Ops())
-}
-
-// retire folds t's counters into the session totals and removes it from
-// the live set. Caller holds the grant token.
-func (e *Engine) retire(t *Thread) {
-	e.collect(t)
 	e.dead[t.id] = true
 	e.alive--
 }

@@ -1,17 +1,16 @@
 package sim
 
-// Direct-handoff scheduling (DESIGN.md §3a).
+// Coroutine scheduling (DESIGN.md §3a).
 //
-// Exactly one simulated thread executes at a time — that exclusivity is
-// a token, and the token is the grant itself. In steady state no
-// scheduler goroutine exists: the worker that exhausts its window (or
-// blocks at a barrier, or finishes) runs the scheduling decision below
-// with the token still in hand and passes the grant straight to the
-// next runnable worker, one goroutine switch per quantum instead of the
-// two a central scheduler costs. When the decision picks the caller
-// itself — it is still the minimum-clock schedulable thread — the grant
-// is extended in place with no channel operation at all (the
-// multi-thread generalization of the old solo fast path).
+// Exactly one simulated thread executes at a time, and every thread of
+// a Run is a coroutine of the goroutine that called Run: the thread
+// that exhausts its window (or blocks at a barrier) runs the scheduling
+// decision below itself. When the decision picks the caller again — it
+// is still the minimum-clock schedulable thread — its window is
+// extended in place and nothing switches at all. Otherwise it suspends
+// to Run's trampoline, which resumes the chosen thread: two coroutine
+// switches that never enter the Go scheduler, so no other P is woken
+// whatever GOMAXPROCS is.
 //
 // The decision procedure is byte-for-byte the old central loop's: pick
 // the (clock, id)-minimum schedulable thread, fire periodic cleanups
@@ -19,36 +18,41 @@ package sim
 // window by the second-smallest clock plus one quantum (soloQuanta
 // quanta when alone), clamped to the next cleanup or crash boundary.
 // Scheduling therefore depends only on thread clocks, and simulations
-// stay bit-reproducible — and identical to the pre-handoff engine.
+// stay bit-reproducible.
 
 // dispatchKind is the outcome of one scheduling decision.
 type dispatchKind int
 
 const (
-	// dispatchHandoff: the grant was sent to another worker's channel.
+	// dispatchHandoff: another thread is the minimum; its window is set
+	// and the trampoline resumes it next.
 	dispatchHandoff dispatchKind = iota
-	// dispatchExtend: the caller stays the minimum; it keeps the token
-	// and runs to the returned window bound. Never returned to the
-	// engine goroutine or from blocking/exiting paths.
+	// dispatchExtend: the caller stays the minimum and runs on to its
+	// new window bound. Never returned to the trampoline or from the
+	// blocking path.
 	dispatchExtend
-	// dispatchCrashed: the crash cycle was reached; every other live
-	// thread has been aborted and retired, and Engine.crashed is set.
+	// dispatchCrashed: the crash cycle was reached and Engine.crashed is
+	// set; the trampoline stops every live thread.
 	dispatchCrashed
 	// dispatchDeadlock: no schedulable thread remains but live threads
 	// exist — all of them are parked at a barrier.
 	dispatchDeadlock
 )
 
-// dispatch runs one scheduling decision. The caller holds the grant
-// token and has already restored the heap for its own state change
-// (heapFix after running, heapPop after blocking or exiting). self is
-// the calling thread's id — used both to take the in-place extension
-// path when the caller remains the minimum and to exclude the caller
-// from a crash abort — or -1 when the engine goroutine dispatches the
-// first grant of a Run.
-func (e *Engine) dispatch(self int) (dispatchKind, int64, interface{}) {
+// SchedCounts counts an engine's scheduling decisions by outcome:
+// Handoffs moved the grant to another thread (a coroutine switch pair),
+// Extensions let the running thread continue in place (no switch).
+type SchedCounts struct{ Handoffs, Extensions int64 }
+
+// dispatch runs one scheduling decision and stores the window bound in
+// the chosen thread's grantUntil. The caller has already restored the
+// heap for its own state change (heapFix after running, heapPop after
+// blocking or exiting). self is the calling thread's id — it selects
+// the in-place extension path when the caller remains the minimum — or
+// -1 when the trampoline dispatches.
+func (e *Engine) dispatch(self int) dispatchKind {
 	if len(e.heap) == 0 {
-		return dispatchDeadlock, 0, nil
+		return dispatchDeadlock
 	}
 	next := e.heap[0]
 	t := e.threads[next]
@@ -60,12 +64,11 @@ func (e *Engine) dispatch(self int) (dispatchKind, int64, interface{}) {
 		e.nextClean += e.cleanTick
 	}
 
-	// Crash: once the slowest thread passes the crash cycle, abort
-	// everyone. The caller retires itself (selfCrash) or is the engine.
+	// Crash: once the slowest thread passes the crash cycle, nobody runs
+	// another operation.
 	if e.cfg.CrashCycle > 0 && t.now >= e.cfg.CrashCycle {
-		prop := e.abortOthers(self)
 		e.crashed = true
-		return dispatchCrashed, 0, prop
+		return dispatchCrashed
 	}
 
 	second := e.heapSecond()
@@ -88,115 +91,47 @@ func (e *Engine) dispatch(self int) (dispatchKind, int64, interface{}) {
 			until = t.now + 1
 		}
 	}
+	t.grantUntil = until
 
 	if next == self {
-		// Grant extension: the caller is still the minimum. No channel
-		// operation, no goroutine switch — the common case whenever the
-		// window was clamped by a cleanup boundary, and the steady state
-		// when the caller is the only schedulable thread.
-		return dispatchExtend, until, nil
+		// Extension in place: the common case whenever the window was
+		// clamped by a cleanup boundary, and the steady state when the
+		// caller is the only schedulable thread.
+		e.sched.Extensions++
+		return dispatchExtend
 	}
-	// Direct handoff: grant the root in place — its clock only grows
-	// while it runs, so one sift-down when it yields restores the heap.
-	// The receiver is parked in waitGrant (every live thread but the
-	// token holder is), so the send also publishes all scheduler state
-	// mutated under the token to the next holder.
-	e.grants[next] <- until
-	return dispatchHandoff, 0, nil
+	// The root runs in place — its clock only grows while it runs, so
+	// one sift-down when it gives the grant up restores the heap.
+	e.sched.Handoffs++
+	return dispatchHandoff
 }
 
-// yieldWorker is called by the token-holding worker when its window is
+// reschedule is called by the running thread when its window is
 // exhausted: re-run the scheduling decision and either continue in
-// place, hand the grant over and park, or join a detected crash.
-func (e *Engine) yieldWorker(t *Thread) {
+// place or give the grant up.
+func (e *Engine) reschedule(t *Thread) {
 	e.heapFix()
-	kind, until, prop := e.dispatch(t.id)
-	switch kind {
-	case dispatchExtend:
-		t.grantUntil = until
-	case dispatchHandoff:
-		t.grantUntil = t.waitGrant(e.grants[t.id])
-	case dispatchCrashed:
-		e.selfCrash(t, prop)
-	default:
-		panic("sim: empty heap on yield") // t itself is schedulable
+	if kind := e.dispatch(t.id); kind != dispatchExtend {
+		t.suspend(kind)
 	}
 }
 
-// blockWorker parks the token-holding worker at a barrier: it leaves
-// the schedulable set, hands the grant on, and waits to be granted
-// again after a release (or aborted by a crash).
-func (e *Engine) blockWorker(t *Thread) {
+// block parks the running thread at a barrier: it leaves the
+// schedulable set and gives the grant up until a release pushes it back
+// (unblock) and a later decision picks it.
+func (e *Engine) block(t *Thread) {
 	e.heapPop() // t sits at the root: it was granted in place
-	kind, _, prop := e.dispatch(t.id)
-	switch kind {
-	case dispatchHandoff:
-		t.grantUntil = t.waitGrant(e.grants[t.id])
-	case dispatchCrashed:
-		e.selfCrash(t, prop)
-	case dispatchDeadlock:
-		// Report through Run (which panics there) and park: the token
-		// dies with this message, so nothing will ever grant us again.
-		e.ctl <- ctlMsg{kind: ctlDeadlock}
-		t.grantUntil = t.waitGrant(e.grants[t.id])
-	default:
-		panic("sim: blocked thread re-granted") // t left the heap
-	}
+	t.suspend(e.dispatch(t.id))
 }
 
-// exitWorker retires the token-holding worker whose body returned and
-// passes the grant on (or reports completion when it was the last).
-func (e *Engine) exitWorker(t *Thread) {
-	e.heapPop() // t sits at the root: it was granted in place
-	e.retire(t)
-	t.retired = true
-	if e.alive == 0 {
-		e.ctl <- ctlMsg{kind: ctlDone}
-		return
+// suspend hands the decision just made to Run's trampoline and returns
+// when a later decision picks t again. yield reports false when Run is
+// stopping the thread instead (crash, deadlock, or another body's
+// panic): errStopped then unwinds the body up to the coroutine wrapper.
+func (t *Thread) suspend(kind dispatchKind) {
+	if !t.yield(kind) {
+		panic(errStopped)
 	}
-	kind, _, prop := e.dispatch(t.id)
-	switch kind {
-	case dispatchHandoff:
-		// The grant moved on; this goroutine is done.
-	case dispatchCrashed:
-		e.ctl <- ctlMsg{kind: ctlCrashed, err: prop}
-	case dispatchDeadlock:
-		e.ctl <- ctlMsg{kind: ctlDeadlock}
-	default:
-		panic("sim: dead thread re-granted") // t left the heap
-	}
-}
-
-// selfCrash finishes a crash the calling worker itself detected while
-// holding the token: every other thread is already retired
-// (abortOthers); account for the caller, wake Run, and unwind the body.
-// The retired flag tells the worker wrapper the recovery below is
-// already fully reported.
-func (e *Engine) selfCrash(t *Thread, prop interface{}) {
-	e.retire(t)
-	t.retired = true
-	e.ctl <- ctlMsg{kind: ctlCrashed, err: prop}
-	panic(errCrashed)
-}
-
-// abortOthers aborts every live thread except self (-1 aborts all):
-// each is parked in waitGrant — every live thread but the token holder
-// always is — so the abortGrant makes it panic with errCrashed and
-// acknowledge through acks, at which point it is retired. Returns a
-// real panic value should one race the abort, to propagate through Run.
-func (e *Engine) abortOthers(self int) (propagate interface{}) {
-	for i := range e.threads {
-		if e.dead[i] || i == self {
-			continue
-		}
-		e.grants[i] <- abortGrant
-		ack := <-e.acks
-		e.retire(ack.t)
-		if ack.err != nil && ack.err != errCrashed {
-			propagate = ack.err
-		}
-	}
-	return propagate
 }
 
 // heapLess orders schedulable threads by (clock, id); the id tiebreak
@@ -273,20 +208,11 @@ func (e *Engine) unblock(w *Thread) {
 	e.heapPush(w.id)
 }
 
-// waitGrant blocks until a token holder grants a new window.
-func (t *Thread) waitGrant(g chan int64) int64 {
-	v := <-g
-	if v == abortGrant {
-		panic(errCrashed)
-	}
-	return v
-}
-
 // checkYield re-runs the scheduling decision once the thread exhausted
 // its window. Every public Thread operation calls it.
 func (t *Thread) checkYield() {
 	if t.now < t.grantUntil {
 		return
 	}
-	t.eng.yieldWorker(t)
+	t.eng.reschedule(t)
 }

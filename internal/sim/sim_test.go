@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"lazyp/internal/memsim"
@@ -314,9 +315,9 @@ func TestEngineRunAfterCrashPanics(t *testing.T) {
 }
 
 // TestCrashDuringGrantExtension injects the crash while the only
-// runnable thread is extending its own grant in place — the worker,
-// not the engine goroutine, holds the grant when the crash fires and
-// must retire itself (selfCrash).
+// runnable thread is extending its own grant in place — the running
+// thread, not Run's trampoline, makes the decision that detects the
+// crash, and its counters must still be collected.
 func TestCrashDuringGrantExtension(t *testing.T) {
 	mem := memsim.NewMemory(1 << 22)
 	cfg := DefaultConfig(1)
@@ -339,9 +340,9 @@ func TestCrashDuringGrantExtension(t *testing.T) {
 }
 
 // TestCrashAtBarrierManyWaiters parks all threads but one at a barrier
-// and lets the straggler spin past the crash cycle: the spinning worker
-// holds the grant (solo extension), detects the crash, and must deliver
-// abortGrant to every barrier-parked thread itself.
+// and lets the straggler spin past the crash cycle: the spinning thread
+// holds the grant (solo extension) when it detects the crash, and every
+// barrier-parked thread must be unwound with it.
 func TestCrashAtBarrierManyWaiters(t *testing.T) {
 	for _, threads := range []int{4, 8} {
 		cfg := DefaultConfig(threads)
@@ -366,8 +367,8 @@ func TestCrashAtBarrierManyWaiters(t *testing.T) {
 // TestCrashBeforeFirstGrant drives a session whose first Run finishes
 // with drained clocks already past the crash cycle (the final dispatch
 // retires the last thread without a crash check, like the old engine's
-// loop). The second Run must then crash at the engine goroutine's
-// initial dispatch, before any thread body executes an operation.
+// loop). The second Run must then crash at the trampoline's initial
+// dispatch, before any thread body executes an operation.
 func TestCrashBeforeFirstGrant(t *testing.T) {
 	mem := memsim.NewMemory(1 << 22)
 	base := mem.Alloc("d", 1<<20)
@@ -463,5 +464,128 @@ func TestStoreQueueBackpressure(t *testing.T) {
 	h := e.Hazards()
 	if h.WriteQFull+h.StoreQFull == 0 {
 		t.Fatal("flush flood did not backpressure the store queue")
+	}
+}
+
+// TestRunLeavesNoGoroutines checks that every way a Run can end —
+// completion, a crash caught mid-window or with threads parked at a
+// barrier, a body panic, a barrier deadlock — leaves no thread of the
+// Run behind once Run has returned or its panic has been recovered.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	spin := func(th *Thread) {
+		for {
+			th.Compute(100)
+		}
+	}
+	rows := []struct {
+		name       string
+		crashCycle int64
+		wantPanic  bool
+		body       func(th *Thread, b *Barrier)
+	}{
+		{"completion", 0, false, func(th *Thread, b *Barrier) {
+			th.Compute(1000 * (th.ThreadID() + 1))
+			th.BarrierWait(b)
+			th.Compute(1000)
+		}},
+		{"crash mid-window", 5000, false, func(th *Thread, b *Barrier) { spin(th) }},
+		{"crash at barrier", 5000, false, func(th *Thread, b *Barrier) {
+			if th.ThreadID() != 0 {
+				th.BarrierWait(b)
+			}
+			spin(th)
+		}},
+		{"body panic", 0, true, func(th *Thread, b *Barrier) {
+			if th.ThreadID() == 1 {
+				th.Compute(3000)
+				panic("boom")
+			}
+			if th.ThreadID() == 2 {
+				th.BarrierWait(b)
+			}
+			spin(th)
+		}},
+		{"barrier deadlock", 0, true, func(th *Thread, b *Barrier) {
+			if th.ThreadID() != 0 {
+				th.BarrierWait(b)
+			}
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := DefaultConfig(4)
+			cfg.CrashCycle = row.crashCycle
+			e := New(cfg, memsim.NewMemory(1<<22))
+			b := e.NewBarrier()
+			before := runtime.NumGoroutine()
+			func() {
+				defer func() {
+					if r := recover(); (r != nil) != row.wantPanic {
+						t.Errorf("recovered %v, want panic = %v", r, row.wantPanic)
+					}
+				}()
+				if crashed := e.Run(func(th *Thread) { row.body(th, b) }); crashed != (row.crashCycle > 0) {
+					t.Errorf("crashed = %v with crash cycle %d", crashed, row.crashCycle)
+				}
+			}()
+			if after := runtime.NumGoroutine(); after != before {
+				t.Fatalf("%d goroutines before Run, %d after it ended", before, after)
+			}
+		})
+	}
+}
+
+// TestDeterminismAcrossGOMAXPROCS runs one barrier-heavy 8-thread
+// session of flush+fence episodes — to completion, and cut by a crash —
+// on one P and on four: simulated results may not depend on the host's
+// CPU count.
+func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
+	type outcome struct {
+		crashed       bool
+		cycles        int64
+		writes, reads uint64
+		haz           Hazards
+		ops           OpCounts
+	}
+	run := func(procs int, crashCycle int64) outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		mem := memsim.NewMemory(1 << 22)
+		base := mem.Alloc("d", 1<<20)
+		cfg := DefaultConfig(8)
+		cfg.CrashCycle = crashCycle
+		cfg.CleanPeriod = 3000
+		e := New(cfg, mem)
+		b := e.NewBarrier()
+		crashed := e.Run(func(th *Thread) {
+			off := memsim.Addr(th.ThreadID() * 65536)
+			for i := 0; i < 600; i++ {
+				a := base + off + memsim.Addr(i*712%65536&^7)
+				th.Load64(a)
+				th.Store64(a, uint64(i))
+				th.Compute(3 + th.ThreadID())
+				if i%8 == 7 {
+					th.Flush(a)
+					th.Fence()
+				}
+				if i%50 == 49 {
+					th.BarrierWait(b)
+				}
+			}
+		})
+		w, _, _, _ := mem.NVMMWrites()
+		return outcome{crashed, e.ExecCycles(), w, mem.NVMMReads(), e.Hazards(), e.Ops()}
+	}
+	full := run(1, 0)
+	if full.crashed || full.ops.Flushes == 0 || full.haz.FenceStalls == 0 {
+		t.Fatalf("test premise broken: %+v", full)
+	}
+	for _, crashCycle := range []int64{0, full.cycles / 2} {
+		one, four := run(1, crashCycle), run(4, crashCycle)
+		if one != four {
+			t.Errorf("crash cycle %d: GOMAXPROCS=1 %+v\nGOMAXPROCS=4 %+v", crashCycle, one, four)
+		}
+		if one.crashed != (crashCycle > 0) {
+			t.Errorf("crash cycle %d: crashed = %v", crashCycle, one.crashed)
+		}
 	}
 }

@@ -173,11 +173,9 @@ type Thread struct {
 	widthShift uint8
 	widthMask  int32
 
-	// retired is set (by the thread itself, with the grant token held)
-	// once the thread has been fully accounted — counters folded into
-	// the session totals and any terminal ctl message sent — so the
-	// worker wrapper's recover does not report it a second time.
-	retired bool
+	// yield suspends the thread's coroutine to Run's trampoline; see
+	// suspend.
+	yield func(dispatchKind) bool
 
 	instr     uint64
 	opCarry   int
