@@ -9,11 +9,12 @@ import (
 
 // fileCtx is the deployment's pmem.Ctx: loads and stores hit the heap
 // image (the "cache"), Flush marks a line for write-back, and Fence
-// writes every flushed line to the backing file (the "NVMM"). Running
-// the existing lpstore/ep/wal code over it prices each discipline's
-// ordering points in real syscalls: EP pays a file write set per put,
-// WAL several, while LP's plain stores cost nothing until the owner
-// commits a batch.
+// persists every flushed line into the Memory's durable image — the
+// mapped backing file (the "NVMM"; see pmemFile). Running the existing
+// lpstore/ep/wal code over it prices each discipline's ordering points
+// in real work: EP pays a line write set (and an fsync, if priced) per
+// put, WAL several, while LP's plain stores cost nothing until the
+// owner commits a batch.
 //
 // Stores go through Memory.AtomicStore64: the shard table is read
 // lock-free by connection goroutines (Store.SeqGet), so every word the
@@ -36,7 +37,7 @@ type fileCtx struct {
 
 	dirtyOrder []memsim.Addr
 	pendOrder  []memsim.Addr
-	err        error // first write error; surfaced at commit points
+	err        error // first fsync error; surfaced at commit points
 }
 
 var _ pmem.Ctx = (*fileCtx)(nil)
@@ -53,7 +54,10 @@ func newFileCtx(mem *memsim.Memory, pf *pmemFile, id int) *fileCtx {
 
 // appendLine adds la to set if absent (linear-scan dedup: the sets
 // stay a handful of lines between drains, so a scan beats a map and
-// never allocates once the backing array has grown).
+// never allocates once the backing array has grown). The one place the
+// handful grows long is RecoverLP's rebuild, which stores to every
+// table line before anyone drains: a repairing restart is quadratic in
+// table lines (BenchmarkRestartRepair measures it).
 func appendLine(set []memsim.Addr, la memsim.Addr) []memsim.Addr {
 	for _, x := range set {
 		if x == la {
@@ -84,21 +88,14 @@ func (c *fileCtx) Flush(a memsim.Addr) {
 	c.pendOrder = appendLine(c.pendOrder, memsim.LineOf(a))
 }
 
-// Fence implements pmem.Ctx: every flushed line is written to the
-// file, then the set resets. This is the syscall cost of an EP or WAL
-// ordering point.
+// Fence implements pmem.Ctx: every flushed line is persisted, then the
+// list resets; with Config.Fsync the set is also fsynced. This is the
+// cost of an EP or WAL ordering point.
 func (c *fileCtx) Fence() {
-	for _, la := range c.pendOrder {
-		if err := c.pf.writeLine(la); err != nil && c.err == nil {
-			c.err = err
-		}
+	if err := c.persistLines(c.pendOrder); err != nil && c.err == nil {
+		c.err = err
 	}
 	c.pendOrder = c.pendOrder[:0]
-	if c.pf.fsync {
-		if err := c.pf.sync(); err != nil && c.err == nil {
-			c.err = err
-		}
-	}
 }
 
 // Compute implements pmem.Ctx (no accounting natively).
@@ -107,15 +104,15 @@ func (c *fileCtx) Compute(int) {}
 // ThreadID implements pmem.Ctx.
 func (c *fileCtx) ThreadID() int { return c.id }
 
-// persistLines durably writes the given lines now — the recovery
-// tail-zeroing and the EP/WAL inspection paths use this directly,
-// bypassing Flush/Fence. (The LP group commit goes through the shard
-// flusher's snapshot buffers instead; see server.go.)
+// persistLines makes the given lines durable now, from the heap image
+// — Fence's work, and the recovery tail-zeroing's, which bypasses
+// Flush/Fence. Only the goroutine owning the lines may call this (the
+// shard owner; the startup path before owners exist). Persisting cannot
+// fail; the error is the priced fsync's. (The LP group commit goes
+// through the shard flusher's snapshot buffers instead; see server.go.)
 func (c *fileCtx) persistLines(lines []memsim.Addr) error {
 	for _, la := range lines {
-		if err := c.pf.writeLine(la); err != nil {
-			return err
-		}
+		c.mem.Persist(la, memsim.LineSize)
 	}
 	if c.pf.fsync {
 		return c.pf.sync()
@@ -133,7 +130,7 @@ func (c *fileCtx) takeDirty() []memsim.Addr {
 	return out
 }
 
-// takeErr returns and clears the first deferred write error.
+// takeErr returns and clears the first deferred fsync error.
 func (c *fileCtx) takeErr() error {
 	err := c.err
 	c.err = nil

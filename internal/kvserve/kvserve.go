@@ -4,13 +4,15 @@
 // system under open-loop concurrent load.
 //
 // The deployment mapping inverts the simulator's: here the process
-// heap plays the cache hierarchy and a backing file plays NVMM. A
-// plain store mutates only the heap image; durability is a 64-byte
-// line written to the file (pmemfile.go). Kill -9 loses the heap and
-// keeps the file — exactly the simulator's Memory.Crash, but produced
-// by a real process death with a genuinely torn file image: committed
-// journal prefixes, a half-written open batch, and table lines leaked
-// out of order by the background write-back goroutine.
+// heap plays the cache hierarchy and a backing file plays NVMM — and
+// not by analogy: the file's mapped image region is attached to the
+// server's memsim.Memory as its durable image (pmemfile.go), so a plain
+// store mutates only the heap image, durability is Memory.Persist of a
+// 64-byte line, and a restart loads the file with Memory.Crash. Kill -9
+// loses the heap and keeps the file — exactly the simulator's crash,
+// but produced by a real process death with a genuinely torn image:
+// committed journal prefixes, a half-written open batch, and table
+// lines leaked out of order by the background write-back goroutine.
 //
 // Request flow:
 //
@@ -111,8 +113,6 @@ type Config struct {
 	// batch's write set — and fsync, if priced — completed). Not a
 	// geometry field: the file image is identical at any depth.
 	PipelineDepth int
-	// LeakDepth is the background write-back queue depth.
-	LeakDepth int
 
 	// Registry receives the server's metrics (kvserve_* series, plus
 	// the per-shard lpstore_* series). Nil means a private registry,
@@ -248,9 +248,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchWait == 0 {
 		c.BatchWait = 500 * time.Microsecond
-	}
-	if c.LeakDepth == 0 {
-		c.LeakDepth = 4096
 	}
 	if c.PipelineDepth == 0 {
 		c.PipelineDepth = 4

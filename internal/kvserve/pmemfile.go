@@ -7,8 +7,6 @@ import (
 	"io"
 	"os"
 	"syscall"
-
-	"lazyp/internal/memsim"
 )
 
 const (
@@ -41,38 +39,40 @@ func headerBytes(cfg Config, imageSize int) []byte {
 }
 
 // pmemFile is the durability domain: a file holding the geometry header
-// followed by a byte-for-byte copy of the memsim image. The heap image
-// is the cache; a line is durable exactly when it has been written
-// here. Writes land through a MAP_SHARED mapping of the image region
-// when the platform grants one (img != nil), falling back to positional
-// WriteAt. Either way disjoint lines may be written concurrently
-// without coordination — the write-back goroutine and a shard owner
-// never share a line.
+// followed by the memory image, whose MAP_SHARED mapping (img) the
+// server attaches to its memsim.Memory as the durable image. The file
+// therefore *is* the Memory's NVMM: a line is durable exactly when
+// Memory.Persist/PersistLine has stored it, the heap image is the cache,
+// and memsim's inspection helpers (DurableLoad64) read what survives
+// kill -9. This type is only the file's lifecycle — header, open and
+// validate, map, sync, close. Disjoint lines may be persisted
+// concurrently without coordination: the write-back goroutine, a shard's
+// flusher and its owner never share a line.
 //
-// The mapping preserves the crash model. A SIGKILL'd process loses its
-// heap (the simulated cache) but not the page cache: bytes stored into
-// the shared mapping are exactly as durable as bytes pwrite()n, so
-// "persisted ⊆ stored-to-file" is unchanged. What changes is tearing
-// granularity — a kill can now land between the 8-byte stores of one
-// line instead of between whole-line pwrites. Real NVM persists with
-// 8-byte atomicity, so the mapping is the more faithful simulation;
-// LP's batch checksums are the recovery story for torn lines either
-// way. What the mapping buys is the hot path: a line persist becomes
-// ~8 stores instead of a syscall.
+// Why a mapping is a faithful NVMM: a SIGKILL'd process loses its heap
+// (the simulated cache) but not the page cache, so bytes stored into the
+// shared mapping survive exactly as pwrite()n bytes would, while a
+// persist costs a 64-byte copy instead of a syscall. A kill can land
+// between the stores of one line; real NVM persists with 8-byte
+// atomicity too, and LP's batch checksums are the recovery story for
+// torn lines.
+//
+// Platform rule: kvserve needs a shared file mapping (syscall.Mmap —
+// linux, darwin, freebsd). There is no positional-write fallback; where
+// the mapping cannot be made, open fails.
 type pmemFile struct {
 	f     *os.File
-	mem   *memsim.Memory
 	fsync bool
-	img   []byte // MAP_SHARED view of the image region; nil → WriteAt
+	img   []byte // MAP_SHARED view of the image region
 }
 
-// openPmemFile opens or creates the backing file for mem. A zero-size
-// (new) file is initialized with the header and a zero image —
-// matching mem's freshly-allocated durably-zero contents — and
-// restored=false is returned. An existing file must match the expected
-// header exactly and restored=true is returned; the caller then loads
-// the image with readImage and runs recovery.
-func openPmemFile(path string, cfg Config, mem *memsim.Memory) (pf *pmemFile, restored bool, err error) {
+// openPmemFile opens or creates the backing file for an image of
+// imageSize bytes and maps the image region. A zero-size (new) file
+// gets the header and a zero image, and restored=false is returned: the
+// caller persists its initial contents. An existing file must match the
+// expected header and size exactly and restored=true is returned: the
+// caller loads the image (Memory.Crash) and runs recovery.
+func openPmemFile(path string, cfg Config, imageSize int) (pf *pmemFile, restored bool, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, false, err
@@ -86,153 +86,51 @@ func openPmemFile(path string, cfg Config, mem *memsim.Memory) (pf *pmemFile, re
 	if err != nil {
 		return nil, false, err
 	}
-	pf = &pmemFile{f: f, mem: mem, fsync: cfg.Fsync}
-	want := headerBytes(cfg, mem.Size())
-	if st.Size() == 0 {
+	want := headerBytes(cfg, imageSize)
+	restored = st.Size() != 0
+	if restored {
+		got := make([]byte, headerSize)
+		if _, err = io.ReadFull(io.NewSectionReader(f, 0, headerSize), got); err != nil {
+			return nil, false, fmt.Errorf("kvserve: %s: short header: %w", path, err)
+		}
+		if string(got[:len(pmemMagic)]) != pmemMagic {
+			return nil, false, fmt.Errorf("kvserve: %s is not a kvserve backing file", path)
+		}
+		if !bytes.Equal(got, want) {
+			return nil, false, fmt.Errorf("kvserve: %s geometry does not match the configuration", path)
+		}
+		if st.Size() != int64(headerSize+imageSize) {
+			return nil, false, fmt.Errorf("kvserve: %s is %d bytes, want %d", path, st.Size(), headerSize+imageSize)
+		}
+	} else {
 		if _, err = f.WriteAt(want, 0); err != nil {
 			return nil, false, err
 		}
-		if err = f.Truncate(int64(headerSize + mem.Size())); err != nil {
+		if err = f.Truncate(int64(headerSize + imageSize)); err != nil {
 			return nil, false, err
 		}
-		pf.mapImage()
-		return pf, false, nil
 	}
-	got := make([]byte, headerSize)
-	if _, err = io.ReadFull(io.NewSectionReader(f, 0, headerSize), got); err != nil {
-		return nil, false, fmt.Errorf("kvserve: %s: short header: %w", path, err)
-	}
-	if string(got[:len(pmemMagic)]) != pmemMagic {
-		return nil, false, fmt.Errorf("kvserve: %s is not a kvserve backing file", path)
-	}
-	if !bytes.Equal(got, want) {
-		return nil, false, fmt.Errorf("kvserve: %s geometry does not match the configuration", path)
-	}
-	if st.Size() != int64(headerSize+mem.Size()) {
-		return nil, false, fmt.Errorf("kvserve: %s is %d bytes, want %d", path, st.Size(), headerSize+mem.Size())
-	}
-	pf.mapImage()
-	return pf, true, nil
-}
-
-// mapImage tries to establish the shared mapping of the image region.
-// headerSize is one page, so the offset is always aligned. Failure is
-// not an error — the WriteAt path remains correct, just slower.
-func (p *pmemFile) mapImage() {
-	img, err := syscall.Mmap(int(p.f.Fd()), headerSize, p.mem.Size(),
+	// headerSize is one page, so the offset is always aligned.
+	img, err := syscall.Mmap(int(f.Fd()), headerSize, imageSize,
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-	if err == nil {
-		p.img = img
+	if err != nil {
+		return nil, false, fmt.Errorf("kvserve: %s: mapping the image: %w", path, err)
 	}
+	return &pmemFile{f: f, fsync: cfg.Fsync, img: img}, restored, nil
 }
 
-// writeLine durably writes the 64-byte line containing a, composed
-// from the heap image. Only the goroutine owning the line may call
-// this (shard owners for their shard's lines; the startup path before
-// owners exist).
-func (p *pmemFile) writeLine(a memsim.Addr) error {
-	la := memsim.LineOf(a)
-	if p.img != nil {
-		for i := 0; i < memsim.LineSize; i += 8 {
-			binary.LittleEndian.PutUint64(p.img[int(la)+i:], p.mem.Load64(la+memsim.Addr(i)))
-		}
-		return nil
-	}
-	var buf [memsim.LineSize]byte
-	for i := 0; i < memsim.LineSize; i += 8 {
-		binary.LittleEndian.PutUint64(buf[i:], p.mem.Load64(la+memsim.Addr(i)))
-	}
-	_, err := p.f.WriteAt(buf[:], headerSize+int64(la))
-	return err
-}
-
-// writeLineBytes durably writes a snapshot of a line taken earlier by
-// its owner — the write-back goroutine's path, which must not read the
-// heap image itself (the owner may be mutating it).
-func (p *pmemFile) writeLineBytes(la memsim.Addr, buf *[memsim.LineSize]byte) error {
-	if p.img != nil {
-		copy(p.img[la:int(la)+memsim.LineSize], buf[:])
-		return nil
-	}
-	_, err := p.f.WriteAt(buf[:], headerSize+int64(la))
-	return err
-}
-
-// snapshotLine copies the line containing a out of the heap image.
-func (p *pmemFile) snapshotLine(a memsim.Addr) (la memsim.Addr, buf [memsim.LineSize]byte) {
-	la = memsim.LineOf(a)
-	for i := 0; i < memsim.LineSize; i += 8 {
-		binary.LittleEndian.PutUint64(buf[i:], p.mem.Load64(la+memsim.Addr(i)))
-	}
-	return la, buf
-}
-
-// writeImage durably writes the whole heap image — the fresh-boot path
-// after preload, the file-side analogue of Memory.Persist.
-func (p *pmemFile) writeImage() error {
-	size := p.mem.Size()
-	if p.img != nil {
-		for i := 0; i < size; i += 8 {
-			binary.LittleEndian.PutUint64(p.img[i:], p.mem.Load64(memsim.Addr(i)))
-		}
-		return p.f.Sync()
-	}
-	const chunk = 1 << 16
-	buf := make([]byte, chunk)
-	for off := 0; off < size; off += chunk {
-		n := chunk
-		if size-off < n {
-			n = size - off
-		}
-		for i := 0; i < n; i += 8 {
-			binary.LittleEndian.PutUint64(buf[i:], p.mem.Load64(memsim.Addr(off+i)))
-		}
-		if _, err := p.f.WriteAt(buf[:n], headerSize+int64(off)); err != nil {
-			return err
-		}
-	}
-	return p.f.Sync()
-}
-
-// readImage loads the file image into the heap — the restart path. The
-// durable image is synchronized too, so in-process inspection helpers
-// built on memsim see RAM == NVMM, the post-crash condition.
-func (p *pmemFile) readImage() error {
-	size := p.mem.Size()
-	if p.img != nil {
-		for i := 0; i < size; i += 8 {
-			p.mem.Store64(memsim.Addr(i), binary.LittleEndian.Uint64(p.img[i:]))
-		}
-		p.mem.Persist(0, size)
-		return nil
-	}
-	const chunk = 1 << 16
-	buf := make([]byte, chunk)
-	for off := 0; off < size; off += chunk {
-		n := chunk
-		if size-off < n {
-			n = size - off
-		}
-		if _, err := io.ReadFull(io.NewSectionReader(p.f, headerSize+int64(off), int64(n)), buf[:n]); err != nil {
-			return fmt.Errorf("kvserve: short image read at %d: %w", off, err)
-		}
-		for i := 0; i < n; i += 8 {
-			p.mem.Store64(memsim.Addr(off+i), binary.LittleEndian.Uint64(buf[i:]))
-		}
-	}
-	p.mem.Persist(0, size)
-	return nil
-}
-
-// sync makes every line written so far storage-durable. fsync flushes
+// sync makes every line persisted so far storage-durable: fsync flushes
 // all dirty pages of the inode, including pages dirtied through the
-// shared mapping, so one path serves both write modes.
+// shared mapping.
 func (p *pmemFile) sync() error { return p.f.Sync() }
 
+// close unmaps the image and closes the file. The Memory must have been
+// detached from img first (see Server.closeFile).
 func (p *pmemFile) close() error {
-	if p.img != nil {
-		syscall.Munmap(p.img)
-		p.img = nil
+	err := syscall.Munmap(p.img)
+	p.img = nil
+	if cerr := p.f.Close(); err == nil {
+		err = cerr
 	}
-	return p.f.Close()
+	return err
 }

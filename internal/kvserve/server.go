@@ -177,8 +177,13 @@ func (cn *srvConn) stop() {
 	})
 }
 
-// lineSnap is one leaked line: a snapshot its owner took, written to
-// the file later by the write-back goroutine.
+// leakDepth is the write-back queue's capacity in lines: deep enough
+// that a burst of puts leaks rather than drops, small enough (288 KiB of
+// snapshots) not to matter. A full queue drops; see leak.
+const leakDepth = 4096
+
+// lineSnap is one leaked line: a snapshot its owner took, persisted
+// later by the write-back goroutine.
 type lineSnap struct {
 	la  memsim.Addr
 	buf [memsim.LineSize]byte
@@ -391,8 +396,8 @@ type Stats struct {
 
 // Server is one kvserve instance. Build with New (which performs
 // preload or crash recovery), then Start to accept traffic, then
-// Close to drain gracefully. Inspection methods (Contents, Verify...)
-// are only safe before Start or after Close/Abort returns.
+// Close to drain gracefully. Contents is only safe before Start or
+// after Close/Abort returns; VerifyRecovered only before Start.
 type Server struct {
 	cfg      Config
 	mem      *memsim.Memory
@@ -411,7 +416,7 @@ type Server struct {
 	wgFlush  sync.WaitGroup
 	wgRepl   sync.WaitGroup
 	wgLeak   sync.WaitGroup
-	leakCh   chan lineSnap
+	leakCh   chan lineSnap // cap leakDepth
 	started  bool
 	draining atomic.Bool
 	closed   atomic.Bool
@@ -575,34 +580,41 @@ func New(cfg Config) (*Server, error) {
 		s.shards = append(s.shards, sd)
 	}
 
-	pf, restored, err := openPmemFile(cfg.Path, cfg, s.mem)
+	// Only now does the file become the Memory's durable image: the
+	// constructors above format what they allocate (Fill → Persist), and
+	// through an attached mapping that would clobber a restored file.
+	pf, restored, err := openPmemFile(cfg.Path, cfg, s.mem.Size())
 	if err != nil {
 		return nil, err
 	}
+	s.mem.AttachDurable(pf.img)
 	s.pf = pf
 	s.restored = restored
-	s.leakCh = make(chan lineSnap, cfg.LeakDepth)
+	s.leakCh = make(chan lineSnap, leakDepth)
 	for _, sd := range s.shards {
 		sd.ctx = newFileCtx(s.mem, pf, sd.id)
 	}
 
 	if restored {
-		if err := pf.readImage(); err != nil {
-			pf.close()
-			return nil, err
-		}
-		if err := s.recoverAll(); err != nil {
-			pf.close()
-			return nil, err
-		}
+		// Loading the file is the simulator's crash: the heap image
+		// becomes what survived, RAM == NVMM, and recovery runs on that.
+		s.mem.Crash()
+		err = s.recoverAll()
 	} else {
+		// The blank file takes the constructors' format in one sweep;
+		// Preload then persists what it inserts itself (both images, its
+		// contract). The sweep comes first because first-touching the
+		// mapping table by table and sweeping afterwards boots ~12%
+		// slower on a small image (36 MB: 118 vs 104 ms).
+		s.mem.Persist(0, s.mem.Size())
 		for _, sd := range s.shards {
 			sd.sh.Preload(s.mem, len(sd.baseline), sd.basePair)
 		}
-		if err := pf.writeImage(); err != nil {
-			pf.close()
-			return nil, err
-		}
+		err = pf.sync()
+	}
+	if err != nil {
+		s.closeFile()
+		return nil, err
 	}
 	for _, sd := range s.shards {
 		sd.occupied = sd.sh.Tab.Occupied(s.mem)
@@ -754,7 +766,8 @@ func (s *Server) trace(typ obs.EventType, src int32, a, b uint64) {
 }
 
 // Contents merges every shard's architectural contents. Only safe
-// while the server is quiesced (before Start or after Close/Abort).
+// while the server is quiesced (before Start or after Close/Abort — it
+// reads the heap image, which outlives the file mapping).
 func (s *Server) Contents() map[uint64]uint64 {
 	out := make(map[uint64]uint64)
 	for _, sd := range s.shards {
@@ -768,7 +781,9 @@ func (s *Server) Contents() map[uint64]uint64 {
 // VerifyRecovered runs a second LP recovery pass over every shard and
 // reports an error unless each verifies cleanly — the idempotence
 // check a restarted operator runs before trusting the image. A no-op
-// under the other modes. Only safe while quiesced.
+// under the other modes. Only safe between New and Start, and never
+// after Close/Abort: the pass may repair, repairs persist, and shutdown
+// has detached the durable image, so a repair there panics.
 func (s *Server) VerifyRecovered() error {
 	if s.cfg.Mode != lpstore.ModeLP {
 		return nil
@@ -844,11 +859,21 @@ func (s *Server) shutdown(abort bool) error {
 	if !abort && err == nil {
 		err = s.pf.sync()
 	}
-	if cerr := s.pf.close(); err == nil && cerr != nil {
+	if cerr := s.closeFile(); err == nil {
 		err = cerr
 	}
 	s.closeErr = err
 	return err
+}
+
+// closeFile detaches the Memory from the mapping, then unmaps and
+// closes the file. The order matters: a persist that arrives after
+// Close/Abort must find an empty durable image and panic like any Go
+// out-of-range access, not fault on unmapped pages. The heap image
+// stays readable (Contents).
+func (s *Server) closeFile() error {
+	s.mem.AttachDurable(nil)
+	return s.pf.close()
 }
 
 func (s *Server) acceptLoop() {
@@ -1355,7 +1380,7 @@ func (s *Server) seal(sd *shardState, padded bool) {
 	}
 	it.lines = append(it.lines, memsim.LineOf(sd.sh.Ack.SlotAddr(it.batch)))
 	for i, la := range it.lines {
-		_, it.bufs[i] = s.pf.snapshotLine(la)
+		it.bufs[i] = s.mem.LoadLine(la)
 	}
 	sd.obs.jrnUsed.Set(int64(it.seq))
 	s.leak(sd) // table lines this batch dirtied may still drift out
@@ -1410,70 +1435,29 @@ func (s *Server) flusher(sd *shardState) {
 	}
 }
 
+// flushItem persists one sealed batch and completes it — the one path
+// every flushed batch takes, clustered or not. Batch accounting and
+// every token-free reply happen right here, at local-commit time; only
+// puts with a replication token in flight (clustered servers) defer to
+// the shard's completion goroutine. The split is a deadlock invariant,
+// not an optimization: a token-free put is usually the *peer's*
+// replicated forward, and its reply is what unblocks the peer's own
+// token waits. Two nodes forwarding to each other would wedge
+// permanently if those replies ever queued behind this node's token
+// waits (or, worse, if the flusher itself blocked on a remote ack — the
+// peer's forwards flow through this very flusher).
 func (s *Server) flushItem(sd *shardState, it *commitItem) {
 	var err error
 	if ep := s.fileErr.Load(); ep != nil {
 		err = *ep
 	} else {
-		for i := range it.lines {
-			if err = s.pf.writeLineBytes(it.lines[i], &it.bufs[i]); err != nil {
-				break
-			}
+		for i, la := range it.lines {
+			s.mem.PersistLine(la, &it.bufs[i])
 		}
-		if err == nil && s.pf.fsync {
+		if s.pf.fsync {
 			err = s.pf.sync()
 		}
 	}
-	if sd.replq != nil {
-		s.flushItemRepl(sd, it, err)
-		return
-	}
-	now := time.Now()
-	if err != nil {
-		s.failFile(err)
-		for _, r := range it.pending {
-			r.reply(StatusShutdown, 0)
-		}
-	} else {
-		s.ctBatches.Inc()
-		s.ctAcked.Add(uint64(len(it.pending)))
-		sd.obs.batchFill.Observe(uint64(len(it.pending)))
-		sd.obs.commitLat.Observe(uint64(now.Sub(it.sealed).Nanoseconds()))
-		s.stFlush.Observe(uint64(now.Sub(it.sealed).Nanoseconds()))
-		s.trace(obs.EvBatchCommit, int32(sd.id), uint64(it.batch), uint64(len(it.pending)))
-		s.trace(obs.EvAckAdvance, int32(sd.id), uint64(it.seq), 0)
-		tron := s.tr.Enabled()
-		ts := now.UnixNano()
-		for _, r := range it.pending {
-			lat := uint64(now.Sub(r.enq).Nanoseconds())
-			sd.obs.putLat.Observe(lat)
-			if tron {
-				if r.tid != 0 {
-					s.tr.Record(obs.EvStageFlush, int32(sd.id), ts, r.tid, uint64(it.batch))
-					s.tr.Record(obs.EvStageReply, int32(sd.id), ts, r.tid, lat)
-				}
-				if s.slowNs > 0 && int64(lat) > s.slowNs {
-					s.tr.Record(obs.EvSlowPut, int32(sd.id), ts, r.key, lat)
-				}
-			}
-			r.reply(StatusOK, 0)
-		}
-	}
-	it.pending = it.pending[:0]
-	sd.obs.pipeInflight.Add(-1)
-}
-
-// flushItemRepl is the clustered reply path. Batch accounting and
-// every token-free reply happen right here, at local-commit time;
-// only puts with a replication token in flight defer to the shard's
-// completion goroutine. The split is a deadlock invariant, not an
-// optimization: a token-free put is usually the *peer's* replicated
-// forward, and its reply is what unblocks the peer's own token waits.
-// Two nodes forwarding to each other would wedge permanently if those
-// replies ever queued behind this node's token waits (or, worse, if
-// the flusher itself blocked on a remote ack — the peer's forwards
-// flow through this very flusher).
-func (s *Server) flushItemRepl(sd *shardState, it *commitItem, err error) {
 	now := time.Now()
 	if err != nil {
 		s.failFile(err)
@@ -1493,7 +1477,7 @@ func (s *Server) flushItemRepl(sd *shardState, it *commitItem, err error) {
 			}
 		}
 	}
-	var toks []request
+	var toks []request // stays nil — no allocation — unless a put carries a token
 	for _, r := range it.pending {
 		if r.rtok != 0 {
 			toks = append(toks, r)
@@ -1589,10 +1573,8 @@ func (s *Server) leak(sd *shardState) {
 		if la < sd.tabLo || la > sd.tabHi {
 			continue
 		}
-		var ls lineSnap
-		ls.la, ls.buf = s.pf.snapshotLine(la)
 		select {
-		case s.leakCh <- ls:
+		case s.leakCh <- lineSnap{la: la, buf: s.mem.LoadLine(la)}:
 			s.ctLeaked.Inc()
 			s.trace(obs.EvEvictionLeak, int32(sd.id), uint64(la), 0)
 		default:
@@ -1601,17 +1583,15 @@ func (s *Server) leak(sd *shardState) {
 	}
 }
 
-// writeBack drains the leak queue to the file.
+// writeBack drains the leak queue into the durable image.
 func (s *Server) writeBack() {
 	defer s.wgLeak.Done()
 	for ls := range s.leakCh {
-		if err := s.pf.writeLineBytes(ls.la, &ls.buf); err != nil {
-			s.failFile(err)
-		}
+		s.mem.PersistLine(ls.la, &ls.buf)
 	}
 }
 
-// failFile records the first backing-file write error and flips the
+// failFile records the first backing-file fsync error and flips the
 // server into draining: durability can no longer be promised, so
 // every subsequent request is answered StatusShutdown.
 func (s *Server) failFile(err error) {

@@ -1,14 +1,18 @@
 package kvserve
 
 import (
+	"encoding/binary"
 	"io"
 	"net"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"lazyp/internal/lpstore"
+	"lazyp/internal/memsim"
 	"lazyp/internal/workloads"
 )
 
@@ -253,5 +257,136 @@ func TestServeGeometryMismatch(t *testing.T) {
 	bad.BatchK = 32
 	if _, err := New(bad); err == nil || !strings.Contains(err.Error(), "geometry") {
 		t.Fatalf("mismatched geometry accepted: %v", err)
+	}
+}
+
+// TestBackingFileIsDurableImage: the file's image region is the
+// Memory's durable image, not a copy kept in step with it — a line
+// persisted through a shard's ctx is what memsim's inspection helper
+// returns and what the file holds, on a fresh boot and on a reopen; and
+// once the server is closed, a late persist is an ordinary panic, never
+// a fault on the unmapped file.
+func TestBackingFileIsDurableImage(t *testing.T) {
+	cfg := testCfg(t, lpstore.ModeLP)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	imageIsFile := func(s *Server) {
+		t.Helper()
+		file, err := os.ReadFile(cfg.Path)
+		if err != nil {
+			t.Fatalf("ReadFile: %v", err)
+		}
+		if len(file) != headerSize+s.mem.Size() {
+			t.Fatalf("file is %d bytes, want %d", len(file), headerSize+s.mem.Size())
+		}
+		for a := 0; a < s.mem.Size(); a += 8 {
+			if got, want := s.mem.DurableLoad64(memsim.Addr(a)), binary.LittleEndian.Uint64(file[headerSize+a:]); got != want {
+				t.Fatalf("DurableLoad64(%#x) = %#x, file holds %#x", a, got, want)
+			}
+		}
+	}
+
+	// A fresh boot leaves RAM == NVMM: the image sweep carries the
+	// constructors' format, Preload persists what it inserts.
+	for a := 0; a < s.mem.Size(); a += 8 {
+		if ram, nvmm := s.mem.Load64(memsim.Addr(a)), s.mem.DurableLoad64(memsim.Addr(a)); ram != nvmm {
+			t.Fatalf("fresh boot: heap image holds %#x at %#x, durable image %#x", ram, a, nvmm)
+		}
+	}
+
+	c := s.shards[0].ctx
+	addr := s.shards[0].sh.Jrn.Addr(5)
+	const word = 0xfeedface0badf00d
+	c.Store64(addr, word)
+	if got := s.mem.DurableLoad64(addr); got != 0 {
+		t.Fatalf("a plain store reached the durable image: %#x", got)
+	}
+	c.Flush(addr)
+	c.Fence()
+	if got := s.mem.DurableLoad64(addr); got != word {
+		t.Fatalf("DurableLoad64 after Store64+Flush+Fence = %#x, want %#x", got, uint64(word))
+	}
+	imageIsFile(s)
+
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Fence on a closed server's ctx did not panic")
+			}
+		}()
+		c.Store64(addr, 1)
+		c.Flush(addr)
+		c.Fence()
+	}()
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	if !s2.Restored() {
+		t.Fatal("reopen did not detect the image")
+	}
+	// Recovery truncated the unacknowledged journal word — durably, or
+	// the images would differ here.
+	if got := s2.mem.DurableLoad64(addr); got != 0 {
+		t.Fatalf("unacked journal word survived recovery durably: %#x", got)
+	}
+	imageIsFile(s2)
+}
+
+// BenchmarkRestartRepair times kvserve.New on an image whose shard must
+// be rebuilt: a half-full table (the densest preload validate allows)
+// plus one leaked, never-acknowledged insert, so RecoverLP wipes and
+// re-puts every occupied slot through the shard's fileCtx. Reported per
+// table slot, so the two sizes read the same when a repairing restart
+// is linear in the table and 4x apart when it is quadratic.
+func BenchmarkRestartRepair(b *testing.B) {
+	for _, capacity := range []int{1 << 14, 1 << 16} {
+		b.Run(strconv.Itoa(capacity), func(b *testing.B) {
+			dir := b.TempDir()
+			cfg := Config{
+				Path: filepath.Join(dir, "kv.img"), Mode: lpstore.ModeLP,
+				Shards: 1, Capacity: capacity, MaxOps: 1 << 10, BatchK: 16,
+				Streams: 1, Keys: capacity / 2,
+			}
+			s, err := New(cfg)
+			if err != nil {
+				b.Fatalf("New: %v", err)
+			}
+			sd := s.shards[0]
+			sd.w.Put(sd.ctx, workloads.KVKey(7, 0), 1) // the ghost: leaks, never acked
+			if err := sd.ctx.persistLines(sd.ctx.takeDirty()); err != nil {
+				b.Fatalf("persistLines: %v", err)
+			}
+			s.Abort()
+			crashed, err := os.ReadFile(cfg.Path)
+			if err != nil {
+				b.Fatalf("ReadFile: %v", err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := os.WriteFile(cfg.Path, crashed, 0o644); err != nil {
+					b.Fatalf("WriteFile: %v", err)
+				}
+				b.StartTimer()
+				re, err := New(cfg)
+				b.StopTimer()
+				if err != nil {
+					b.Fatalf("recovering New: %v", err)
+				}
+				if rs := re.RecoveryStats(); len(rs) != 1 || rs[0].Repaired == 0 {
+					b.Fatalf("restart did not repair: %+v", rs)
+				}
+				re.Abort()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*capacity), "ns/slot")
+		})
 	}
 }

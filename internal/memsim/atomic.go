@@ -17,7 +17,7 @@ import (
 // plain Load64/Store64 accessors encode little-endian; NewMemory
 // verifies at construction that the two agree (i.e. the host is
 // little-endian), so the same word can be written atomically and read
-// plainly — which pmemFile's line writers rely on.
+// plainly — which kvserve's line snapshots and persists rely on.
 
 // AtomicLoad64 atomically returns the architectural value of the
 // 8-byte word at a. a must be 8-byte aligned (every pmem.U64 word is).

@@ -10,7 +10,10 @@ import (
 // contents (what a running program observes through the caches) and the
 // durable NVMM contents (what survives a crash). The two arrays diverge
 // exactly on the lines that are dirty somewhere in the cache hierarchy;
-// WriteBackLine reconciles one line and accounts one NVMM write.
+// WriteBackLine reconciles one line and accounts one NVMM write. The
+// durable image is a heap array unless AttachDurable substitutes the
+// caller's (kvserve: the mapped backing file), in which case "durable"
+// means whatever survives there.
 //
 // Memory also embeds a trivial bump allocator so that workloads can carve
 // named, line-aligned regions out of the address space. Address 0 is never
@@ -60,9 +63,23 @@ func NewMemory(capacity int) *Memory {
 // Size returns the capacity of the memory in bytes.
 func (m *Memory) Size() int { return len(m.backing) }
 
+// AttachDurable makes img the durable image in place of the current one;
+// nothing is copied in either direction, so the caller follows with
+// Persist (img is blank) or Crash (img holds a prior run). img must be
+// Size() bytes and outlive its attachment. nil detaches: the durable
+// image becomes empty and any later access to it panics — what the owner
+// of a mapping wants before unmapping it.
+func (m *Memory) AttachDurable(img []byte) {
+	if img != nil && len(img) != len(m.backing) {
+		panic(fmt.Sprintf("memsim: AttachDurable: image is %d bytes, memory is %d", len(img), len(m.backing)))
+	}
+	m.durable = img
+}
+
 // Alloc reserves size bytes, line-aligned, and returns the base address.
 // Initial contents are zero in both the architectural and durable images
-// (i.e. freshly allocated persistent memory is durably zero).
+// (i.e. freshly allocated persistent memory is durably zero) — unless an
+// attached durable image says otherwise; Alloc never writes to it.
 func (m *Memory) Alloc(name string, size int) Addr {
 	if size <= 0 {
 		panic(fmt.Sprintf("memsim: Alloc(%q, %d): non-positive size", name, size))
@@ -125,6 +142,19 @@ const (
 // runs on every NVMM write, so the shape matters.
 func (m *Memory) copyLine(la Addr) {
 	*(*[LineSize]byte)(m.durable[la:]) = *(*[LineSize]byte)(m.backing[la:])
+}
+
+// LoadLine returns the architectural content of the line containing a.
+func (m *Memory) LoadLine(a Addr) [LineSize]byte {
+	return *(*[LineSize]byte)(m.backing[LineOf(a):])
+}
+
+// PersistLine stores buf — a LoadLine snapshot taken earlier — as the
+// durable content of the line at la. Like Persist it counts no NVMM
+// traffic and touches no field of m, so goroutines persisting disjoint
+// lines need no coordination.
+func (m *Memory) PersistLine(la Addr, buf *[LineSize]byte) {
+	*(*[LineSize]byte)(m.durable[la:]) = *buf
 }
 
 // SetWriteBackHook installs an observer called on every NVMM line

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +110,73 @@ func TestPersistInitializesDurable(t *testing.T) {
 	if got := m.Load64(a); got != 7 {
 		t.Fatalf("Persist did not reach durable image: %d", got)
 	}
+}
+
+// TestAttachDurable: after attaching a caller-supplied image, every way
+// of making a line durable lands in that slice (and nowhere else),
+// Crash loads from it, nothing is copied at attach time, and detaching
+// turns a late persist into an ordinary panic.
+func TestAttachDurable(t *testing.T) {
+	m := NewMemory(1 << 12)
+	a := m.Alloc("x", 4*LineSize)
+	m.Store64(a, 1)
+	m.Persist(a, LineSize) // reaches the heap image only
+	img := make([]byte, m.Size())
+	m.AttachDurable(img)
+	if got := m.DurableLoad64(a); got != 0 {
+		t.Fatalf("attach copied the old durable image: durable=%d", got)
+	}
+	word := func(off Addr) uint64 { return binary.LittleEndian.Uint64(img[off:]) }
+
+	m.Store64(a, 11)
+	m.Persist(a, LineSize)
+	m.Store64(a+LineSize, 22)
+	m.WriteBackLine(a+LineSize, CauseFlush)
+	m.Store64(a+2*LineSize+8, 33)
+	snap := m.LoadLine(a + 2*LineSize + 8)
+	m.Store64(a+2*LineSize+8, 99) // after the snapshot: must not persist
+	m.PersistLine(a+2*LineSize, &snap)
+	for _, c := range []struct {
+		off  Addr
+		want uint64
+	}{{a, 11}, {a + LineSize, 22}, {a + 2*LineSize + 8, 33}} {
+		if got := word(c.off); got != c.want || m.DurableLoad64(c.off) != c.want {
+			t.Fatalf("attached image at %#x = %d (DurableLoad64 %d), want %d", c.off, got, m.DurableLoad64(c.off), c.want)
+		}
+	}
+	if total, _, flush, _ := m.NVMMWrites(); total != 1 || flush != 1 {
+		t.Fatalf("only WriteBackLine counts NVMM traffic: total %d flush %d", total, flush)
+	}
+
+	binary.LittleEndian.PutUint64(img[a+3*LineSize:], 44) // a prior run's bytes
+	m.Crash()
+	if got := m.Load64(a + 3*LineSize); got != 44 {
+		t.Fatalf("Crash did not load the attached image: %d", got)
+	}
+	if got := m.Load64(a + 2*LineSize + 8); got != 33 {
+		t.Fatalf("Crash kept an unpersisted store: %d", got)
+	}
+
+	m.AttachDurable(nil)
+	if got := m.Load64(a); got != 11 {
+		t.Fatalf("detach disturbed the architectural image: %d", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Persist after detach did not panic")
+		}
+	}()
+	m.Persist(a, LineSize)
+}
+
+func TestAttachDurableSizeMismatchPanics(t *testing.T) {
+	m := NewMemory(1 << 12)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a short image")
+		}
+	}()
+	m.AttachDurable(make([]byte, m.Size()-LineSize))
 }
 
 func TestWriteBackCauseSplit(t *testing.T) {
