@@ -271,6 +271,12 @@ func (c Config) validate() error {
 	if c.PipelineDepth < 1 {
 		return fmt.Errorf("kvserve: PipelineDepth must be positive, got %d", c.PipelineDepth)
 	}
+	if c.Mailbox < 1 {
+		return fmt.Errorf("kvserve: Mailbox must be positive, got %d", c.Mailbox)
+	}
+	if c.BatchWait < 0 {
+		return fmt.Errorf("kvserve: BatchWait must not be negative, got %v", c.BatchWait)
+	}
 	if c.Repl != nil && c.Mode != lpstore.ModeLP {
 		return fmt.Errorf("kvserve: replication requires ModeLP (the follower-ack rule is the LP group commit), got %v", c.Mode)
 	}

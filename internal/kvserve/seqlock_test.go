@@ -21,7 +21,7 @@ func absorbConn() *srvConn {
 
 // TestSeqlockStress — the -race witness for the lock-free get path: 8
 // reader goroutines hammer the real server get path (appendGet →
-// Store.SeqGet) while the owner put path (handle → seal → flusher)
+// Store.SeqGet) while the owner put path (apply → seal → flusher)
 // mutates the same shard table with updates and inserts. Readers
 // assert the seqlock's contract: a returned value is always a complete
 // committed value for its key — either the preload value or a value
@@ -87,17 +87,19 @@ func TestSeqlockStress(t *testing.T) {
 	cn := absorbConn()
 	enq := time.Now()
 	i := 0
+	run := make([]request, putBatch)
 	for sd.w.Seq()+putBatch+cfg.BatchK < sd.sh.MaxOps {
-		for j := 0; j < putBatch; j++ {
+		for j := range run {
 			var k uint64
 			if i%4 == 3 {
 				k = insK(i)
 			} else {
 				k = preK(i)
 			}
-			s.handle(sd, request{op: OpPut, seq: uint32(i), key: k, val: k, enq: enq, cn: cn})
+			run[j] = request{op: OpPut, seq: uint32(i), key: k, val: k, enq: enq, cn: cn}
 			i++
 		}
+		s.apply(sd, run)
 	}
 	close(stop)
 	wg.Wait()
@@ -113,8 +115,8 @@ func TestSeqlockStress(t *testing.T) {
 
 // TestServeZeroAlloc pins the tentpole's allocation contract: the
 // steady-state server paths — a get served inline by a connection
-// reader, and a put through handle/seal/flusher including its group
-// commit — allocate nothing per operation. testing.AllocsPerRun counts
+// reader, and a run of puts through the mailbox and apply/seal/flusher
+// including its group commit — allocate nothing per operation. testing.AllocsPerRun counts
 // process-global mallocs, so the concurrently running flusher is
 // inside the measurement, not exempt from it.
 func TestServeZeroAlloc(t *testing.T) {
@@ -140,14 +142,23 @@ func TestServeZeroAlloc(t *testing.T) {
 	cn := absorbConn()
 	enq := time.Now()
 	var seq uint32
-	puts := testing.AllocsPerRun(50, func() {
-		// One full batch per run: BatchK updates, the last of which
+	stage := make([]request, cfg.BatchK)
+	var spare []request
+	oneBatch := func() {
+		// One full batch per run: BatchK updates staged, pushed through
+		// the mailbox and taken as the owner would, the last of which
 		// seals and hands the batch to the flusher.
-		for j := 0; j < cfg.BatchK; j++ {
+		for j := range stage {
 			seq++
-			s.handle(sd, request{op: OpPut, seq: seq, key: sd.baseline[j][0], val: uint64(seq), enq: enq, cn: cn})
+			stage[j] = request{op: OpPut, seq: seq, key: sd.baseline[j][0], val: uint64(seq), enq: enq, cn: cn}
 		}
-	})
+		sd.mb.push(stage)
+		run, _ := sd.mb.take(spare)
+		s.apply(sd, run)
+		clear(run)
+		spare = run
+	}
+	puts := testing.AllocsPerRun(50, oneBatch)
 	if puts != 0 {
 		t.Errorf("put path allocates %.1f times per batch of %d, want 0", puts, cfg.BatchK)
 	}
@@ -166,12 +177,7 @@ func TestServeZeroAlloc(t *testing.T) {
 	if armedGets != 0 {
 		t.Errorf("get path with tracer armed allocates %.1f times per op, want 0", armedGets)
 	}
-	armedPuts := testing.AllocsPerRun(50, func() {
-		for j := 0; j < cfg.BatchK; j++ {
-			seq++
-			s.handle(sd, request{op: OpPut, seq: seq, key: sd.baseline[j][0], val: uint64(seq), enq: enq, cn: cn})
-		}
-	})
+	armedPuts := testing.AllocsPerRun(50, oneBatch)
 	if armedPuts != 0 {
 		t.Errorf("put path with tracer armed allocates %.1f times per batch of %d, want 0", armedPuts, cfg.BatchK)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"sync"
@@ -92,82 +93,47 @@ func (b *replBatch) reply(status byte) {
 
 // srvConn is the server side of one client connection. Two goroutines
 // serve it: a reader that decodes frames, answers gets/pings/rejects
-// inline into a batched response buffer, and routes puts to shard
-// mailboxes; and a writer that drains pend (put acks arriving from
-// shard flushers). Owners and flushers never write the socket
-// themselves — reply appends the encoded frame to pend under wmu and
-// pokes the writer; a dead connection (done closed) absorbs replies.
+// inline into a batched response buffer, and hands puts to shard
+// mailboxes in runs; and a writer that drains acks (put acks arriving
+// from shard flushers). Owners and flushers never write the socket
+// themselves — reply pushes the encoded frame onto acks, which pokes the
+// writer; a dead connection (done closed) absorbs replies.
 //
-// Socket writes are serialized by smu, separate from wmu so a reply
-// append never waits out a syscall in flight. The reader's drain point
-// steals pend and hands it to the kernel *together with* its own
-// inline-response batch as one writev — acks and get responses that
+// Socket writes are serialized by smu, separate from the queue's lock so
+// a reply never waits out a syscall in flight. The reader's drain point
+// steals the queued acks and hands them to the kernel *together with* its
+// own inline-response batch as one writev — acks and get responses that
 // accumulated while the client's window was in flight leave in a
 // single syscall (see flushResponses).
 type srvConn struct {
-	c     net.Conn
-	wmu   sync.Mutex    // guards pend/spare
-	smu   sync.Mutex    // serializes socket writes
-	pend  []byte        // encoded response frames queued by owners/flushers
-	spare []byte        // recycled pend backing, nil while on loan
-	wake  chan struct{} // cap 1: pend went non-empty
-	done  chan struct{}
-	once  sync.Once
+	c      net.Conn
+	acks   *runQueue[byte] // encoded response frames queued by owners/flushers
+	stolen []byte          // the reader's spare: what its last drain point stole
+	smu    sync.Mutex      // serializes socket writes
+	done   chan struct{}
+	once   sync.Once
 	// iovArr backs the drain point's two-element writev gather
 	// (acks + inline batch); touched only under smu.
 	iovArr [2][]byte
 }
 
 func newSrvConn(c net.Conn) *srvConn {
-	return &srvConn{
-		c:     c,
-		pend:  make([]byte, 0, 256*RespSize),
-		spare: make([]byte, 0, 256*RespSize),
-		wake:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
-	}
+	return &srvConn{c: c, acks: newRunQueue[byte](math.MaxInt, 256*RespSize), done: make(chan struct{})}
 }
 
 func (cn *srvConn) reply(seq uint32, status byte, val uint64) {
-	cn.wmu.Lock()
+	var f [RespSize]byte
+	cn.pushAcks(appendResp(f[:0], seq, status, val))
+}
+
+// pushAcks queues a run of encoded response frames for the writer under
+// one lock and one poke, so they leave in one write.
+func (cn *srvConn) pushAcks(frames []byte) {
 	select {
 	case <-cn.done:
-		cn.wmu.Unlock()
-		return
 	default:
+		cn.acks.push(frames)
 	}
-	cn.pend = appendResp(cn.pend, seq, status, val)
-	cn.wmu.Unlock()
-	select {
-	case cn.wake <- struct{}{}:
-	default:
-	}
-}
-
-// takePend steals the queued ack frames, leaving a recycled buffer in
-// place; returns nil when nothing is queued. Pair with putSpare.
-func (cn *srvConn) takePend() []byte {
-	cn.wmu.Lock()
-	b := cn.pend
-	if len(b) == 0 {
-		cn.wmu.Unlock()
-		return nil
-	}
-	if cn.spare != nil {
-		cn.pend, cn.spare = cn.spare[:0], nil
-	} else {
-		cn.pend = make([]byte, 0, 256*RespSize)
-	}
-	cn.wmu.Unlock()
-	return b
-}
-
-func (cn *srvConn) putSpare(b []byte) {
-	cn.wmu.Lock()
-	if cn.spare == nil {
-		cn.spare = b[:0]
-	}
-	cn.wmu.Unlock()
 }
 
 func (cn *srvConn) stop() {
@@ -212,76 +178,12 @@ type commitItem struct {
 }
 
 // replJob is one flushed batch's reply work, handed from the flusher
-// to the shard's replication completer: the stolen pending slice plus
-// everything finishBatch needs to ack (or fail) the clients once the
-// follower tokens resolve.
+// to the shard's replication completer: the batch's tokened puts, to be
+// acked (or failed) once their follower tokens resolve.
 type replJob struct {
 	pending []request
 	err     error
-	sealed  time.Time
 	flushed time.Time // local write set durable (repl stage epoch)
-	batch   int
-	seq     int
-}
-
-// replQueue is the flusher→replWaiter handoff: an unbounded FIFO the
-// flusher pushes flushed batches' tokened acks into without ever
-// blocking. Unboundedness is a deadlock invariant, not a convenience:
-// a bounded handoff would park the flusher once the waiter lagged by
-// its capacity, and a parked flusher stops replying the *peer's*
-// token-free replicated puts — two nodes forwarding to each other
-// would wedge permanently, each waiter stuck on acks only the other
-// node's parked flusher could produce. Memory stays bounded anyway:
-// every queued put holds a replication-window slot until waited, so
-// the queue never holds more than Window tokens per peer.
-type replQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	jobs   []replJob
-	head   int
-	closed bool
-}
-
-func newReplQueue() *replQueue {
-	q := &replQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// push appends a job; never blocks.
-func (q *replQueue) push(job replJob) {
-	q.mu.Lock()
-	q.jobs = append(q.jobs, job)
-	q.cond.Signal()
-	q.mu.Unlock()
-}
-
-// pop blocks for the next job; reports false once the queue is closed
-// and drained.
-func (q *replQueue) pop() (replJob, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head == len(q.jobs) && !q.closed {
-		q.cond.Wait()
-	}
-	if q.head == len(q.jobs) {
-		return replJob{}, false
-	}
-	job := q.jobs[q.head]
-	q.jobs[q.head] = replJob{} // drop the pending slice reference
-	q.head++
-	if q.head == len(q.jobs) {
-		q.jobs, q.head = q.jobs[:0], 0
-	}
-	return job, true
-}
-
-// close wakes the waiter to drain and exit.
-func (q *replQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
 }
 
 // shardState is one shard's server-side state. The owner goroutine is
@@ -292,11 +194,11 @@ type shardState struct {
 	sh        *lpstore.Shard
 	w         *lpstore.Writer
 	ctx       *fileCtx
-	mb        chan request
-	pending   []request // LP: puts awaiting their batch's seal
-	deadline  time.Time // LP: when the open batch force-seals
-	openAt    time.Time // LP: when the open batch's first put arrived (fill stage epoch)
-	occupied  int       // architectural slot occupancy (watermark)
+	mb        *runQueue[request] // mailbox: limit Config.Mailbox, counted in requests
+	pending   []request          // LP: puts awaiting their batch's seal
+	deadline  time.Time          // LP: when the open batch force-seals
+	openAt    time.Time          // LP: when the open batch's first put arrived (fill stage epoch)
+	occupied  int                // architectural slot occupancy (watermark)
 	highWater int
 	baseline  [][2]uint64 // preloaded pairs, recovery's replay base
 
@@ -314,11 +216,22 @@ type shardState struct {
 	// to a per-shard completion goroutine that waits out the follower
 	// tokens and only then replies. The flusher itself must never
 	// block on a remote ack — even transitively through this handoff,
-	// which is why it is an unbounded queue (see replQueue): the
+	// which is why it is an unbounded queue (next paragraph): the
 	// peer's replicated puts flow through this shard's own pipeline,
 	// so two nodes forwarding to each other with flushers that could
 	// block anywhere on remote progress would deadlock cluster-wide.
-	replq *replQueue
+	//
+	// The queue is the flusher→replWaiter handoff: an unbounded FIFO the
+	// flusher pushes flushed batches' tokened acks into without ever
+	// blocking. Unboundedness is a deadlock invariant, not a convenience:
+	// a bounded handoff would park the flusher once the waiter lagged by
+	// its capacity, and a parked flusher stops replying the *peer's*
+	// token-free replicated puts — two nodes forwarding to each other
+	// would wedge permanently, each waiter stuck on acks only the other
+	// node's parked flusher could produce. Memory stays bounded anyway:
+	// every queued put holds a replication-window slot until waited, so
+	// the queue never holds more than Window tokens per peer.
+	replq *runQueue[replJob]
 
 	// repKeys/repVals/repTids/repToks are the owner's seal-time
 	// ForwardBatch scratch (clustered LP only): the sealed batch's
@@ -331,6 +244,8 @@ type shardState struct {
 	// lines have a single writer — the leaker — so FIFO order keeps
 	// the file monotone).
 	tabLo, tabHi memsim.Addr
+	leakRun      []lineSnap // leak's scratch: one run's snapshots, reused
+	ackRun       []byte     // the flusher's scratch: one connection's acks
 
 	obs shardObs
 }
@@ -416,7 +331,7 @@ type Server struct {
 	wgFlush  sync.WaitGroup
 	wgRepl   sync.WaitGroup
 	wgLeak   sync.WaitGroup
-	leakCh   chan lineSnap // cap leakDepth
+	leakq    *runQueue[lineSnap] // limit leakDepth
 	started  bool
 	draining atomic.Bool
 	closed   atomic.Bool
@@ -547,7 +462,7 @@ func New(cfg Config) (*Server, error) {
 				}
 			}
 			if cfg.Repl != nil {
-				sd.replq = newReplQueue()
+				sd.replq = newRunQueue[replJob](math.MaxInt, cfg.PipelineDepth) // unbounded: see shardState.replq
 				sd.repKeys = make([]uint64, 0, cfg.BatchK)
 				sd.repVals = make([]uint64, 0, cfg.BatchK)
 				sd.repTids = make([]uint64, 0, cfg.BatchK)
@@ -570,7 +485,7 @@ func New(cfg Config) (*Server, error) {
 		sd.highWater = sd.sh.Tab.Cap() - sd.sh.Tab.Cap()/8
 		sd.tabLo = memsim.LineOf(sd.sh.Tab.KeyAddr(0))
 		sd.tabHi = memsim.LineOf(sd.sh.Tab.ValAddr(sd.sh.Tab.Cap() - 1))
-		sd.mb = make(chan request, cfg.Mailbox)
+		sd.mb = newRunQueue[request](cfg.Mailbox, cfg.Mailbox)
 		sc := s.reg.Scope("shard", strconv.Itoa(id))
 		sd.obs = newShardObs(sc)
 		sd.sh.Obs = lpstore.NewMetrics(sc, s.tr)
@@ -590,7 +505,7 @@ func New(cfg Config) (*Server, error) {
 	s.mem.AttachDurable(pf.img)
 	s.pf = pf
 	s.restored = restored
-	s.leakCh = make(chan lineSnap, leakDepth)
+	s.leakq = newRunQueue[lineSnap](leakDepth, leakDepth)
 	for _, sd := range s.shards {
 		sd.ctx = newFileCtx(s.mem, pf, sd.id)
 	}
@@ -832,7 +747,7 @@ func (s *Server) shutdown(abort bool) error {
 	s.wgConns.Wait()
 	if s.started {
 		for _, sd := range s.shards {
-			close(sd.mb)
+			sd.mb.close()
 		}
 		// Owners seal their final batch and close their commitCh on
 		// the way out; flushers exit once the pipeline drains.
@@ -844,7 +759,7 @@ func (s *Server) shutdown(abort bool) error {
 			}
 		}
 		s.wgRepl.Wait()
-		close(s.leakCh)
+		s.leakq.close()
 		s.wgLeak.Wait()
 	}
 	var err error
@@ -918,10 +833,10 @@ func (s *Server) appendGet(rb []byte, seq uint32, key uint64) (out []byte, hit b
 // answered inline into rb, a conn-local response batch that is handed
 // to the socket when the inbound buffer drains (the client is waiting
 // for answers) or rb fills — so a pipelining client gets its whole
-// window answered in one write. Puts are routed to shard mailboxes and
-// acked later through the writer goroutine. Get tallies accumulate in
-// locals and flush to the shared counters periodically, keeping the
-// per-op path free of contended atomics.
+// window answered in one write. Puts reach the shard mailboxes in runs
+// (see the drain point) and are acked later through the writer
+// goroutine. Get tallies accumulate in locals and flush to the shared
+// counters periodically, keeping the per-op path free of contended atomics.
 func (s *Server) connReader(cn *srvConn) {
 	var gets, misses, retries uint64
 	flushTallies := func() {
@@ -948,9 +863,15 @@ func (s *Server) connReader(cn *srvConn) {
 	}()
 	br := bufio.NewReaderSize(cn.c, 1<<16)
 	var buf [ReqSize]byte
-	var pbuf []byte  // OpReplBatch payload scratch
-	var scnt []int32 // per-shard member tally scratch
+	var pbuf []byte // OpReplBatch payload scratch
 	rb := make([]byte, 0, 512*RespSize)
+	// stage[i] holds the puts decoded for shard i and not yet pushed to
+	// its mailbox, in arrival order and pushed whole: one connection's
+	// puts to one shard apply in send order. burst is their enq stamp,
+	// taken at the first put after the inbound buffer ran dry (zero = take
+	// it), so staging time counts inside the queue stage.
+	stage := make([][]request, len(s.shards))
+	var burst time.Time
 	// nextTid is the trace context armed by an OpTraceCtx prefix frame:
 	// it applies to exactly the next frame on the connection, then
 	// clears, so a lost successor can't mislabel an unrelated op.
@@ -969,7 +890,9 @@ func (s *Server) connReader(cn *srvConn) {
 			// is rejected — a false return means framing is lost and the
 			// connection dies. The val field is the trace-entry count of
 			// the frame's trace extension (0 from pre-trace primaries).
-			if !s.handleReplBatch(cn, br, seq, key, val, &pbuf, &scnt) {
+			// Whatever the connection staged goes first: per-shard FIFO.
+			rb = s.pushStages(cn, stage, rb)
+			if !s.handleReplBatch(cn, br, seq, key, val, &pbuf, stage) {
 				return
 			}
 		case op == OpTraceCtx:
@@ -1047,38 +970,90 @@ func (s *Server) connReader(cn *srvConn) {
 					tid = s.tidBase + n
 				}
 			}
-			r := request{op: op, seq: seq, key: key, val: val, enq: time.Now(), cn: cn, tid: tid}
-			select {
-			case sd.mb <- r:
-				if tid != 0 {
-					s.trace(obs.EvStageEnq, int32(sd.id), tid, key)
-				}
-				d := int64(len(sd.mb))
-				sd.obs.mbDepth.Set(d)
-				sd.obs.mbHigh.SetMax(d)
-			default:
-				sd.obs.rejOver.Inc()
-				s.trace(obs.EvRejectOverload, int32(sd.id), key, 0)
-				rb = appendResp(rb, seq, StatusOverload, 0)
+			if burst.IsZero() {
+				burst = time.Now()
 			}
+			if tid != 0 {
+				s.trace(obs.EvStageEnq, int32(sd.id), tid, key)
+			}
+			if len(stage[sd.id]) == runLen {
+				rb = s.pushStages(cn, stage, rb)
+			}
+			stage[sd.id] = append(stage[sd.id], request{op: op, seq: seq, key: key, val: val, enq: burst, cn: cn, tid: tid})
 		}
-		if len(rb) > 0 {
-			// Hand the batch to the socket when the client has nothing
-			// more buffered (it is blocked on us) or rb grew past its
-			// flush threshold. The in-between state — responses pending,
-			// requests still arriving — keeps batching without paying a
-			// syscall until the drain point, where the flush also steals
-			// any acks the flushers queued meanwhile: both batches leave
-			// in one writev.
-			drained := br.Buffered() < ReqSize
-			if drained || len(rb) >= 512*RespSize {
-				if !s.flushResponses(cn, rb) {
-					return
-				}
-				rb = rb[:0]
+		// The drain point: the client has nothing more buffered (it is
+		// blocked on us). Nothing staged waits across the blocking read
+		// that follows: every stage goes to its mailbox now — before the
+		// flush, so an Overload answer from the push leaves in the same
+		// write — and the next put opens a new burst. rb goes to the socket
+		// here or past its flush threshold; in between it keeps batching
+		// without paying a syscall, and the flush also steals any acks the
+		// flushers queued meanwhile: both batches leave in one writev.
+		drained := br.Buffered() < ReqSize
+		if drained {
+			rb = s.pushStages(cn, stage, rb)
+			burst = time.Time{}
+		}
+		if len(rb) > 0 && (drained || len(rb) >= 512*RespSize) {
+			if !s.flushResponses(cn, rb) {
+				return
 			}
+			rb = rb[:0]
 		}
 	}
+}
+
+// runLen caps a client put stage: a put that finds its stage this long
+// pushes the stages first, without waiting for the drain point, so a
+// long inbound burst keeps the owners fed and the stages stay a few KiB.
+const runLen = 64
+
+// pushStages hands every non-empty stage to its shard's mailbox as one
+// run and empties it. A connection's stages hold one kind of member at a
+// time (an OpReplBatch frame pushes them before staging its own), and
+// the two kinds meet a full mailbox differently. A client put that does
+// not fit is answered StatusOverload into rb: backpressure, not buffering.
+// An OpReplBatch member blocks rather than bouncing with
+// Overload: stalling this reader is the follower's flow control
+// — a replication session is a dedicated connection, so TCP
+// pushes the stall back into the primary's window budget. A
+// per-member Overload would instead force the primary into
+// whole-run retries that can never succeed once a run is bigger
+// than the mailbox (a catch-up run routinely is). The owner
+// drains the mailbox for as long as the server runs (every take pokes
+// space), and shutdown closes cn.done before it closes the mailbox, so
+// the block cannot outlive the connection.
+func (s *Server) pushStages(cn *srvConn, stage [][]request, rb []byte) []byte {
+	for si, run := range stage {
+		sd := s.shards[si]
+		for len(run) > 0 {
+			acc, depth := sd.mb.push(run)
+			sd.obs.mbDepth.Set(int64(depth))
+			sd.obs.mbHigh.SetMax(int64(depth))
+			switch run = run[acc:]; {
+			case len(run) == 0:
+			case run[0].rb == nil:
+				sd.obs.rejOver.Add(uint64(len(run)))
+				for i := range run {
+					s.trace(obs.EvRejectOverload, int32(si), run[i].key, 0)
+					rb = appendResp(rb, run[i].seq, StatusOverload, 0)
+				}
+				run = nil
+			default:
+				select {
+				case <-sd.mb.space:
+				case <-cn.done:
+					for i := range run {
+						run[i].rb.reply(StatusShutdown)
+					}
+					run = nil
+				}
+			}
+		}
+		clear(stage[si]) // keep no stale *srvConn/*replBatch
+		stage[si] = stage[si][:0]
+	}
+	return rb
 }
 
 // flushResponses writes the reader's inline-response batch, gathering
@@ -1086,7 +1061,7 @@ func (s *Server) connReader(cn *srvConn) {
 // is writev on a *net.TCPConn; elsewhere it degrades to sequential
 // writes — the plain-write fallback.
 func (s *Server) flushResponses(cn *srvConn, rb []byte) bool {
-	acks := cn.takePend()
+	acks, _ := cn.acks.take(cn.stolen)
 	cn.smu.Lock()
 	var err error
 	if acks != nil {
@@ -1099,7 +1074,7 @@ func (s *Server) flushResponses(cn *srvConn, rb []byte) bool {
 	}
 	cn.smu.Unlock()
 	if acks != nil {
-		cn.putSpare(acks)
+		cn.stolen = acks
 	}
 	return err == nil
 }
@@ -1108,12 +1083,12 @@ func (s *Server) flushResponses(cn *srvConn, rb []byte) bool {
 // (key, val) pairs follow the header on the wire, then tcount 12-byte
 // [idx:4][tid:8] trace entries (the header's val field; 0 from
 // pre-trace primaries) tagging pair idx with a trace ID, ascending by
-// idx. Members route to their shards tagged OpReplPut, sharing
-// one aggregate that answers the run's single response when its last
-// member settles (worst status wins; members may settle from
-// different shards' flushers). Returns false only on a malformed
-// header — framing is lost, so the caller drops the connection.
-func (s *Server) handleReplBatch(cn *srvConn, br *bufio.Reader, seq uint32, count, tcount uint64, pay *[]byte, scnt *[]int32) bool {
+// idx. Members are staged per shard tagged OpReplPut and pushed before
+// this returns (see pushStages), sharing one aggregate that answers the
+// run's single response when its last member settles (worst status wins;
+// members may settle from different shards' flushers). Returns false only
+// on a malformed header — framing is lost, so the connection is dropped.
+func (s *Server) handleReplBatch(cn *srvConn, br *bufio.Reader, seq uint32, count, tcount uint64, pay *[]byte, stage [][]request) bool {
 	if count == 0 || count > MaxReplBatch || tcount > count {
 		return false
 	}
@@ -1135,20 +1110,6 @@ func (s *Server) handleReplBatch(cn *srvConn, br *bufio.Reader, seq uint32, coun
 	rb := &replBatch{cn: cn, seq: seq}
 	rb.remaining.Store(int32(count))
 	now := time.Now()
-	// Tally the run's members per shard so each shard's last member can
-	// carry the seal hint (see request.sealHint).
-	if cap(*scnt) < len(s.shards) {
-		*scnt = make([]int32, len(s.shards))
-	}
-	cnt := (*scnt)[:len(s.shards)]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for i := 0; i < int(count); i++ {
-		if key := binary.LittleEndian.Uint64(buf[i*ReplPairSize:]); key != 0 && key != lpstore.NopKey {
-			cnt[shardOf(key, len(s.shards))]++
-		}
-	}
 	ti := 0 // cursor into the idx-ascending trace entries
 	for i := 0; i < int(count); i++ {
 		key := binary.LittleEndian.Uint64(buf[i*ReplPairSize:])
@@ -1166,53 +1127,42 @@ func (s *Server) handleReplBatch(cn *srvConn, br *bufio.Reader, seq uint32, coun
 			continue
 		}
 		si := shardOf(key, len(s.shards))
-		sd := s.shards[si]
-		cnt[si]--
-		r := request{op: OpReplPut, seq: seq, key: key, val: val, enq: now, cn: cn, rb: rb, sealHint: cnt[si] == 0, tid: tid}
 		if tid != 0 {
 			s.trace(obs.EvStageEnq, int32(si), tid, key)
 		}
-		// A full mailbox blocks rather than bouncing the member with
-		// Overload: stalling this reader is the follower's flow control
-		// — a replication session is a dedicated connection, so TCP
-		// pushes the stall back into the primary's window budget. A
-		// per-member Overload would instead force the primary into
-		// whole-run retries that can never succeed once a run is bigger
-		// than the mailbox (a catch-up run routinely is). The owner
-		// drains the mailbox for as long as the server runs, and
-		// shutdown closes cn.done before it closes the mailbox, so the
-		// block cannot outlive the connection.
-		select {
-		case sd.mb <- r:
-			d := int64(len(sd.mb))
-			sd.obs.mbDepth.Set(d)
-			sd.obs.mbHigh.SetMax(d)
-		case <-cn.done:
-			rb.reply(StatusShutdown)
+		stage[si] = append(stage[si], request{op: OpReplPut, seq: seq, key: key, val: val, enq: now, cn: cn, rb: rb, tid: tid})
+	}
+	// The frame is one run per shard it reached, whatever its length; the
+	// run's last member carries the seal hint (see request.sealHint).
+	for si := range stage {
+		if n := len(stage[si]); n > 0 {
+			stage[si][n-1].sealHint = true
 		}
 	}
+	s.pushStages(cn, stage, nil)
 	return true
 }
 
 // connWriter drains put acks (queued by shard flushers and owners)
 // onto the socket: everything queued since the last write leaves in
-// one syscall. The reader's drain point steals pend preemptively when
-// it has inline responses of its own to combine; a nil takePend here
+// one syscall. The reader's drain point steals the acks preemptively
+// when it has inline responses of its own to combine; a nil take here
 // just means the reader won that race.
 func (s *Server) connWriter(cn *srvConn) {
 	defer s.wgConns.Done()
+	var acks []byte // the run last written: the queue's spare
 	for {
 		select {
-		case <-cn.wake:
-			acks := cn.takePend()
-			if acks == nil {
+		case <-cn.acks.wake:
+			run, _ := cn.acks.take(acks)
+			if run == nil {
 				continue
 			}
+			acks = run
 			cn.smu.Lock()
 			s.hWriteFrames.Observe(uint64(len(acks) / RespSize))
 			_, err := cn.c.Write(acks)
 			cn.smu.Unlock()
-			cn.putSpare(acks)
 			if err != nil {
 				cn.stop()
 				return
@@ -1223,38 +1173,24 @@ func (s *Server) connWriter(cn *srvConn) {
 	}
 }
 
-// owner is a shard's single mutator. With an open batch it waits at
-// most until the batch deadline; otherwise it blocks on the mailbox.
-// A closed mailbox (graceful drain) seals the open batch and exits.
+// owner is a shard's single mutator. It takes everything queued in its
+// mailbox as one run and applies it; idle with a batch open it sleeps at
+// most until the batch deadline, otherwise until the mailbox wakes it. A
+// closed mailbox (graceful drain) seals the open batch and exits.
 func (s *Server) owner(sd *shardState) {
 	defer s.wgOwners.Done()
 	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
-	}
+	t.Stop() // armed only while the owner idles with a batch open
+	spare := make([]request, 0, s.cfg.Mailbox)
 	for {
-		var r request
-		var ok bool
-		if len(sd.pending) > 0 {
-			wait := time.Until(sd.deadline)
-			if wait <= 0 {
-				s.seal(sd, true)
-				continue
-			}
-			t.Reset(wait)
-			select {
-			case r, ok = <-sd.mb:
-				if !t.Stop() {
-					<-t.C
-				}
-			case <-t.C:
-				s.seal(sd, true)
-				continue
-			}
-		} else {
-			r, ok = <-sd.mb
-		}
-		if !ok {
+		run, closed := sd.mb.take(spare)
+		switch {
+		case run != nil:
+			sd.obs.mbDepth.Set(0)
+			s.apply(sd, run)
+			clear(run) // the mailbox keeps no stale *srvConn/*replBatch
+			spare = run
+		case closed:
 			if len(sd.pending) > 0 && !s.aborting.Load() {
 				s.seal(sd, true)
 			}
@@ -1262,78 +1198,92 @@ func (s *Server) owner(sd *shardState) {
 				close(sd.commitCh)
 			}
 			return
+		case len(sd.pending) == 0:
+			<-sd.mb.wake
+		default:
+			t.Reset(time.Until(sd.deadline)) // already past: fires at once
+			select {
+			case <-sd.mb.wake:
+				if !t.Stop() {
+					<-t.C
+				}
+			case <-t.C:
+				s.seal(sd, true)
+			}
 		}
-		s.handle(sd, r)
 	}
 }
 
-func (s *Server) handle(sd *shardState, r request) {
-	sd.obs.mbDepth.Set(int64(len(sd.mb)))
+// apply executes one run of puts under a single clock read: now is
+// every member's dequeue time (queue stage, MaxQueueDelay) and the epoch
+// of a batch a member opens. The BatchWait deadline is checked once per
+// run, so an open batch kept company by a trickle — the owner never
+// idles long enough for its timer to fire — still seals on time; it is
+// checked after the run, so puts that arrive while a due timer is still
+// overshooting join the batch they found open instead of waiting out a
+// second one.
+func (s *Server) apply(sd *shardState, run []request) {
 	now := time.Now()
-	wait := now.Sub(r.enq)
-	s.stQueue.Observe(uint64(wait.Nanoseconds()))
-	if r.tid != 0 {
-		s.trace(obs.EvStageDeq, int32(sd.id), r.tid, uint64(wait.Nanoseconds()))
-	}
-	if d := s.cfg.MaxQueueDelay; d > 0 && wait > d {
-		sd.obs.rejExp.Inc()
-		s.trace(obs.EvRejectExpired, int32(sd.id), r.key, 0)
-		r.reply(StatusExpired, 0)
-		return
-	}
 	c := sd.ctx
-	// Admission: reject near-full tables (an insert may be an update,
-	// but distinguishing would cost the probe we are trying to avoid)
-	// and exhausted LP journals before mutating anything.
-	if sd.occupied >= sd.highWater ||
-		(s.cfg.Mode == lpstore.ModeLP && sd.w.Seq() >= sd.sh.MaxOps) {
-		sd.obs.rejFull.Inc()
-		s.trace(obs.EvRejectFull, int32(sd.id), r.key, 0)
-		r.reply(StatusFull, 0)
-		return
-	}
-	s.ctPuts.Inc()
-	insBefore := sd.w.Inserts
-	switch s.cfg.Mode {
-	case lpstore.ModeLP:
-		batchBefore := sd.w.Batch()
+	for i := range run {
+		r := &run[i]
+		wait := now.Sub(r.enq)
+		s.stQueue.Observe(uint64(wait.Nanoseconds()))
+		if r.tid != 0 {
+			s.trace(obs.EvStageDeq, int32(sd.id), r.tid, uint64(wait.Nanoseconds()))
+		}
+		if d := s.cfg.MaxQueueDelay; d > 0 && wait > d {
+			sd.obs.rejExp.Inc()
+			s.trace(obs.EvRejectExpired, int32(sd.id), r.key, 0)
+			r.reply(StatusExpired, 0)
+			continue
+		}
+		// Admission: reject near-full tables (an insert may be an update,
+		// but distinguishing would cost the probe we are trying to avoid)
+		// and exhausted LP journals before mutating anything.
+		if sd.occupied >= sd.highWater ||
+			(s.cfg.Mode == lpstore.ModeLP && sd.w.Seq() >= sd.sh.MaxOps) {
+			sd.obs.rejFull.Inc()
+			s.trace(obs.EvRejectFull, int32(sd.id), r.key, 0)
+			r.reply(StatusFull, 0)
+			continue
+		}
+		s.ctPuts.Inc()
+		insBefore, batchBefore := sd.w.Inserts, sd.w.Batch()
 		sd.w.Put(c, r.key, r.val)
 		sd.occupied += int(sd.w.Inserts - insBefore)
-		sd.pending = append(sd.pending, r)
-		if len(sd.pending) == 1 {
-			sd.openAt = now // fill-stage epoch, whatever seals the batch
-		}
-		switch {
-		case sd.w.Batch() != batchBefore:
-			s.seal(sd, false)
-		case r.sealHint && len(sd.mb) == 0:
-			s.seal(sd, true)
-		default:
+		switch s.cfg.Mode {
+		case lpstore.ModeLP:
+			sd.pending = append(sd.pending, *r)
 			if len(sd.pending) == 1 {
+				sd.openAt = now // fill-stage epoch, whatever seals the batch
 				sd.deadline = now.Add(s.cfg.BatchWait)
 			}
-			s.leak(sd)
+			switch {
+			case sd.w.Batch() != batchBefore:
+				s.seal(sd, false)
+			case r.sealHint && i == len(run)-1 && sd.mb.depth() == 0:
+				s.seal(sd, true)
+			}
+			continue
+		case lpstore.ModeEP, lpstore.ModeWAL:
+			c.takeDirty() // everything that matters was fenced to the file
+			if err := c.takeErr(); err != nil {
+				s.failFile(err)
+				r.reply(StatusShutdown, 0)
+				continue
+			}
 		}
-	case lpstore.ModeEP, lpstore.ModeWAL:
-		sd.w.Put(c, r.key, r.val)
-		sd.occupied += int(sd.w.Inserts - insBefore)
-		c.takeDirty() // everything that matters was fenced to the file
-		if err := c.takeErr(); err != nil {
-			s.failFile(err)
-			r.reply(StatusShutdown, 0)
-			return
-		}
+		// EP, WAL, base: settled on the spot. (Base's only path to the file
+		// is the leak below.)
 		s.ctAcked.Inc()
 		sd.obs.putLat.Observe(uint64(time.Since(r.enq).Nanoseconds()))
 		r.reply(StatusOK, 0)
-	case lpstore.ModeBase:
-		sd.w.Put(c, r.key, r.val)
-		sd.occupied += int(sd.w.Inserts - insBefore)
-		s.ctAcked.Inc()
-		sd.obs.putLat.Observe(uint64(time.Since(r.enq).Nanoseconds()))
-		r.reply(StatusOK, 0)
-		s.leak(sd) // the write-back queue is base's only path to the file
 	}
+	if len(sd.pending) > 0 && !now.Before(sd.deadline) {
+		s.seal(sd, true)
+	}
+	s.leak(sd)
 }
 
 // seal closes the open LP batch (padding it if it closed on timeout or
@@ -1478,20 +1428,38 @@ func (s *Server) flushItem(sd *shardState, it *commitItem) {
 		}
 	}
 	var toks []request // stays nil — no allocation — unless a put carries a token
-	for _, r := range it.pending {
+	// Consecutive acks to one connection leave as one run: one lock, one
+	// poke, and a writer that finds the batch's acks whole.
+	acks, to := sd.ackRun[:0], (*srvConn)(nil)
+	for i := range it.pending {
+		r := &it.pending[i]
 		if r.rtok != 0 {
-			toks = append(toks, r)
+			toks = append(toks, *r)
 			continue
 		}
-		s.replyPut(sd, r, err, now)
+		status := s.settle(sd, r, err, now)
+		if r.rb != nil {
+			r.rb.reply(status)
+			continue
+		}
+		if r.cn != to && len(acks) > 0 {
+			to.pushAcks(acks)
+			acks = acks[:0]
+		}
+		to = r.cn
+		acks = appendResp(acks, r.seq, status, 0)
 	}
+	if len(acks) > 0 {
+		to.pushAcks(acks)
+	}
+	sd.ackRun = acks
 	it.pending = it.pending[:0]
 	sd.obs.pipeInflight.Add(-1)
 	if len(toks) > 0 {
 		// Non-blocking by construction (replq is unbounded); a send
 		// that could block here would reintroduce the cross-node
 		// flusher deadlock this split exists to prevent.
-		sd.replq.push(replJob{pending: toks, err: err, flushed: now})
+		sd.replq.push([]replJob{{pending: toks, err: err, flushed: now}})
 	}
 }
 
@@ -1512,40 +1480,48 @@ func (s *Server) flushItem(sd *shardState, it *commitItem) {
 // path too.
 func (s *Server) replWaiter(sd *shardState) {
 	defer s.wgRepl.Done()
-	for {
-		job, ok := sd.replq.pop()
-		if !ok {
-			return
-		}
-		for _, r := range job.pending {
-			ok := s.cfg.Repl.Wait(r.rtok)
-			if r.tid != 0 {
-				var b uint64
-				if ok {
-					b = 1
+	var jobs []replJob
+	for ok := true; ok; {
+		jobs, ok = sd.replq.takeWait(jobs)
+		for _, job := range jobs {
+			// One clock read per token, not per put: puts forwarded to one
+			// peer share a token, and only the first Wait on it can block.
+			var now time.Time
+			var tok uint64
+			for _, r := range job.pending {
+				ok := s.cfg.Repl.Wait(r.rtok)
+				if r.rtok != tok {
+					tok, now = r.rtok, time.Now()
 				}
-				s.trace(obs.EvStageReplAck, int32(sd.id), r.tid, b)
+				if r.tid != 0 {
+					var b uint64
+					if ok {
+						b = 1
+					}
+					s.trace(obs.EvStageReplAck, int32(sd.id), r.tid, b)
+				}
+				if job.err == nil && !ok {
+					sd.obs.rejOver.Inc()
+					r.reply(StatusOverload, 0)
+					continue
+				}
+				r.reply(s.settle(sd, &r, job.err, now), 0)
 			}
-			if job.err == nil && !ok {
-				sd.obs.rejOver.Inc()
-				r.reply(StatusOverload, 0)
-				continue
+			if job.err == nil && !job.flushed.IsZero() {
+				// Per-job repl stage: local write set durable → every
+				// follower token of the batch resolved.
+				s.stRepl.Observe(uint64(now.Sub(job.flushed).Nanoseconds()))
 			}
-			s.replyPut(sd, r, job.err, time.Now())
 		}
-		if job.err == nil && !job.flushed.IsZero() {
-			// Per-job repl stage: local write set durable → every
-			// follower token of the batch resolved.
-			s.stRepl.Observe(uint64(time.Since(job.flushed).Nanoseconds()))
-		}
+		clear(jobs) // drop the pending slice references
 	}
 }
 
-// replyPut acks (or fails) one put whose local write set settled.
-func (s *Server) replyPut(sd *shardState, r request, err error, now time.Time) {
+// settle accounts for one put whose local write set settled (or failed)
+// and returns the status to answer it with.
+func (s *Server) settle(sd *shardState, r *request, err error, now time.Time) byte {
 	if err != nil {
-		r.reply(StatusShutdown, 0)
-		return
+		return StatusShutdown
 	}
 	s.ctAcked.Add(1)
 	lat := uint64(now.Sub(r.enq).Nanoseconds())
@@ -1559,35 +1535,42 @@ func (s *Server) replyPut(sd *shardState, r request, err error, now time.Time) {
 			s.tr.Record(obs.EvSlowPut, int32(sd.id), ts, r.key, lat)
 		}
 	}
-	r.reply(StatusOK, 0)
+	return StatusOK
 }
 
-// leak snapshots the shard's freshly dirtied table lines and offers
-// them to the write-back queue — the service's stand-in for natural
-// cache evictions. Non-blocking: a full queue drops the snapshot
-// (the line stays dirty only in the heap), exactly as a line may
-// simply not be evicted before a crash. Journal and checksum lines
-// never leak; see shardState.tabLo.
+// leak snapshots the table lines the shard dirtied since the last call
+// (after every run and at every seal; a line dirtied twice leaks once)
+// and offers them to the write-back queue as one run — the service's
+// stand-in for natural cache evictions. Non-blocking: a full queue drops
+// what it cannot take (the line stays dirty only in the heap), exactly as
+// a line may simply not be evicted before a crash. Journal and checksum
+// lines never leak; see shardState.tabLo.
 func (s *Server) leak(sd *shardState) {
+	run := sd.leakRun[:0]
 	for _, la := range sd.ctx.takeDirty() {
 		if la < sd.tabLo || la > sd.tabHi {
 			continue
 		}
-		select {
-		case s.leakCh <- lineSnap{la: la, buf: s.mem.LoadLine(la)}:
-			s.ctLeaked.Inc()
-			s.trace(obs.EvEvictionLeak, int32(sd.id), uint64(la), 0)
-		default:
-			s.ctDropped.Inc()
-		}
+		run = append(run, lineSnap{la: la, buf: s.mem.LoadLine(la)})
+	}
+	sd.leakRun = run
+	acc, _ := s.leakq.push(run)
+	s.ctLeaked.Add(uint64(acc))
+	s.ctDropped.Add(uint64(len(run) - acc))
+	for i := range run[:acc] {
+		s.trace(obs.EvEvictionLeak, int32(sd.id), uint64(run[i].la), 0)
 	}
 }
 
 // writeBack drains the leak queue into the durable image.
 func (s *Server) writeBack() {
 	defer s.wgLeak.Done()
-	for ls := range s.leakCh {
-		s.mem.PersistLine(ls.la, &ls.buf)
+	run := make([]lineSnap, 0, leakDepth)
+	for ok := true; ok; {
+		run, ok = s.leakq.takeWait(run)
+		for i := range run {
+			s.mem.PersistLine(run[i].la, &run[i].buf)
+		}
 	}
 }
 

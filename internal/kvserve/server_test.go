@@ -142,9 +142,9 @@ func TestServeOverload(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer s.Close()
-	sd := s.shards[0]
-	sd.mb <- request{}
-	sd.mb <- request{}
+	if acc, depth := s.shards[0].mb.push(make([]request, 3)); acc != 2 || depth != 2 {
+		t.Fatalf("push of 3 into an empty mailbox of 2 accepted %d (depth %d), want 2", acc, depth)
+	}
 
 	srvEnd, cliEnd := net.Pipe()
 	cn := newSrvConn(srvEnd)
@@ -169,6 +169,138 @@ func TestServeOverload(t *testing.T) {
 		t.Fatalf("overload counter = %d, want 1", s.Stats().Overloads)
 	}
 	cliEnd.Close()
+}
+
+// TestConfigValidate: New refuses settings that used to panic deep
+// inside it (a negative Mailbox reached make(chan)) or silently reject
+// every put, naming the field.
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Mailbox", func(c *Config) { c.Mailbox = -1 }},
+		{"BatchWait", func(c *Config) { c.BatchWait = -time.Millisecond }},
+		{"PipelineDepth", func(c *Config) { c.PipelineDepth = -1 }},
+		{"Shards", func(c *Config) { c.Shards = 3 }},
+	} {
+		cfg := testCfg(t, lpstore.ModeLP)
+		c.set(&cfg)
+		if s, err := New(cfg); err == nil {
+			s.Close()
+			t.Errorf("New accepted a bad %s", c.field)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("bad %s: error %q does not name the field", c.field, err)
+		}
+	}
+}
+
+// TestPutOrderPerConnection: a connection's puts to one shard apply in
+// send order however the reader cuts them into runs — 4 096 pipelined
+// puts of one key, values ascending, leave the last value behind.
+func TestPutOrderPerConnection(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(strconv.Itoa(shards), func(t *testing.T) {
+			const puts = 4096
+			cfg := testCfg(t, lpstore.ModeLP)
+			cfg.Shards = shards
+			cfg.Mailbox = puts // the window is the whole stream: no Overload
+			cfg.MaxOps = 1 << 14
+			s := startServer(t, cfg)
+			defer s.Close()
+			c, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			defer c.Close()
+			key := workloads.KVKey(0, 0)
+			frames := make([]byte, 0, puts*ReqSize)
+			for i := 1; i <= puts; i++ {
+				var f [ReqSize]byte
+				EncodeReq(&f, OpPut, uint32(i), key, uint64(i))
+				frames = append(frames, f[:]...)
+			}
+			go c.Write(frames)
+			for i := 0; i < puts; i++ {
+				var f [RespSize]byte
+				if _, err := io.ReadFull(c, f[:]); err != nil {
+					t.Fatalf("response %d: %v", i, err)
+				}
+				if seq, st, _ := DecodeResp(&f); st != StatusOK {
+					t.Fatalf("put %d answered %s", seq, StatusName(st))
+				}
+			}
+			if v, st, err := dial(t, s.Addr()).Get(key); err != nil || st != StatusOK || v != puts {
+				t.Fatalf("Get = %d,%s,%v; want the last value sent, %d", v, StatusName(st), err, puts)
+			}
+		})
+	}
+}
+
+// TestBatchDeadlineUnderTrickle: BatchWait bounds a batch's age, not the
+// owner's idle time. One put a millisecond keeps waking the owner before
+// a full BatchWait of idleness, and the batch must still seal by its
+// deadline — the first put is acked within a few BatchWaits, not when
+// the K-th arrives. The second half is the owner that never idles at all
+// (the test calls apply back to back): there the per-run deadline check
+// is the only thing that can seal.
+func TestBatchDeadlineUnderTrickle(t *testing.T) {
+	cfg := testCfg(t, lpstore.ModeLP)
+	cfg.Shards = 1
+	cfg.BatchK = 32
+	cfg.BatchWait = 5 * time.Millisecond
+
+	t.Run("served", func(t *testing.T) {
+		cfg.Path = filepath.Join(t.TempDir(), "kv.img")
+		s := startServer(t, cfg)
+		defer s.Close()
+		cl := dial(t, s.Addr())
+		t0 := time.Now()
+		first, err := cl.start(OpPut, workloads.KVKey(9, 0), 1)
+		if err != nil {
+			t.Fatalf("start: %v", err)
+		}
+		for i := 1; i < cfg.BatchK-1; i++ { // never the K-th put: only the deadline can seal
+			select {
+			case r := <-first:
+				if d := time.Since(t0); r.Status != StatusOK || d > 4*cfg.BatchWait {
+					t.Fatalf("first put: %s after %v, want ok within %v", StatusName(r.Status), d, 4*cfg.BatchWait)
+				}
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if _, err := cl.start(OpPut, workloads.KVKey(9, i), 1); err != nil {
+				t.Fatalf("start: %v", err)
+			}
+		}
+		t.Fatalf("first put still unacked after %v and %d trickled puts", time.Since(t0), cfg.BatchK-2)
+	})
+
+	t.Run("never idle", func(t *testing.T) {
+		cfg.Path = filepath.Join(t.TempDir(), "kv.img")
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		sd := s.shards[0]
+		s.wgFlush.Add(1)
+		go s.flusher(sd)
+		cn := absorbConn()
+		t0 := time.Now()
+		for i := 0; sd.w.Batch() == 0; i++ {
+			if i == cfg.BatchK-1 {
+				t.Fatalf("batch still open after %v and %d puts", time.Since(t0), i)
+			}
+			s.apply(sd, []request{{op: OpPut, key: workloads.KVKey(9, i), val: 1, enq: time.Now(), cn: cn}})
+			time.Sleep(time.Millisecond)
+		}
+		if s.ctPads.Load() == 0 {
+			t.Fatal("the batch sealed unpadded: not by its deadline")
+		}
+		close(sd.commitCh)
+		s.wgFlush.Wait()
+		s.Close()
+	})
 }
 
 // TestServeFullTable: the occupancy watermark rejects inserts with
