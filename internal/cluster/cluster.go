@@ -16,7 +16,7 @@
 // from "forwarded put, just apply it": instead every pair member
 // forwards client puts (OpPut) to the slot's other static member,
 // and forwarded copies travel in OpReplBatch frames, whose members
-// the receiver tags OpReplPut: applied but never re-forwarded —
+// the receiver applies but never re-forwards —
 // replication echo is impossible by opcode, not by role agreement.
 //
 // The durability contract, cluster-wide: a put is acked to the client

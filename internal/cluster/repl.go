@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -232,7 +231,7 @@ type slotView struct {
 	peers []*peerState // len NumSlots
 	epoch uint64
 	// primary[s] is whether this node holds slot s's primary role at
-	// this epoch — the kvserve.PrimaryAuth bitmap. Role, not pair
+	// this epoch — Admit's bitmap. Role, not pair
 	// membership: forwarding routes by membership (see ApplyTopology),
 	// but client puts are authorized against the role so a
 	// stale-routed client is told to refresh instead of being served
@@ -296,26 +295,24 @@ func (r *Replicator) Epoch() uint64 {
 	return 0
 }
 
-// Ready implements kvserve.Replicator: true once a topology has been
-// applied. Until then the server refuses client puts — a node serving
-// before its first push would ack at RF=1 with no forward and no
-// delta charge, invisibly to the router's epoch fence.
-func (r *Replicator) Ready() bool {
-	return r.view.Load() != nil
-}
-
-// IsPrimary implements kvserve.PrimaryAuth: whether this member holds
-// the key's slot primary role under its applied epoch. The server
-// consults it on every client OpPut, so a put routed by a stale table
-// is rejected StatusMoved at the member instead of being accepted by
-// a node the router stopped sending that slot to. Lock-free: one
-// atomic view load plus a bitmap index.
-func (r *Replicator) IsPrimary(key uint64) bool {
+// Admit implements kvserve.Replicator: the status a client put for key
+// is answered with, StatusOK meaning the server takes it. Overload until
+// a topology has been applied — a node serving before its first push
+// would ack at RF=1 with no forward and no delta charge, invisibly to
+// the router's epoch fence. Moved when this member does not hold the
+// key's slot primary role under its applied epoch, so a put routed by a
+// stale table is rejected at the member instead of being accepted by a
+// node the router stopped sending that slot to. Lock-free: one atomic
+// view load plus a bitmap index.
+func (r *Replicator) Admit(key uint64) byte {
 	v := r.view.Load()
-	if v == nil {
-		return false
+	switch {
+	case v == nil:
+		return kvserve.StatusOverload
+	case !v.primary[SlotOf(key)]:
+		return kvserve.StatusMoved
 	}
-	return v.primary[SlotOf(key)]
+	return kvserve.StatusOK
 }
 
 // ForwardBatch implements kvserve.Replicator: called by a shard owner
@@ -481,7 +478,7 @@ func (r *Replicator) ApplyTopology(t *Topology) error {
 	// only — and a later orphan reclaim can hand the slot to the other
 	// member, losing an acked key. Pair membership is static, so
 	// forwarding to the other member is correct under any role skew,
-	// and the OpReplPut tag keeps the copy from echoing back.
+	// and a received copy is never re-forwarded, so it cannot echo back.
 	other := func(sa SlotAssign) int {
 		switch self {
 		case sa.Primary:
@@ -572,6 +569,10 @@ func (r *Replicator) ensureSessionLocked(ps *peerState) (int, error) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
+	if err := helloRepl(conn, r.cfg.DialTimeout); err != nil {
+		conn.Close()
+		return 0, fmt.Errorf("cluster: peer %s (%s): %w", ps.id, ps.addr, err)
+	}
 	r.sessMu.Lock()
 	sess := newPeerSession(r, ps, conn, len(r.sessions)+1)
 	r.sessions = append(r.sessions, sess)
@@ -579,6 +580,29 @@ func (r *Replicator) ensureSessionLocked(ps *peerState) (int, error) {
 	r.ctSessions.Inc()
 	n := r.drainDeltaLocked(ps, sess)
 	return n, nil
+}
+
+// helloRepl negotiates FeatRepl on a freshly dialed connection, before
+// the session's sender and reader exist: the peer accepts OpReplBatch
+// frames only on a connection it granted the bit. A peer that refuses —
+// one that predates the bit — leaves the caller degraded, as a failed
+// dial does.
+func helloRepl(conn net.Conn, timeout time.Duration) error {
+	conn.SetDeadline(time.Now().Add(timeout))
+	defer conn.SetDeadline(time.Time{})
+	var req [kvserve.ReqSize]byte
+	kvserve.EncodeReq(&req, kvserve.OpHello, 0, kvserve.FeatRepl, 0)
+	if _, err := conn.Write(req[:]); err != nil {
+		return err
+	}
+	var resp [kvserve.RespSize]byte
+	if _, err := io.ReadFull(conn, resp[:]); err != nil {
+		return err
+	}
+	if _, status, granted := kvserve.DecodeResp(&resp); status != kvserve.StatusOK || granted&kvserve.FeatRepl == 0 {
+		return fmt.Errorf("replication hello refused (%s, granted %#x)", kvserve.StatusName(status), granted)
+	}
+	return nil
 }
 
 // drainDeltaLocked replays ps's delta through sess and publishes the
@@ -974,46 +998,20 @@ func (s *peerSession) resolve(idx uint32, st byte) {
 }
 
 // encodeFrame (re)builds a slot's OpReplBatch wire frame into its
-// reusable buffer: one request header whose key field carries the put
-// count and whose val field the trace-entry count, the run's
-// (key, val) pairs, then one [idx:4][tid:8] trace entry per traced
-// put, ascending by pair index (kvserve.ReplTraceSize each). Runs
-// with no traced puts encode val = 0 — byte-identical to the
-// pre-trace frame. Encoding happens right before the sender's writev,
-// so this is also where traced puts get their stage_fwd_write event.
+// reusable buffer (kvserve.AppendReplBatch owns the layout; the slot
+// index is the frame's seq). Encoding happens right before the sender's
+// writev, so this is also where traced puts get their stage_fwd_write
+// event.
 func (s *peerSession) encodeFrame(idx uint32) []byte {
 	sl := &s.slots[idx]
-	tcount := 0
-	for i := range sl.puts {
-		if sl.puts[i].tid != 0 {
-			tcount++
-		}
-	}
-	var h [kvserve.ReqSize]byte
-	kvserve.EncodeReq(&h, kvserve.OpReplBatch, idx, uint64(len(sl.puts)), uint64(tcount))
-	f := append(sl.frame[:0], h[:]...)
-	var p [kvserve.ReplPairSize]byte
-	for i := range sl.puts {
-		binary.LittleEndian.PutUint64(p[0:], sl.puts[i].key)
-		binary.LittleEndian.PutUint64(p[8:], sl.puts[i].val)
-		f = append(f, p[:]...)
-	}
-	if tcount > 0 {
-		var te [kvserve.ReplTraceSize]byte
-		for i := range sl.puts {
-			if sl.puts[i].tid == 0 {
-				continue
-			}
-			binary.LittleEndian.PutUint32(te[0:], uint32(i))
-			binary.LittleEndian.PutUint64(te[4:], sl.puts[i].tid)
-			f = append(f, te[:]...)
-		}
-	}
-	sl.frame = f
+	sl.frame = kvserve.AppendReplBatch(sl.frame[:0], idx, len(sl.puts), func(i int) (key, val, tid uint64) {
+		p := &sl.puts[i]
+		return p.key, p.val, p.tid
+	})
 	if s.r.cfg.Tracer.Enabled() {
-		s.traceRun(obs.EvStageFwdWrite, sl, uint64(len(f)))
+		s.traceRun(obs.EvStageFwdWrite, sl, uint64(len(sl.frame)))
 	}
-	return f
+	return sl.frame
 }
 
 // sender drains the send queue, gathering every pending run's frame

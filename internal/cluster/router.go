@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -781,40 +780,64 @@ type proxySeg struct {
 	off, end int
 }
 
+// frameAt decodes the request header at buf[off:].
+func frameAt(buf []byte, off int) (op byte, seq uint32, key, val uint64) {
+	return kvserve.DecodeReq((*[kvserve.ReqSize]byte)(buf[off:]))
+}
+
+// wholeFrames returns how much of buf planChunk may take: its whole
+// frames, less a trailing OpTraceCtx prefix, which is held back for the
+// next round — its successor frame decides where it routes, and the
+// client wrote the pair in one send, so the successor is already in
+// flight.
+func wholeFrames(buf []byte) int {
+	whole := len(buf) - len(buf)%kvserve.ReqSize
+	if whole > 0 {
+		if op, _, _, _ := frameAt(buf, whole-kvserve.ReqSize); op == kvserve.OpTraceCtx {
+			whole -= kvserve.ReqSize
+		}
+	}
+	return whole
+}
+
 // planChunk partitions a run of whole request frames into destination
 // segments, appending to segs (reused by the caller — the function
-// allocates nothing when capacity suffices). Routing parses only the
-// op and key of each header; payload bytes are never touched. A nil
+// allocates nothing when capacity suffices). Routing decodes each
+// header for its op and key; payload bytes are never touched. A nil
 // topology plans everything local. Pings and hellos are always local;
 // an OpTraceCtx prefix routes wherever its successor frame routes
-// (the caller holds a chunk-trailing prefix back, so the successor is
+// (wholeFrames holds a chunk-trailing prefix back, so the successor is
 // in this chunk), which keeps the pair consecutive in one segment —
-// fused on the backend's wire exactly as the client sent them.
-func planChunk(chunk []byte, t *Topology, segs []proxySeg) []proxySeg {
-	routeKey := func(off int) int {
-		key := binary.LittleEndian.Uint64(chunk[off+5:])
-		if sa := t.Slots[SlotOf(key)]; sa.Primary >= 0 {
-			return sa.Primary
+// fused on the backend's wire exactly as the client sent them. ok =
+// false refuses the chunk: it holds an OpReplBatch header, whose payload
+// is not frames, and the router — which answers hellos itself and never
+// grants FeatRepl — has no backend connection that would take it.
+func planChunk(chunk []byte, t *Topology, segs []proxySeg) (_ []proxySeg, ok bool) {
+	route := func(key uint64) int {
+		if t != nil {
+			if p := t.Slots[SlotOf(key)].Primary; p >= 0 {
+				return p
+			}
 		}
 		return -1
 	}
 	for off := 0; off < len(chunk); off += kvserve.ReqSize {
 		node := -1
-		if t != nil {
-			switch op := chunk[off]; op {
-			case kvserve.OpPing, kvserve.OpHello:
-				// Answered locally: a hello's key field is feature bits,
-				// not a routing key, and the router grants for itself.
-			case kvserve.OpTraceCtx:
-				if nxt := off + kvserve.ReqSize; nxt < len(chunk) {
-					op2 := chunk[nxt]
-					if op2 != kvserve.OpPing && op2 != kvserve.OpHello && op2 != kvserve.OpTraceCtx {
-						node = routeKey(nxt)
-					}
+		switch op, _, key, _ := frameAt(chunk, off); op {
+		case kvserve.OpReplBatch:
+			return segs, false
+		case kvserve.OpPing, kvserve.OpHello:
+			// Answered locally: a hello's key field is feature bits,
+			// not a routing key, and the router grants for itself.
+		case kvserve.OpTraceCtx:
+			if nxt := off + kvserve.ReqSize; nxt < len(chunk) {
+				op2, _, key2, _ := frameAt(chunk, nxt)
+				if op2 != kvserve.OpPing && op2 != kvserve.OpHello && op2 != kvserve.OpTraceCtx {
+					node = route(key2)
 				}
-			default:
-				node = routeKey(off)
 			}
+		default:
+			node = route(key)
 		}
 		if n := len(segs); n > 0 && segs[n-1].node == node && segs[n-1].end == off {
 			segs[n-1].end = off + kvserve.ReqSize
@@ -822,7 +845,7 @@ func planChunk(chunk []byte, t *Topology, segs []proxySeg) []proxySeg {
 			segs = append(segs, proxySeg{node: node, off: off, end: off + kvserve.ReqSize})
 		}
 	}
-	return segs
+	return segs, true
 }
 
 // serveClient proxies one client connection zero-copy: read a chunk of
@@ -885,30 +908,25 @@ func (r *Router) serveClient(c net.Conn) {
 			return
 		}
 		fill += n
-		whole := fill - fill%kvserve.ReqSize
-		// A chunk-trailing OpTraceCtx prefix is held back for the next
-		// round: its successor frame decides where it routes, and the
-		// client wrote the pair in one send, so the successor is already
-		// in flight.
-		if whole >= kvserve.ReqSize && buf[whole-kvserve.ReqSize] == kvserve.OpTraceCtx {
-			whole -= kvserve.ReqSize
-		}
+		whole := wholeFrames(buf[:fill])
 		if whole == 0 {
 			continue
 		}
 		t := r.topo.Load()
+		var ok bool
+		if segs, ok = planChunk(buf[:whole], t, segs[:0]); !ok {
+			return // framing is lost past a payload the router will not route
+		}
 		r.ctRequests.Add(uint64(whole / kvserve.ReqSize))
 		if r.tr.Enabled() {
 			ts := time.Now().UnixNano()
 			for off := 0; off+kvserve.ReqSize < whole; off += kvserve.ReqSize {
-				if buf[off] == kvserve.OpTraceCtx {
-					tid := binary.LittleEndian.Uint64(buf[off+5:])
-					key := binary.LittleEndian.Uint64(buf[off+kvserve.ReqSize+5:])
+				if op, _, tid, _ := frameAt(buf, off); op == kvserve.OpTraceCtx {
+					_, _, key, _ := frameAt(buf, off+kvserve.ReqSize)
 					r.tr.Record(obs.EvRouterRoute, -1, ts, tid, key)
 				}
 			}
 		}
-		segs = planChunk(buf[:whole], t, segs[:0])
 		for si := range segs {
 			node := segs[si].node
 			if node < 0 {
@@ -941,12 +959,12 @@ func (r *Router) serveClient(c net.Conn) {
 			ans = ans[:0]
 			for _, run := range iov {
 				for off := 0; off < len(run); off += kvserve.ReqSize {
-					if run[off] == kvserve.OpTraceCtx {
+					op, seq, _, _ := frameAt(run, off)
+					if op == kvserve.OpTraceCtx {
 						continue // silent prefix: never answered
 					}
-					seq := binary.LittleEndian.Uint32(run[off+1:])
 					r.ctNoPrimary.Inc()
-					ans = appendProxyResp(ans, seq, kvserve.StatusOverload, 0)
+					ans = kvserve.AppendResp(ans, seq, kvserve.StatusOverload, 0)
 				}
 			}
 			pc.write(ans)
@@ -958,22 +976,21 @@ func (r *Router) serveClient(c net.Conn) {
 				continue
 			}
 			for off := sg.off; off < sg.end; off += kvserve.ReqSize {
-				op := buf[off]
+				op, seq, feats, _ := frameAt(buf, off)
 				if op == kvserve.OpTraceCtx {
 					// A prefix whose successor answered locally: drop it
 					// silently — forwarding it anywhere would arm a trace
 					// on an unrelated frame.
 					continue
 				}
-				seq := binary.LittleEndian.Uint32(buf[off+1:])
 				if op == kvserve.OpHello && t != nil {
 					// The router is the client's protocol peer, so it
 					// answers the handshake itself: it speaks the trace
 					// extension (prefix fusion above), so it grants
 					// FeatTrace regardless of backend vintage — backends
-					// accept OpTraceCtx unconditionally.
-					feats := binary.LittleEndian.Uint64(buf[off+5:])
-					ans = appendProxyResp(ans, seq, kvserve.StatusOK, feats&kvserve.FeatTrace)
+					// accept OpTraceCtx unconditionally. It never grants
+					// FeatRepl: planChunk refuses OpReplBatch.
+					ans = kvserve.AppendResp(ans, seq, kvserve.StatusOK, feats&kvserve.FeatTrace)
 					continue
 				}
 				st := kvserve.StatusOverload
@@ -989,7 +1006,7 @@ func (r *Router) serveClient(c net.Conn) {
 				} else if op != kvserve.OpPing {
 					r.ctNoPrimary.Inc()
 				}
-				ans = appendProxyResp(ans, seq, st, 0)
+				ans = kvserve.AppendResp(ans, seq, st, 0)
 			}
 		}
 		if len(ans) > 0 {
@@ -1000,13 +1017,6 @@ func (r *Router) serveClient(c net.Conn) {
 			return
 		}
 	}
-}
-
-// appendProxyResp appends one locally fabricated response frame.
-func appendProxyResp(b []byte, seq uint32, status byte, val uint64) []byte {
-	var f [kvserve.RespSize]byte
-	kvserve.EncodeResp(&f, seq, status, val)
-	return append(b, f[:]...)
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
 package kvserve
 
 import (
-	"encoding/binary"
+	"bytes"
 	"io"
 	"net"
 	"testing"
@@ -15,19 +15,25 @@ import (
 // many responses each seq is owed (every complete frame but an
 // OpTraceCtx prefix owes one; an OpReplBatch run owes one for the run),
 // their total, and how the walk ended: fatal when a frame makes the
-// server drop the connection (an OpReplBatch header it refuses), cut
-// when the input ends inside an OpReplBatch payload — the server then
-// waits for the rest, holding back what its response batch had gathered.
+// server drop the connection (an OpReplBatch header it refuses, or any
+// OpReplBatch before an OpHello was granted FeatRepl), cut when the input
+// ends inside an OpReplBatch payload — the server then waits for the
+// rest, holding back what its response batch had gathered. The header
+// rule is written out here, not shared with the codec: it is the model
+// FuzzReplBatch checks ReplPayloadLen against.
 func owedResponses(data []byte) (owed map[uint32]int, n int, fatal, cut bool) {
 	owed = make(map[uint32]int)
+	var granted uint64
 	for len(data) >= ReqSize {
 		op, seq, key, val := DecodeReq((*[ReqSize]byte)(data))
 		data = data[ReqSize:]
 		switch op {
 		case OpTraceCtx:
 			continue
+		case OpHello:
+			granted = key
 		case OpReplBatch:
-			if key == 0 || key > MaxReplBatch || val > key {
+			if granted&FeatRepl == 0 || key == 0 || key > MaxReplBatch || val > key {
 				return owed, n, true, false
 			}
 			need := int(key)*ReplPairSize + int(val)*ReplTraceSize
@@ -43,44 +49,31 @@ func owedResponses(data []byte) (owed map[uint32]int, n int, fatal, cut bool) {
 }
 
 func reqFrame(op byte, seq uint32, key, val uint64) []byte {
-	var f [ReqSize]byte
-	EncodeReq(&f, op, seq, key, val)
-	return f[:]
+	return AppendReq(nil, op, seq, key, val)
 }
 
 // replFrame encodes an OpReplBatch run of the given pairs, tracing pair
 // i with tids[i] when that is nonzero.
 func replFrame(seq uint32, pairs [][2]uint64, tids []uint64) []byte {
-	var traced uint64
-	for _, tid := range tids {
-		if tid != 0 {
-			traced++
+	return AppendReplBatch(nil, seq, len(pairs), func(i int) (key, val, tid uint64) {
+		if i < len(tids) {
+			tid = tids[i]
 		}
-	}
-	b := reqFrame(OpReplBatch, seq, uint64(len(pairs)), traced)
-	for _, p := range pairs {
-		b = binary.LittleEndian.AppendUint64(b, p[0])
-		b = binary.LittleEndian.AppendUint64(b, p[1])
-	}
-	for i, tid := range tids {
-		if tid != 0 {
-			b = binary.LittleEndian.AppendUint32(b, uint32(i))
-			b = binary.LittleEndian.AppendUint64(b, tid)
-		}
-	}
-	return b
+		return pairs[i][0], pairs[i][1], tid
+	})
 }
 
 // FuzzConnReader feeds arbitrary bytes to a connection served by
 // connReader/connWriter over a net.Pipe, behind it a started server's
 // owners, flushers and write-back. Whatever arrives: no panic; every
 // complete frame that is not an OpTraceCtx prefix is answered exactly
-// once, under its own seq; only a refused OpReplBatch header makes the
-// server end the connection (a cut payload just waits); and once the
-// connection is gone no mailbox is left holding a request of it.
+// once, under its own seq; only an OpReplBatch the server refuses — its
+// header, or the lack of a FeatRepl grant — makes it end the connection
+// (a cut payload just waits); and once the connection is gone no mailbox
+// is left holding a request of it.
 func FuzzConnReader(f *testing.F) {
 	k := func(i int) uint64 { return workloads.KVKey(0, i) }
-	for _, op := range []byte{OpGet, OpPut, OpPing, OpHello, OpReplPut, 'X'} {
+	for _, op := range []byte{OpGet, OpPut, OpPing, OpHello, 'R', 'X'} {
 		f.Add(reqFrame(op, 7, k(1), 9))
 	}
 	f.Add(append(reqFrame(OpTraceCtx, 1, 0xabc, 0), reqFrame(OpPut, 1, k(2), 5)...))
@@ -99,6 +92,15 @@ func FuzzConnReader(f *testing.F) {
 	f.Add(reqFrame(OpReplBatch, 4, MaxReplBatch+1, 0))                                   // refused: too long
 	f.Add(reqFrame(OpReplBatch, 5, 2, 3))                                                // refused: more trace entries than pairs
 	f.Add(append(reqFrame(OpGet, 8, k(1), 0), replFrame(6, pairs, nil)[:ReqSize+20]...)) // cut payload
+	// The seeds above send OpReplBatch on a plain connection, which ends
+	// it; these ask for FeatRepl first.
+	hello := reqFrame(OpHello, 1, FeatRepl|FeatTrace, 0)
+	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+	f.Add(cat(hello, replFrame(3, pairs, nil)))
+	f.Add(cat(hello, reqFrame(OpPut, 2, k(9), 1), replFrame(3, pairs, []uint64{0, 0xbeef, 0, 0xcafe})))
+	f.Add(cat(hello, reqFrame(OpReplBatch, 5, 2, 3)))                               // refused: more trace entries than pairs
+	f.Add(cat(hello, replFrame(6, pairs, nil)[:ReqSize+20]))                        // cut payload
+	f.Add(cat(hello, reqFrame(OpHello, 2, FeatTrace, 0), replFrame(7, pairs, nil))) // the grant given back
 
 	cfg := Config{
 		Path: f.TempDir() + "/kv.img", Mode: lpstore.ModeLP, Shards: 2, Capacity: 1 << 10,
@@ -157,7 +159,7 @@ func FuzzConnReader(f *testing.F) {
 		case fatal: // the server must end the connection itself
 			for open {
 				if recv(10 * time.Second) {
-					t.Fatalf("a refused OpReplBatch header did not end the connection (%d responses)", got)
+					t.Fatalf("a refused OpReplBatch did not end the connection (%d responses)", got)
 				}
 			}
 		case cut: // the payload never completes: take what comes, then go on

@@ -158,8 +158,8 @@ type Config struct {
 //
 // ForwardBatch is called by the shard owner goroutine at seal time
 // with the sealed batch's client puts (parallel keys/vals/tids
-// slices; the open batch's forwarded copies never include OpReplPut
-// arrivals). tids[i] is put i's trace ID (0 = untraced) — a traced
+// slices; a batch's OpReplBatch arrivals are never among them).
+// tids[i] is put i's trace ID (0 = untraced) — a traced
 // put's ID rides the replication frame so the follower's span events
 // join the same timeline. It groups the puts by destination peer,
 // ships each group as one frame sharing one ack, and fills toks[i]
@@ -189,33 +189,23 @@ type Config struct {
 // client with backpressure instead of an ack, because an ack would
 // silently drop to RF=1 with no catch-up adjudicated.
 //
-// Ready reports whether the replicator can uphold that contract at
-// all — for internal/cluster, whether a topology epoch has been
-// applied. While a configured Replicator is not ready, the server
-// rejects client puts (OpPut; forwarded OpReplBatch copies and gets
-// are unaffected) with StatusOverload: a freshly
-// (re)started member acking before its first topology push would ack
-// at RF=1 with no forward and no delta charge, outside the cluster's
-// epoch fence.
+// Admit is called by every connection reader for each client put
+// (OpPut only — gets and forwarded OpReplBatch copies are unaffected;
+// the copies were authorized by the *forwarding* member's view, and
+// refusing them would stall a lagging peer's catch-up into us
+// mid-epoch-change) and returns the status to answer it with, StatusOK
+// meaning "serve it". For internal/cluster: StatusOverload until a
+// topology epoch has been applied — a freshly (re)started member acking
+// before its first topology push would ack at RF=1 with no forward and
+// no delta charge, outside the cluster's epoch fence — and StatusMoved
+// for a key this member does not own under its applied epoch: the
+// client's routing table is stale and it must refresh and re-route,
+// instead of having membership-based forwarding paper over it. Must be
+// safe for concurrent use.
 type Replicator interface {
 	ForwardBatch(keys, vals, tids []uint64, toks []uint64)
 	Wait(tok uint64) bool
-	Ready() bool
-}
-
-// PrimaryAuth is an optional extension of Replicator: when the
-// configured Replicator also implements it, the server authorizes
-// every client put against the cluster topology and rejects puts for
-// keys this member does not own (StatusMoved) instead of relying on
-// membership-based forwarding to paper over a stale client. The check
-// covers OpPut only — OpReplBatch copies are authorized by
-// the *forwarding* member's view, and refusing them here would stall
-// a lagging peer's catch-up into us mid-epoch-change. IsPrimary must
-// be safe for concurrent use from every connection reader; a member
-// with no applied topology returns false for every key (the Ready
-// gate already rejects those puts before authorization runs).
-type PrimaryAuth interface {
-	IsPrimary(key uint64) bool
+	Admit(key uint64) byte
 }
 
 func (c Config) withDefaults() Config {

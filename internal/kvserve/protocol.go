@@ -18,34 +18,41 @@ import (
 // a connection keeps a window of requests in flight and the group
 // commit acks them in batch order.
 //
-// The frame constants and codecs are exported because two other layers
-// speak this protocol verbatim: the lprouter proxy (internal/cluster)
-// forwards client frames to node backends unchanged, and the cluster
-// Replicator forwards sealed batches pair-member→pair-member as
-// OpReplBatch frames.
+// This file is the format's only owner: no other non-test file of
+// kvserve, cluster or loadmodel knows a byte offset of a frame (CI
+// greps for encoding/binary). Who speaks the protocol, and through what:
+//
+//   - the server (conn.go): DecodeReq per inbound frame, AppendResp for
+//     every answer, ReplPayloadLen + DecodeReplBatch for an OpReplBatch;
+//   - Client (below) and the load engine (internal/loadmodel):
+//     AppendReq out, DecodeResp in;
+//   - the router (internal/cluster/router.go): DecodeReq on the headers
+//     it routes by — payload bytes pass through untouched — and
+//     AppendResp for the frames it answers itself;
+//   - the replicator (internal/cluster/repl.go): AppendReplBatch for a
+//     forwarded run, AppendReq for the session hello, DecodeResp for the
+//     follower's acks;
+//   - bench/ and the tests: EncodeReq/EncodeResp and the decoders.
 const (
-	OpPut = 'P'
-	OpGet = 'G'
-	// OpReplPut is the in-process tag the server stamps on each member
-	// of a received OpReplBatch run: it is journaled and group-committed
-	// like OpPut but never re-forwarded. The dedicated tag is what
-	// makes replication echo structurally impossible — with role views
-	// converging per node, two members can transiently both believe
-	// they own a slot, and ordinary puts bounced between them would
-	// amplify forever. It is never accepted from the wire: a frame
-	// carrying it is answered StatusBadRequest.
-	OpReplPut = 'R'
-	OpPing    = 'N'
+	OpPut  = 'P'
+	OpGet  = 'G'
+	OpPing = 'N'
 	// OpReplBatch is a run of replicated puts sharing one header and
 	// one ack: a standard request header whose key field carries the
-	// put count, followed by count 16-byte (key, val) pairs. Each put
-	// is tagged OpReplPut (admission, journaling, group commit, never
-	// re-forwarded); the receiver answers a single
+	// put count and whose val field the trace-entry count, followed by
+	// count 16-byte (key, val) pairs and the trace entries (see
+	// AppendReplBatch). Each put goes through admission, journaling and
+	// group commit like a client put but is never re-forwarded — which
+	// makes replication echo structurally impossible: with role views
+	// converging per node, two members can transiently both believe they
+	// own a slot, and ordinary puts bounced between them would amplify
+	// forever. The receiver answers a single
 	// response carrying the header's seq once every put in the run has
 	// settled inside its own group commit — the worst member status
 	// wins, so one StatusOK ack still means "every put in this run is
 	// LP-durable here". This is the cluster's replication amortization:
 	// one frame and one ack per forwarded batch instead of per put.
+	// Accepted only on a connection whose OpHello was granted FeatRepl.
 	OpReplBatch = 'B'
 	// OpHello is the per-connection capability handshake: the key field
 	// carries the feature bits the client wants, the response's val the
@@ -66,6 +73,13 @@ const (
 
 	// FeatTrace is the OpHello feature bit for OpTraceCtx support.
 	FeatTrace = uint64(1)
+	// FeatRepl is the OpHello feature bit that opens a connection to
+	// OpReplBatch frames: a replication session asks for it at dial, and
+	// a connection that sends OpReplBatch without the grant is ended
+	// (past a payload the server will not read, framing is lost). The
+	// router answers hellos itself and never grants it, so nothing behind
+	// a router can replicate into a member.
+	FeatRepl = uint64(2)
 
 	ReqSize  = 1 + 4 + 8 + 8
 	RespSize = 4 + 1 + 8
@@ -152,16 +166,22 @@ func DecodeReq(buf *[ReqSize]byte) (op byte, seq uint32, key, val uint64) {
 		binary.LittleEndian.Uint64(buf[13:])
 }
 
+// AppendReq appends one request frame to b.
+func AppendReq(b []byte, op byte, seq uint32, key, val uint64) []byte {
+	var f [ReqSize]byte
+	EncodeReq(&f, op, seq, key, val)
+	return append(b, f[:]...)
+}
+
 func EncodeResp(buf *[RespSize]byte, seq uint32, status byte, val uint64) {
 	binary.LittleEndian.PutUint32(buf[0:], seq)
 	buf[4] = status
 	binary.LittleEndian.PutUint64(buf[5:], val)
 }
 
-// appendResp encodes one response frame onto b — the connection
-// reader's batched inline-response path (gets, pings, rejects), which
-// accumulates frames and hands them to the socket in one write.
-func appendResp(b []byte, seq uint32, status byte, val uint64) []byte {
+// AppendResp appends one response frame to b — how the server batches
+// inline answers and acks, and how the router answers for itself.
+func AppendResp(b []byte, seq uint32, status byte, val uint64) []byte {
 	var f [RespSize]byte
 	EncodeResp(&f, seq, status, val)
 	return append(b, f[:]...)
@@ -171,6 +191,93 @@ func DecodeResp(buf *[RespSize]byte) (seq uint32, status byte, val uint64) {
 	return binary.LittleEndian.Uint32(buf[0:]),
 		buf[4],
 		binary.LittleEndian.Uint64(buf[5:])
+}
+
+// AppendReplBatch appends one OpReplBatch frame of n puts to b: the
+// header (key field n, val field the number of traced puts), the n
+// (key, val) pairs, then one [idx:4][tid:8] entry per put whose tid is
+// nonzero, ascending by pair index. put(i) yields pair i and is called
+// once per pass. A run with no traced put encodes val = 0 and no
+// entries — byte-identical to the pre-trace frame.
+func AppendReplBatch(b []byte, seq uint32, n int, put func(i int) (key, val, tid uint64)) []byte {
+	hdr := len(b)
+	b = AppendReq(b, OpReplBatch, seq, uint64(n), 0)
+	traced := uint64(0)
+	for i := 0; i < n; i++ {
+		key, val, tid := put(i)
+		b = binary.LittleEndian.AppendUint64(b, key)
+		b = binary.LittleEndian.AppendUint64(b, val)
+		if tid != 0 {
+			traced++
+		}
+	}
+	if traced == 0 {
+		return b
+	}
+	EncodeReq((*[ReqSize]byte)(b[hdr:]), OpReplBatch, seq, uint64(n), traced)
+	for i := 0; i < n; i++ {
+		if _, _, tid := put(i); tid != 0 {
+			b = binary.LittleEndian.AppendUint32(b, uint32(i))
+			b = binary.LittleEndian.AppendUint64(b, tid)
+		}
+	}
+	return b
+}
+
+// ReplPayloadLen returns the length of the payload that follows an
+// OpReplBatch header declaring count pairs and tcount trace entries, or
+// ok = false for a header the receiver refuses: count outside
+// 1…MaxReplBatch, or more trace entries than pairs.
+func ReplPayloadLen(count, tcount uint64) (n int, ok bool) {
+	if count == 0 || count > MaxReplBatch || tcount > count {
+		return 0, false
+	}
+	return int(count)*ReplPairSize + int(tcount)*ReplTraceSize, true
+}
+
+// ReplBatch walks one OpReplBatch payload pair by pair; it holds slices
+// of the payload, nothing of its own.
+type ReplBatch struct {
+	pairs, trace []byte
+	i            uint32 // index of the pair Next yields
+}
+
+// DecodeReplBatch opens the payload of an OpReplBatch frame whose header
+// declared count pairs and tcount trace entries; ok = false when
+// ReplPayloadLen refuses the header or payload is not exactly that long.
+func DecodeReplBatch(count, tcount uint64, payload []byte) (rb ReplBatch, ok bool) {
+	if n, ok := ReplPayloadLen(count, tcount); !ok || len(payload) != n {
+		return ReplBatch{}, false
+	}
+	split := int(count) * ReplPairSize
+	return ReplBatch{pairs: payload[:split], trace: payload[split:]}, true
+}
+
+// Next yields the next pair and its trace ID (0 = untraced), ok = false
+// after the last. Trace entries are consumed as a cursor over ascending
+// idx: entries naming an earlier pair are skipped, so an entry out of
+// order or past the last pair tags nothing.
+func (rb *ReplBatch) Next() (key, val, tid uint64, ok bool) {
+	if len(rb.pairs) == 0 {
+		return 0, 0, 0, false
+	}
+	key = binary.LittleEndian.Uint64(rb.pairs)
+	val = binary.LittleEndian.Uint64(rb.pairs[8:])
+	rb.pairs = rb.pairs[ReplPairSize:]
+	for len(rb.trace) > 0 {
+		e := rb.trace
+		idx := binary.LittleEndian.Uint32(e)
+		if idx > rb.i {
+			break
+		}
+		rb.trace = e[ReplTraceSize:]
+		if idx == rb.i {
+			tid = binary.LittleEndian.Uint64(e[4:])
+			break
+		}
+	}
+	rb.i++
+	return key, val, tid, true
 }
 
 // Response is one operation's outcome as seen by a Client. Err is set
@@ -228,8 +335,10 @@ func WaitReady(addr string, timeout time.Duration) error {
 }
 
 // start issues one operation and returns the channel its Response will
-// arrive on (buffered; safe to abandon).
-func (cl *Client) start(op byte, key, val uint64) (<-chan Response, error) {
+// arrive on (buffered; safe to abandon). A nonzero tid sends the op
+// behind an OpTraceCtx prefix, both in one socket write so no other
+// frame can slip between them.
+func (cl *Client) start(op byte, key, val, tid uint64) (<-chan Response, error) {
 	ch := make(chan Response, 1)
 	cl.mu.Lock()
 	if cl.err != nil {
@@ -242,10 +351,14 @@ func (cl *Client) start(op byte, key, val uint64) (<-chan Response, error) {
 	cl.pend[seq] = ch
 	cl.mu.Unlock()
 
-	var buf [ReqSize]byte
-	EncodeReq(&buf, op, seq, key, val)
+	var buf [2 * ReqSize]byte
+	f := buf[:0]
+	if tid != 0 {
+		f = AppendReq(f, OpTraceCtx, seq, tid, 0)
+	}
+	f = AppendReq(f, op, seq, key, val)
 	cl.wmu.Lock()
-	_, err := cl.c.Write(buf[:])
+	_, err := cl.c.Write(f)
 	cl.wmu.Unlock()
 	if err != nil {
 		cl.mu.Lock()
@@ -292,7 +405,7 @@ func (cl *Client) fail(err error) {
 
 // Put writes key=val and waits for the ack.
 func (cl *Client) Put(key, val uint64) (byte, error) {
-	ch, err := cl.start(OpPut, key, val)
+	ch, err := cl.start(OpPut, key, val, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -305,7 +418,7 @@ func (cl *Client) Put(key, val uint64) (byte, error) {
 // answers StatusBadRequest, which comes back as granted == 0 — the
 // caller keeps its optional features off and proceeds.
 func (cl *Client) Hello(features uint64) (uint64, error) {
-	ch, err := cl.start(OpHello, features, 0)
+	ch, err := cl.start(OpHello, features, 0, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -319,32 +432,11 @@ func (cl *Client) Hello(features uint64) (uint64, error) {
 	return r.Val & features, nil
 }
 
-// PutTraced writes key=val carrying trace ID tid: an OpTraceCtx prefix
-// and the put leave in one socket write so no other frame can slip
-// between them. Call only after Hello granted FeatTrace.
+// PutTraced writes key=val carrying trace ID tid (nonzero). Call only
+// after Hello granted FeatTrace.
 func (cl *Client) PutTraced(tid, key, val uint64) (byte, error) {
-	ch := make(chan Response, 1)
-	cl.mu.Lock()
-	if cl.err != nil {
-		err := cl.err
-		cl.mu.Unlock()
-		return 0, err
-	}
-	cl.seq++
-	seq := cl.seq
-	cl.pend[seq] = ch
-	cl.mu.Unlock()
-
-	var buf [2 * ReqSize]byte
-	EncodeReq((*[ReqSize]byte)(buf[0:ReqSize]), OpTraceCtx, seq, tid, 0)
-	EncodeReq((*[ReqSize]byte)(buf[ReqSize:]), OpPut, seq, key, val)
-	cl.wmu.Lock()
-	_, err := cl.c.Write(buf[:])
-	cl.wmu.Unlock()
+	ch, err := cl.start(OpPut, key, val, tid)
 	if err != nil {
-		cl.mu.Lock()
-		delete(cl.pend, seq)
-		cl.mu.Unlock()
 		return 0, err
 	}
 	r := <-ch
@@ -353,7 +445,7 @@ func (cl *Client) PutTraced(tid, key, val uint64) (byte, error) {
 
 // Get reads key.
 func (cl *Client) Get(key uint64) (uint64, byte, error) {
-	ch, err := cl.start(OpGet, key, 0)
+	ch, err := cl.start(OpGet, key, 0, 0)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -363,7 +455,7 @@ func (cl *Client) Get(key uint64) (uint64, byte, error) {
 
 // Ping round-trips a no-op frame.
 func (cl *Client) Ping() error {
-	ch, err := cl.start(OpPing, 1, 0)
+	ch, err := cl.start(OpPing, 1, 0, 0)
 	if err != nil {
 		return err
 	}

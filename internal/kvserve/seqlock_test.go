@@ -96,7 +96,7 @@ func TestSeqlockStress(t *testing.T) {
 			} else {
 				k = preK(i)
 			}
-			run[j] = request{op: OpPut, seq: uint32(i), key: k, val: k, enq: enq, cn: cn}
+			run[j] = request{seq: uint32(i), key: k, val: k, enq: enq, cn: cn}
 			i++
 		}
 		s.apply(sd, run)
@@ -150,7 +150,7 @@ func TestServeZeroAlloc(t *testing.T) {
 		// seals and hands the batch to the flusher.
 		for j := range stage {
 			seq++
-			stage[j] = request{op: OpPut, seq: seq, key: sd.baseline[j][0], val: uint64(seq), enq: enq, cn: cn}
+			stage[j] = request{seq: seq, key: sd.baseline[j][0], val: uint64(seq), enq: enq, cn: cn}
 		}
 		sd.mb.push(stage)
 		run, _ := sd.mb.take(spare)

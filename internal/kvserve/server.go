@@ -2,7 +2,6 @@ package kvserve
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -24,14 +23,14 @@ import (
 // become requests: the connection reader serves them lock-free off the
 // shard table; see connReader.)
 type request struct {
-	op       byte
 	seq      uint32
 	key, val uint64
 	enq      time.Time
 	cn       *srvConn
 	// rb, when non-nil, makes this request one member of an OpReplBatch
-	// run: replies aggregate into rb instead of answering the wire, and
-	// the run's single response goes out when the last member settles.
+	// run: replies aggregate into rb instead of answering the wire, the
+	// run's single response goes out when the last member settles, and
+	// the put is never re-forwarded.
 	rb *replBatch
 	// sealHint marks the last member a run routed to this shard: the
 	// run is already an amortized batch (the primary's group commit),
@@ -123,7 +122,7 @@ func newSrvConn(c net.Conn) *srvConn {
 
 func (cn *srvConn) reply(seq uint32, status byte, val uint64) {
 	var f [RespSize]byte
-	cn.pushAcks(appendResp(f[:0], seq, status, val))
+	cn.pushAcks(AppendResp(f[:0], seq, status, val))
 }
 
 // pushAcks queues a run of encoded response frames for the writer under
@@ -339,10 +338,6 @@ type Server struct {
 	fileErr  atomic.Pointer[error]
 	closeErr error
 
-	// auth is cfg.Repl's optional PrimaryAuth extension, resolved once
-	// in New so the put hot path pays a nil check, not a type assert.
-	auth PrimaryAuth
-
 	reg *obs.Registry
 	tr  *obs.Tracer
 	// Server-wide counters (per-shard instruments live in shardObs).
@@ -380,7 +375,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{cfg: cfg, conns: make(map[*srvConn]struct{})}
-	s.auth, _ = cfg.Repl.(PrimaryAuth)
 	s.reg = cfg.Registry
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
@@ -821,9 +815,9 @@ func (s *Server) appendGet(rb []byte, seq uint32, key uint64) (out []byte, hit b
 	sd := s.shards[shardOf(key, len(s.shards))]
 	v, ok, retr := sd.sh.Tab.SeqGet(s.mem, key)
 	if ok {
-		rb = appendResp(rb, seq, StatusOK, v)
+		rb = AppendResp(rb, seq, StatusOK, v)
 	} else {
-		rb = appendResp(rb, seq, StatusNotFound, 0)
+		rb = AppendResp(rb, seq, StatusNotFound, 0)
 	}
 	s.getLat.Observe(uint64(time.Since(t0).Nanoseconds()))
 	return rb, ok, retr
@@ -876,6 +870,8 @@ func (s *Server) connReader(cn *srvConn) {
 	// it applies to exactly the next frame on the connection, then
 	// clears, so a lost successor can't mislabel an unrelated op.
 	var nextTid uint64
+	// granted is what the connection's last OpHello was granted.
+	var granted uint64
 	for {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return
@@ -885,14 +881,14 @@ func (s *Server) connReader(cn *srvConn) {
 		nextTid = 0
 		switch {
 		case op == OpReplBatch:
-			// The header's key field is the put count; the pairs follow
-			// on the wire, so this must consume them even when the frame
-			// is rejected — a false return means framing is lost and the
-			// connection dies. The val field is the trace-entry count of
-			// the frame's trace extension (0 from pre-trace primaries).
-			// Whatever the connection staged goes first: per-shard FIFO.
+			// A payload follows the header (key and val fields: pair and
+			// trace-entry counts). Only a replication session may send
+			// one — a connection that was never granted FeatRepl ends
+			// here, as does one whose header handleReplBatch refuses: past
+			// a payload nobody reads, framing is lost. Whatever the
+			// connection staged goes first: per-shard FIFO.
 			rb = s.pushStages(cn, stage, rb)
-			if !s.handleReplBatch(cn, br, seq, key, val, &pbuf, stage) {
+			if granted&FeatRepl == 0 || !s.handleReplBatch(cn, br, seq, key, val, &pbuf, stage) {
 				return
 			}
 		case op == OpTraceCtx:
@@ -904,16 +900,14 @@ func (s *Server) connReader(cn *srvConn) {
 		case op == OpHello:
 			// Capability handshake: grant the intersection of what the
 			// client asked for and what we speak.
-			rb = appendResp(rb, seq, StatusOK, key&FeatTrace)
+			granted = key & (FeatTrace | FeatRepl)
+			rb = AppendResp(rb, seq, StatusOK, granted)
 		case op == OpPing:
-			rb = appendResp(rb, seq, StatusOK, 0)
+			rb = AppendResp(rb, seq, StatusOK, 0)
 		case (op != OpGet && op != OpPut) || key == 0 || key == lpstore.NopKey:
-			// OpReplPut lands here too: it is an in-process tag, and a
-			// wire frame carrying it would skip the primary check and
-			// the topology gate below and never be forwarded.
-			rb = appendResp(rb, seq, StatusBadRequest, 0)
+			rb = AppendResp(rb, seq, StatusBadRequest, 0)
 		case s.draining.Load():
-			rb = appendResp(rb, seq, StatusShutdown, 0)
+			rb = AppendResp(rb, seq, StatusShutdown, 0)
 		case op == OpGet:
 			if tid != 0 {
 				s.trace(obs.EvStageEnq, -1, tid, key)
@@ -934,33 +928,22 @@ func (s *Server) connReader(cn *srvConn) {
 			}
 		default: // OpPut
 			sd := s.shards[shardOf(key, len(s.shards))]
-			if s.auth != nil && s.cfg.Repl.Ready() && !s.auth.IsPrimary(key) {
-				// Primary authorization: this member's applied epoch
-				// says the key belongs to someone else, so the client's
-				// routing table is stale. Reject with StatusMoved — the
-				// client refreshes and re-routes — instead of accepting
-				// a put the pair choreography would have to repair.
-				// Checked only once a topology is applied; before that
-				// the Ready gate below owns the rejection.
-				sd.obs.rejMoved.Inc()
-				s.trace(obs.EvRejectMoved, int32(sd.id), key, 0)
-				rb = appendResp(rb, seq, StatusMoved, 0)
-				break
-			}
-			if s.cfg.Repl != nil && !s.cfg.Repl.Ready() {
-				// A clustered member with no applied topology must not
-				// ack client puts: Forward would return 0 (no view), so
-				// the put would be acked at RF=1 with no forward and no
-				// delta charge, outside the router's epoch fence. The
-				// gate is per-op, not per-boot, so it also covers a
-				// node whose data plane came up before the first push.
-				// OpReplBatch stays open — the forwarding peer's view is
-				// what charged the pair, and refusing the copy would
-				// stall that peer's catch-up into us.
-				sd.obs.rejOver.Inc()
-				s.trace(obs.EvRejectOverload, int32(sd.id), key, 0)
-				rb = appendResp(rb, seq, StatusOverload, 0)
-				break
+			if s.cfg.Repl != nil {
+				// A clustered member admits client puts against its applied
+				// topology (see Replicator.Admit). OpReplBatch stays open —
+				// the forwarding peer's view is what charged the pair, and
+				// refusing the copy would stall that peer's catch-up into us.
+				if st := s.cfg.Repl.Admit(key); st != StatusOK {
+					if st == StatusMoved {
+						sd.obs.rejMoved.Inc()
+						s.trace(obs.EvRejectMoved, int32(sd.id), key, 0)
+					} else {
+						sd.obs.rejOver.Inc()
+						s.trace(obs.EvRejectOverload, int32(sd.id), key, 0)
+					}
+					rb = AppendResp(rb, seq, st, 0)
+					break
+				}
 			}
 			if tid == 0 && s.cfg.TraceSample > 0 && s.tr.Enabled() {
 				// Server-side tail sampling: mint a trace ID for every
@@ -979,7 +962,7 @@ func (s *Server) connReader(cn *srvConn) {
 			if len(stage[sd.id]) == runLen {
 				rb = s.pushStages(cn, stage, rb)
 			}
-			stage[sd.id] = append(stage[sd.id], request{op: op, seq: seq, key: key, val: val, enq: burst, cn: cn, tid: tid})
+			stage[sd.id] = append(stage[sd.id], request{seq: seq, key: key, val: val, enq: burst, cn: cn, tid: tid})
 		}
 		// The drain point: the client has nothing more buffered (it is
 		// blocked on us). Nothing staged waits across the blocking read
@@ -1036,7 +1019,7 @@ func (s *Server) pushStages(cn *srvConn, stage [][]request, rb []byte) []byte {
 				sd.obs.rejOver.Add(uint64(len(run)))
 				for i := range run {
 					s.trace(obs.EvRejectOverload, int32(si), run[i].key, 0)
-					rb = appendResp(rb, run[i].seq, StatusOverload, 0)
+					rb = AppendResp(rb, run[i].seq, StatusOverload, 0)
 				}
 				run = nil
 			default:
@@ -1079,21 +1062,19 @@ func (s *Server) flushResponses(cn *srvConn, rb []byte) bool {
 	return err == nil
 }
 
-// handleReplBatch ingests one OpReplBatch frame: count 16-byte
-// (key, val) pairs follow the header on the wire, then tcount 12-byte
-// [idx:4][tid:8] trace entries (the header's val field; 0 from
-// pre-trace primaries) tagging pair idx with a trace ID, ascending by
-// idx. Members are staged per shard tagged OpReplPut and pushed before
-// this returns (see pushStages), sharing one aggregate that answers the
-// run's single response when its last member settles (worst status wins;
-// members may settle from different shards' flushers). Returns false only
-// on a malformed header — framing is lost, so the connection is dropped.
+// handleReplBatch ingests one OpReplBatch frame whose header declared
+// count pairs and tcount trace entries (the layout is protocol.go's).
+// Members are staged per shard and pushed before this returns (see
+// pushStages), sharing one aggregate that answers the run's single
+// response when its last member settles (worst status wins; members may
+// settle from different shards' flushers). Returns false only on a header
+// the codec refuses or a payload that never arrives — framing is lost, so
+// the connection is dropped.
 func (s *Server) handleReplBatch(cn *srvConn, br *bufio.Reader, seq uint32, count, tcount uint64, pay *[]byte, stage [][]request) bool {
-	if count == 0 || count > MaxReplBatch || tcount > count {
+	need, ok := ReplPayloadLen(count, tcount)
+	if !ok {
 		return false
 	}
-	pairBytes := int(count) * ReplPairSize
-	need := pairBytes + int(tcount)*ReplTraceSize
 	if cap(*pay) < need {
 		*pay = make([]byte, need)
 	}
@@ -1101,27 +1082,15 @@ func (s *Server) handleReplBatch(cn *srvConn, br *bufio.Reader, seq uint32, coun
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return false
 	}
-	tr := buf[pairBytes:]
-	buf = buf[:pairBytes]
 	if s.draining.Load() {
 		cn.reply(seq, StatusShutdown, 0)
 		return true
 	}
+	run, _ := DecodeReplBatch(count, tcount, buf)
 	rb := &replBatch{cn: cn, seq: seq}
 	rb.remaining.Store(int32(count))
 	now := time.Now()
-	ti := 0 // cursor into the idx-ascending trace entries
-	for i := 0; i < int(count); i++ {
-		key := binary.LittleEndian.Uint64(buf[i*ReplPairSize:])
-		val := binary.LittleEndian.Uint64(buf[i*ReplPairSize+8:])
-		var tid uint64
-		for ti < int(tcount) && binary.LittleEndian.Uint32(tr[ti*ReplTraceSize:]) < uint32(i) {
-			ti++
-		}
-		if ti < int(tcount) && binary.LittleEndian.Uint32(tr[ti*ReplTraceSize:]) == uint32(i) {
-			tid = binary.LittleEndian.Uint64(tr[ti*ReplTraceSize+4:])
-			ti++
-		}
+	for key, val, tid, ok := run.Next(); ok; key, val, tid, ok = run.Next() {
 		if key == 0 || key == lpstore.NopKey {
 			rb.reply(StatusBadRequest)
 			continue
@@ -1130,7 +1099,7 @@ func (s *Server) handleReplBatch(cn *srvConn, br *bufio.Reader, seq uint32, coun
 		if tid != 0 {
 			s.trace(obs.EvStageEnq, int32(si), tid, key)
 		}
-		stage[si] = append(stage[si], request{op: OpReplPut, seq: seq, key: key, val: val, enq: now, cn: cn, rb: rb, tid: tid})
+		stage[si] = append(stage[si], request{seq: seq, key: key, val: val, enq: now, cn: cn, rb: rb, tid: tid})
 	}
 	// The frame is one run per shard it reached, whatever its length; the
 	// run's last member carries the seal hint (see request.sealHint).
@@ -1346,13 +1315,13 @@ func (s *Server) seal(sd *shardState, padded bool) {
 // ForwardBatch may block on replication-window backpressure until a
 // *remote* ack frees a slot, and a flusher blocked on remote progress
 // deadlocks two nodes that forward to each other (each node's
-// follower acks are produced by its flusher). OpReplPut entries are
-// the peer's forwarded copies — re-forwarding them would echo puts
-// between pair members forever, so only OpPut entries forward.
+// follower acks are produced by its flusher). OpReplBatch members
+// (rb != nil) are the peer's forwarded copies — re-forwarding them would
+// echo puts between pair members forever, so only client puts forward.
 func (s *Server) forwardBatch(sd *shardState, it *commitItem) {
 	keys, vals, tids := sd.repKeys[:0], sd.repVals[:0], sd.repTids[:0]
 	for i := range it.pending {
-		if it.pending[i].op == OpPut {
+		if it.pending[i].rb == nil {
 			keys = append(keys, it.pending[i].key)
 			vals = append(vals, it.pending[i].val)
 			tids = append(tids, it.pending[i].tid)
@@ -1365,7 +1334,7 @@ func (s *Server) forwardBatch(sd *shardState, it *commitItem) {
 	s.cfg.Repl.ForwardBatch(keys, vals, tids, toks)
 	j := 0
 	for i := range it.pending {
-		if it.pending[i].op == OpPut {
+		if it.pending[i].rb == nil {
 			it.pending[i].rtok = toks[j]
 			j++
 		}
@@ -1447,7 +1416,7 @@ func (s *Server) flushItem(sd *shardState, it *commitItem) {
 			acks = acks[:0]
 		}
 		to = r.cn
-		acks = appendResp(acks, r.seq, status, 0)
+		acks = AppendResp(acks, r.seq, status, 0)
 	}
 	if len(acks) > 0 {
 		to.pushAcks(acks)

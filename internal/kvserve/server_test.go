@@ -102,9 +102,9 @@ func TestServeBadRequest(t *testing.T) {
 		{OpPut, 0, "zero key"},
 		{OpGet, lpstore.NopKey, "NopKey"},
 		{'X', 5, "unknown op"},
-		{OpReplPut, 5, "single-put replication frame from the wire"},
+		{'R', 5, "the retired single-put replication op"},
 	} {
-		ch, err := cl.start(c.op, c.key, 1)
+		ch, err := cl.start(c.op, c.key, 1, 0)
 		if err != nil {
 			t.Fatalf("%s: start: %v", c.wantName, err)
 		}
@@ -256,7 +256,7 @@ func TestBatchDeadlineUnderTrickle(t *testing.T) {
 		defer s.Close()
 		cl := dial(t, s.Addr())
 		t0 := time.Now()
-		first, err := cl.start(OpPut, workloads.KVKey(9, 0), 1)
+		first, err := cl.start(OpPut, workloads.KVKey(9, 0), 1, 0)
 		if err != nil {
 			t.Fatalf("start: %v", err)
 		}
@@ -269,7 +269,7 @@ func TestBatchDeadlineUnderTrickle(t *testing.T) {
 				return
 			case <-time.After(time.Millisecond):
 			}
-			if _, err := cl.start(OpPut, workloads.KVKey(9, i), 1); err != nil {
+			if _, err := cl.start(OpPut, workloads.KVKey(9, i), 1, 0); err != nil {
 				t.Fatalf("start: %v", err)
 			}
 		}
@@ -291,7 +291,7 @@ func TestBatchDeadlineUnderTrickle(t *testing.T) {
 			if i == cfg.BatchK-1 {
 				t.Fatalf("batch still open after %v and %d puts", time.Since(t0), i)
 			}
-			s.apply(sd, []request{{op: OpPut, key: workloads.KVKey(9, i), val: 1, enq: time.Now(), cn: cn}})
+			s.apply(sd, []request{{key: workloads.KVKey(9, i), val: 1, enq: time.Now(), cn: cn}})
 			time.Sleep(time.Millisecond)
 		}
 		if s.ctPads.Load() == 0 {

@@ -824,21 +824,19 @@ func (cn *conn) send(id int, now time.Time) bool {
 	// A traced slot goes out as [OpTraceCtx prefix][op frame], written
 	// in one call so the pair crosses the router as a contiguous unit.
 	// Skipped when the target never granted FeatTrace (old server).
-	var f [2 * kvserve.ReqSize]byte
-	n := 0
+	var buf [2 * kvserve.ReqSize]byte
+	f := buf[:0]
 	if sl.tid != 0 && t.traceOK {
-		kvserve.EncodeReq((*[kvserve.ReqSize]byte)(f[:kvserve.ReqSize]), kvserve.OpTraceCtx, uint32(id), sl.tid, 0)
-		n = kvserve.ReqSize
+		f = kvserve.AppendReq(f, kvserve.OpTraceCtx, uint32(id), sl.tid, 0)
 	}
 	opc := byte(kvserve.OpGet)
 	if sl.op.IsPut {
 		opc = kvserve.OpPut
 	}
-	kvserve.EncodeReq((*[kvserve.ReqSize]byte)(f[n:n+kvserve.ReqSize]), opc, uint32(id), sl.op.Key, sl.op.Val)
-	n += kvserve.ReqSize
+	f = kvserve.AppendReq(f, opc, uint32(id), sl.op.Key, sl.op.Val)
 	cn.wire++
 	t.dirty = true
-	if _, err := t.bw.Write(f[:n]); err != nil {
+	if _, err := t.bw.Write(f); err != nil {
 		return cn.fail(t, t.gen, now)
 	}
 	return true
