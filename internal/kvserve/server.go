@@ -258,7 +258,6 @@ type shardObs struct {
 	jrnCap       *obs.Gauge     // kvserve_journal_capacity (LP: MaxOps)
 	pipeInflight *obs.Gauge     // kvserve_pipeline_inflight: sealed, unflushed batches
 	batchFill    *obs.Histogram // kvserve_batch_fill: client puts acked per committed batch
-	commitLat    *obs.Histogram // kvserve_commit_latency_seconds: seal → write set durable
 	putLat       *obs.Histogram // kvserve_put_latency_seconds: enqueue → ack, end to end
 	recovery     *obs.Histogram // kvserve_recovery_seconds: restart recovery per shard
 	rejOver      *obs.Counter   // kvserve_rejects_total{cause="overload"}
@@ -278,7 +277,6 @@ func newShardObs(sc obs.Scope) shardObs {
 		jrnCap:       sc.Gauge("kvserve_journal_capacity"),
 		pipeInflight: sc.Gauge("kvserve_pipeline_inflight"),
 		batchFill:    sc.Histogram("kvserve_batch_fill"),
-		commitLat:    sc.HistogramScaled("kvserve_commit_latency_seconds", 1e-9),
 		putLat:       sc.HistogramScaled("kvserve_put_latency_seconds", 1e-9),
 		recovery:     sc.HistogramScaled("kvserve_recovery_seconds", 1e-9),
 		rejOver:      rej("overload"),
@@ -1383,7 +1381,6 @@ func (s *Server) flushItem(sd *shardState, it *commitItem) {
 	} else {
 		s.ctBatches.Inc()
 		sd.obs.batchFill.Observe(uint64(len(it.pending)))
-		sd.obs.commitLat.Observe(uint64(now.Sub(it.sealed).Nanoseconds()))
 		s.stFlush.Observe(uint64(now.Sub(it.sealed).Nanoseconds()))
 		s.trace(obs.EvBatchCommit, int32(sd.id), uint64(it.batch), uint64(len(it.pending)))
 		s.trace(obs.EvAckAdvance, int32(sd.id), uint64(it.seq), 0)
