@@ -96,13 +96,6 @@ type ReplConfig struct {
 	// their own flushers. StartNode validates this against the
 	// server's effective geometry and refuses to start on a violation.
 	Window int
-	// MaxRetries is retained for configuration compatibility but no
-	// longer bounds overload retries: a forward to a live session
-	// retries with capped backoff until the session dies. Degrading an
-	// overloaded-but-alive follower to the delta buffer would silently
-	// drop to RF=1 with no catch-up ever scheduled (the delta drains
-	// only on redial or rejoin) — backpressure is the correct answer.
-	MaxRetries int
 	// DialTimeout bounds session dials (default 2s).
 	DialTimeout time.Duration
 	// Registry receives the replication metrics (cluster_repl_*).
@@ -117,9 +110,6 @@ type ReplConfig struct {
 func (c ReplConfig) withDefaults() ReplConfig {
 	if c.Window <= 0 {
 		c.Window = DefaultReplWindow
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 12
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
