@@ -72,33 +72,3 @@ func NativeRun(spec Spec) (time.Duration, error) {
 	}
 	return elapsed, nil
 }
-
-// NativeOverhead measures the wall-clock overhead of spec's variant over
-// the base variant, taking the minimum of reps interleaved repetitions
-// of each (fresh memory images per repetition; kernels are not
-// idempotent across reruns).
-func NativeOverhead(spec Spec, reps int) (float64, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	base := spec
-	base.Variant = VariantBase
-	minBase, minVar := time.Duration(1<<62), time.Duration(1<<62)
-	for i := 0; i < reps; i++ {
-		tb, err := NativeRun(base)
-		if err != nil {
-			return 0, err
-		}
-		if tb < minBase {
-			minBase = tb
-		}
-		tv, err := NativeRun(spec)
-		if err != nil {
-			return 0, err
-		}
-		if tv < minVar {
-			minVar = tv
-		}
-	}
-	return float64(minVar)/float64(minBase) - 1, nil
-}
