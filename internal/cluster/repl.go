@@ -556,9 +556,6 @@ func (r *Replicator) ensureSessionLocked(ps *peerState) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("cluster: dial peer %s (%s): %w", ps.id, ps.addr, err)
 	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
 	if err := helloRepl(conn, r.cfg.DialTimeout); err != nil {
 		conn.Close()
 		return 0, fmt.Errorf("cluster: peer %s (%s): %w", ps.id, ps.addr, err)

@@ -682,9 +682,6 @@ func (r *Router) acceptLoop() {
 		if err != nil {
 			return
 		}
-		if tc, ok := c.(*net.TCPConn); ok {
-			tc.SetNoDelay(true)
-		}
 		r.cmu.Lock()
 		if r.conns == nil {
 			c.Close()
@@ -882,9 +879,6 @@ func (r *Router) serveClient(c net.Conn) {
 		conn, err := net.DialTimeout("tcp", addr, r.cfg.DialTimeout)
 		if err != nil {
 			return nil
-		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.SetNoDelay(true)
 		}
 		b := &pbackend{
 			addr: addr, conn: conn, pc: pc,
