@@ -10,16 +10,8 @@
 //	lpsim -workload fft -variant wal -read 60 -write 150
 //	lpsim -workload tmm -variant lp -clean 50000 -window 2
 //
-// With -all (or -exp <ids>), lpsim instead regenerates the paper's
-// figure/table experiments through the parallel, memoized runner:
-//
-//	lpsim -all                        # every experiment, pooled + memoized
-//	lpsim -all -parallel 1 -nocache   # strictly sequential reference run
-//	lpsim -exp fig10,tab6 -quick
-//
-// Simulations are deterministic: the figure/table output is identical
-// whatever -parallel and -nocache are set to; only wall-clock changes.
-// Timing and the runner summary go to stderr.
+// The paper's figure/table experiments are lpbench's job
+// (lpbench -exp all); -trace here dumps one run's persistency events.
 package main
 
 import (
@@ -27,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"text/tabwriter"
-	"time"
 
 	"lazyp/internal/checksum"
 	"lazyp/internal/harness"
@@ -55,11 +46,6 @@ func main() {
 		traceOut = flag.String("trace", "", "write persistency events (flush/fence/evict/rob_stall…) as JSONL to this file")
 		traceCap = flag.Int("tracecap", 1<<20, "trace ring-buffer capacity in events (oldest dropped beyond)")
 
-		all        = flag.Bool("all", false, "run every figure/table experiment and exit")
-		exp        = flag.String("exp", "", "run these experiment id(s) (comma-separated) and exit")
-		quick      = flag.Bool("quick", false, "experiment mode: shrink problem sizes")
-		parallel   = flag.Int("parallel", 0, "experiment mode: host worker goroutines (0 = GOMAXPROCS)")
-		nocache    = flag.Bool("nocache", false, "experiment mode: disable Spec→Result memoization")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -67,19 +53,6 @@ func main() {
 
 	stopProfiles := profiling.Start("lpsim", *cpuprofile, *memprofile)
 	defer stopProfiles()
-
-	if *all || *exp != "" {
-		ids := *exp
-		if *all {
-			ids = "all"
-		}
-		if err := runExperiments(ids, *quick, *parallel, *nocache); err != nil {
-			fmt.Fprintf(os.Stderr, "lpsim: %v\n", err)
-			stopProfiles()
-			os.Exit(1)
-		}
-		return
-	}
 
 	var k checksum.Kind
 	switch *kind {
@@ -189,26 +162,4 @@ func main() {
 		}
 		fmt.Println("output verified ✓")
 	}
-}
-
-// runExperiments drives the harness experiment registry through the
-// parallel, memoized runner (the lpbench engine, shared via harness).
-func runExperiments(ids string, quick bool, parallel int, nocache bool) error {
-	exps, err := harness.Select(ids)
-	if err != nil {
-		return err
-	}
-	var cache *harness.Cache
-	if !nocache {
-		cache = harness.NewCache()
-	}
-	pool := harness.NewRunPool(parallel, cache)
-	defer pool.Close()
-	opt := harness.Options{Quick: quick, Pool: pool}
-
-	start := time.Now()
-	err = harness.RunExperiments(os.Stdout, os.Stderr, exps, opt)
-	fmt.Fprintf(os.Stderr, "runner: %s, %.1fs wall\n",
-		pool.Counters(), time.Since(start).Seconds())
-	return err
 }
