@@ -1,0 +1,284 @@
+package kvserve
+
+import (
+	"io"
+	"net"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"lazyp/internal/lpstore"
+)
+
+// The put path, one stage per benchmark, each built with New and never
+// Started: no listener, no owner, no flusher, one goroutine. Every
+// benchmark counts puts and reports ns/put, so the rows add up to the
+// server's share of a put (EXPERIMENTS.md "Put path by stage" sets the
+// sum beside put_sat's host.cpu_us_per_op). One shard, 65 536 preloaded
+// keys in a half-full table, updates walking the key space in a stride —
+// put_sat's shape, a quarter of its table.
+
+const (
+	stageKeys = 1 << 16
+	stageRun  = 64 // puts per burst, run and window: put_sat's frames in flight per connection
+)
+
+// stageServer builds an un-Started one-shard LP server whose journal
+// holds maxOps puts.
+func stageServer(b *testing.B, batchK, maxOps int) (*Server, *shardState) {
+	b.Helper()
+	s, err := New(Config{
+		Path: filepath.Join(b.TempDir(), "kv.img"), Mode: lpstore.ModeLP,
+		Shards: 1, Capacity: 2 * stageKeys, MaxOps: maxOps, BatchK: batchK,
+		Streams: 1, Keys: stageKeys, Mailbox: 1 << 12, BatchWait: time.Hour, PipelineDepth: 2,
+	})
+	if err != nil {
+		b.Fatalf("New: %v", err)
+	}
+	return s, s.shards[0]
+}
+
+// stageKey is the i-th put's key: preloaded keys, far apart in the table.
+func stageKey(sd *shardState, i int) uint64 { return sd.baseline[i*7919%len(sd.baseline)][0] }
+
+// perPut reports ns/put over the puts a benchmark really issued.
+func perPut(b *testing.B, d time.Duration, puts int) {
+	b.ReportMetric(float64(d.Nanoseconds())/float64(puts), "ns/put")
+}
+
+// burstConn reads as a client that pipelines the same burst of request
+// frames until n frames are sent, and discards what is written to it.
+// Between bursts it empties the mailboxes, as the owners would.
+type burstConn struct {
+	net.Conn
+	burst []byte
+	left  int
+	s     *Server
+	spare []request
+}
+
+func (c *burstConn) Read(p []byte) (int, error) {
+	if c.left == 0 {
+		return 0, io.EOF
+	}
+	for _, sd := range c.s.shards {
+		if run, _ := sd.mb.take(c.spare); run != nil {
+			c.spare = run
+		}
+	}
+	n := copy(p, c.burst[:min(len(c.burst), c.left*ReqSize)])
+	c.left -= n / ReqSize
+	return n, nil
+}
+func (c *burstConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *burstConn) Close() error                { return nil }
+
+// BenchmarkStageDecode: connReader alone — read, DecodeReq, validate,
+// route, stage, and at each drain point one push into the mailbox.
+func BenchmarkStageDecode(b *testing.B) {
+	s, sd := stageServer(b, 32, 1<<10)
+	defer s.Close()
+	var burst []byte
+	for i := 0; i < stageRun; i++ {
+		burst = AppendReq(burst, OpPut, uint32(i), stageKey(sd, i), uint64(i))
+	}
+	cn := newSrvConn(&burstConn{burst: burst, left: b.N, s: s})
+	s.wgConns.Add(1)
+	b.ResetTimer()
+	s.connReader(cn)
+	perPut(b, b.Elapsed(), b.N)
+}
+
+// BenchmarkStageApply: the owner's apply for a run of puts — queue-stage
+// observe, admission, lpstore's Put (journal append, running checksum,
+// table store under the seqlock), the batch's pending entry, and the
+// run's leak snapshots. BatchK is the whole journal, so no batch fills
+// and no seal is inside.
+func BenchmarkStageApply(b *testing.B) {
+	const maxOps = 1 << 16
+	var s *Server
+	var sd *shardState
+	cn := absorbConn()
+	run := make([]request, stageRun)
+	var leaked []lineSnap
+	puts := 0
+	for b.ResetTimer(); puts < b.N; puts += len(run) {
+		if s == nil || sd.w.Seq()+len(run) > maxOps {
+			b.StopTimer()
+			if s != nil {
+				s.Close()
+			}
+			s, sd = stageServer(b, maxOps, maxOps)
+			b.StartTimer()
+		}
+		enq := time.Now()
+		for j := range run {
+			run[j] = request{seq: uint32(j), key: stageKey(sd, puts+j), val: uint64(puts + j), enq: enq, cn: cn}
+		}
+		s.apply(sd, run)
+		sd.pending = sd.pending[:0]
+		if l, _ := s.leakq.take(leaked); l != nil {
+			leaked = l
+		}
+	}
+	b.StopTimer()
+	perPut(b, b.Elapsed(), puts)
+	s.Close()
+}
+
+// fillBatch journals fill puts into sd's open batch as apply would,
+// outside any timed region. fill = BatchK closes the batch in the writer
+// (seal it unpadded); fewer leaves it open (seal it padded).
+func fillBatch(s *Server, sd *shardState, cn *srvConn, at, fill int) {
+	enq := time.Now()
+	for j := 0; j < fill; j++ {
+		key := stageKey(sd, at+j)
+		sd.w.Put(sd.ctx, key, uint64(at+j))
+		sd.pending = append(sd.pending, request{seq: uint32(j), key: key, val: uint64(at + j), enq: enq, cn: cn})
+	}
+	sd.openAt = enq
+}
+
+// stageBatches runs fn once per batch of fill client puts until b.N puts
+// are through, on servers rebuilt whenever the journal runs out, and
+// reports the time spent inside timed — the stage under test — per put.
+func stageBatches(b *testing.B, fill int, cn *srvConn, fn func(s *Server, sd *shardState, timed func(func()))) {
+	const batchK, maxOps = 32, 1 << 20
+	var s *Server
+	var sd *shardState
+	var spent time.Duration
+	timed := func(stage func()) {
+		t0 := time.Now()
+		stage()
+		spent += time.Since(t0)
+	}
+	var leaked []lineSnap
+	puts := 0
+	for ; puts < b.N; puts += fill {
+		if s == nil || sd.w.Seq()+batchK > maxOps {
+			if s != nil {
+				s.Close()
+			}
+			s, sd = stageServer(b, batchK, maxOps)
+		}
+		fillBatch(s, sd, cn, puts, fill)
+		fn(s, sd, timed)
+		if l, _ := s.leakq.take(leaked); l != nil {
+			leaked = l
+		}
+	}
+	perPut(b, spent, puts)
+	s.Close()
+}
+
+// recycle returns the sealed batch to the ring unflushed.
+func recycle(sd *shardState) {
+	it := <-sd.commitCh
+	it.pending = it.pending[:0]
+	sd.freeCh <- it
+}
+
+// BenchmarkStageSeal: seal alone — pad (a batch of 4, put_few's fill),
+// stage observes, the write set's line snapshots, the leak — for a full
+// batch and a padded one. Two clock reads per batch sit inside the
+// figure (≈ 1–2 ns/put at K = 32).
+func BenchmarkStageSeal(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		fill int
+	}{{"full", 32}, {"padded4", 4}} {
+		b.Run(c.name, func(b *testing.B) {
+			stageBatches(b, c.fill, absorbConn(), func(s *Server, sd *shardState, timed func(func())) {
+				timed(func() { s.seal(sd, c.fill < 32) })
+				recycle(sd)
+			})
+		})
+	}
+}
+
+// BenchmarkStageFlush: flushItem alone — the sealed write set persisted
+// line by line into the mapped file, the batch's stage and latency
+// observes, and its acks encoded and queued on the connection as one run.
+func BenchmarkStageFlush(b *testing.B) {
+	cn := newSrvConn(&burstConn{})
+	var acks []byte
+	stageBatches(b, 32, cn, func(s *Server, sd *shardState, timed func(func())) {
+		s.seal(sd, false)
+		it := <-sd.commitCh
+		timed(func() { s.flushItem(sd, it) })
+		sd.freeCh <- it
+		if run, _ := cn.acks.take(acks); run != nil {
+			acks = run
+		}
+	})
+}
+
+// BenchmarkStageAck: a flushed batch's 32 acks from the connection's ack
+// queue to a real loopback socket — one push, one take, one write
+// syscall, through the reader's drain-point path (flushResponses), which
+// is the writer goroutine's work without its wake-up.
+func BenchmarkStageAck(b *testing.B) {
+	s, _ := stageServer(b, 32, 1<<10)
+	defer s.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			io.Copy(io.Discard, c)
+		}
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cn := newSrvConn(c)
+	defer cn.stop()
+	var acks []byte
+	for i := 0; i < 32; i++ {
+		acks = AppendResp(acks, uint32(i), StatusOK, 0)
+	}
+	puts := 0
+	for b.ResetTimer(); puts < b.N; puts += 32 {
+		cn.pushAcks(acks)
+		if !s.flushResponses(cn, nil) {
+			b.Fatal("write failed")
+		}
+	}
+	perPut(b, b.Elapsed(), puts)
+}
+
+// BenchmarkReplCodec: one OpReplBatch run appended and decoded, at
+// cluster_mix's four puts per frame and at a full batch, every fourth
+// put traced.
+func BenchmarkReplCodec(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"run=4", 4}, {"run=32", 32}} {
+		b.Run(c.name, func(b *testing.B) {
+			var frame []byte
+			var sum uint64
+			puts := 0
+			for ; puts < b.N; puts += c.n {
+				frame = AppendReplBatch(frame[:0], 1, c.n, func(i int) (key, val, tid uint64) {
+					return uint64(puts + i + 1), uint64(i), uint64(i&3) / 3 * 0xabc
+				})
+				_, _, count, tcount := DecodeReq((*[ReqSize]byte)(frame))
+				run, ok := DecodeReplBatch(count, tcount, frame[ReqSize:])
+				if !ok {
+					b.Fatal("the frame does not decode")
+				}
+				for key, val, tid, ok := run.Next(); ok; key, val, tid, ok = run.Next() {
+					sum += key + val + tid
+				}
+			}
+			perPut(b, b.Elapsed(), puts)
+			if sum == 0 {
+				b.Fatal("nothing decoded")
+			}
+		})
+	}
+}
