@@ -284,16 +284,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// PipelineUnacked returns the worst-case number of puts the server
-// can hold journaled-but-unacked across its commit pipelines under
-// the effective (defaulted) geometry: per shard, the open batch being
-// filled plus every sealed batch the commit ring can hold in flight —
-// Shards × (PipelineDepth + 1) × BatchK.
-func (c Config) PipelineUnacked() int {
-	c = c.withDefaults()
-	return c.Shards * (c.PipelineDepth + 1) * c.BatchK
-}
-
 // PipelineBatches returns the worst-case number of sealed-but-unacked
 // group-commit batches across the commit pipelines — Shards ×
 // (PipelineDepth + 1): per shard, the batch being sealed plus every
