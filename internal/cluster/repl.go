@@ -285,15 +285,10 @@ func (r *Replicator) Epoch() uint64 {
 	return 0
 }
 
-// Admit implements kvserve.Replicator: the status a client put for key
-// is answered with, StatusOK meaning the server takes it. Overload until
-// a topology has been applied — a node serving before its first push
-// would ack at RF=1 with no forward and no delta charge, invisibly to
-// the router's epoch fence. Moved when this member does not hold the
-// key's slot primary role under its applied epoch, so a put routed by a
-// stale table is rejected at the member instead of being accepted by a
-// node the router stopped sending that slot to. Lock-free: one atomic
-// view load plus a bitmap index.
+// Admit implements kvserve.Replicator (which gives the reasons): Overload
+// before the first applied topology, Moved for a key whose slot primary
+// role this member does not hold under its applied epoch. Lock-free: one
+// atomic view load plus a bitmap index.
 func (r *Replicator) Admit(key uint64) byte {
 	v := r.view.Load()
 	switch {

@@ -289,13 +289,12 @@ func (s *Server) connReader(cn *srvConn) {
 				// the forwarding peer's view is what charged the pair, and
 				// refusing the copy would stall that peer's catch-up into us.
 				if st := s.cfg.Repl.Admit(key); st != StatusOK {
+					rej, ev := sd.obs.rejOver, obs.EvRejectOverload
 					if st == StatusMoved {
-						sd.obs.rejMoved.Inc()
-						s.trace(obs.EvRejectMoved, int32(sd.id), key, 0)
-					} else {
-						sd.obs.rejOver.Inc()
-						s.trace(obs.EvRejectOverload, int32(sd.id), key, 0)
+						rej, ev = sd.obs.rejMoved, obs.EvRejectMoved
 					}
+					rej.Inc()
+					s.trace(ev, int32(sd.id), key, 0)
 					rb = AppendResp(rb, seq, st, 0)
 					break
 				}
@@ -441,21 +440,20 @@ func (s *Server) handleReplBatch(cn *srvConn, br *bufio.Reader, seq uint32, coun
 		cn.reply(seq, StatusShutdown, 0)
 		return true
 	}
-	run, _ := DecodeReplBatch(count, tcount, buf)
 	rb := &replBatch{cn: cn, seq: seq}
 	rb.remaining.Store(int32(count))
 	now := time.Now()
-	for key, val, tid, ok := run.Next(); ok; key, val, tid, ok = run.Next() {
+	DecodeReplBatch(count, tcount, buf, func(key, val, tid uint64) {
 		if key == 0 || key == lpstore.NopKey {
 			rb.reply(StatusBadRequest)
-			continue
+			return
 		}
 		si := shardOf(key, len(s.shards))
 		if tid != 0 {
 			s.trace(obs.EvStageEnq, int32(si), tid, key)
 		}
 		stage[si] = append(stage[si], request{seq: seq, key: key, val: val, enq: now, cn: cn, rb: rb, tid: tid})
-	}
+	})
 	// The frame is one run per shard it reached, whatever its length; the
 	// run's last member carries the seal hint (see request.sealHint).
 	for si := range stage {

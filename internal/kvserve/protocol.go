@@ -23,9 +23,9 @@ import (
 // greps for encoding/binary). Who speaks the protocol, and through what:
 //
 //   - the server (conn.go): DecodeReq per inbound frame, AppendResp for
-//     every answer, ReplPayloadLen + DecodeReplBatch for an OpReplBatch;
+//     every answer, ReplPayloadLen and DecodeReplBatch for an OpReplBatch;
 //   - Client (below) and the load engine (internal/loadmodel):
-//     AppendReq out, DecodeResp in;
+//     AppendReq (EncodeReq for its hello) out, DecodeResp in;
 //   - the router (internal/cluster/router.go): DecodeReq on the headers
 //     it routes by — payload bytes pass through untouched — and
 //     AppendResp for the frames it answers itself;
@@ -46,13 +46,13 @@ const (
 	// makes replication echo structurally impossible: with role views
 	// converging per node, two members can transiently both believe they
 	// own a slot, and ordinary puts bounced between them would amplify
-	// forever. The receiver answers a single
-	// response carrying the header's seq once every put in the run has
-	// settled inside its own group commit — the worst member status
-	// wins, so one StatusOK ack still means "every put in this run is
-	// LP-durable here". This is the cluster's replication amortization:
-	// one frame and one ack per forwarded batch instead of per put.
-	// Accepted only on a connection whose OpHello was granted FeatRepl.
+	// forever. The receiver answers a single response carrying the
+	// header's seq once every put in the run has settled inside its own
+	// group commit — the worst member status wins, so one StatusOK ack
+	// still means "every put in this run is LP-durable here". This is the
+	// cluster's replication amortization: one frame and one ack per
+	// forwarded batch instead of per put. Accepted only on a connection
+	// whose OpHello was granted FeatRepl.
 	OpReplBatch = 'B'
 	// OpHello is the per-connection capability handshake: the key field
 	// carries the feature bits the client wants, the response's val the
@@ -235,49 +235,36 @@ func ReplPayloadLen(count, tcount uint64) (n int, ok bool) {
 	return int(count)*ReplPairSize + int(tcount)*ReplTraceSize, true
 }
 
-// ReplBatch walks one OpReplBatch payload pair by pair; it holds slices
-// of the payload, nothing of its own.
-type ReplBatch struct {
-	pairs, trace []byte
-	i            uint32 // index of the pair Next yields
-}
-
-// DecodeReplBatch opens the payload of an OpReplBatch frame whose header
-// declared count pairs and tcount trace entries; ok = false when
-// ReplPayloadLen refuses the header or payload is not exactly that long.
-func DecodeReplBatch(count, tcount uint64, payload []byte) (rb ReplBatch, ok bool) {
+// DecodeReplBatch walks the payload of an OpReplBatch frame whose header
+// declared count pairs and tcount trace entries, calling put once per
+// pair, in order, with the pair's trace ID (0 = untraced). It reports
+// false, having called nothing, when ReplPayloadLen refuses the header or
+// payload is not exactly that long. Trace entries are consumed as a
+// cursor over ascending idx: entries naming an earlier pair are skipped,
+// so an entry out of order or past the last pair tags nothing.
+func DecodeReplBatch(count, tcount uint64, payload []byte, put func(key, val, tid uint64)) bool {
 	if n, ok := ReplPayloadLen(count, tcount); !ok || len(payload) != n {
-		return ReplBatch{}, false
+		return false
 	}
-	split := int(count) * ReplPairSize
-	return ReplBatch{pairs: payload[:split], trace: payload[split:]}, true
-}
-
-// Next yields the next pair and its trace ID (0 = untraced), ok = false
-// after the last. Trace entries are consumed as a cursor over ascending
-// idx: entries naming an earlier pair are skipped, so an entry out of
-// order or past the last pair tags nothing.
-func (rb *ReplBatch) Next() (key, val, tid uint64, ok bool) {
-	if len(rb.pairs) == 0 {
-		return 0, 0, 0, false
-	}
-	key = binary.LittleEndian.Uint64(rb.pairs)
-	val = binary.LittleEndian.Uint64(rb.pairs[8:])
-	rb.pairs = rb.pairs[ReplPairSize:]
-	for len(rb.trace) > 0 {
-		e := rb.trace
-		idx := binary.LittleEndian.Uint32(e)
-		if idx > rb.i {
-			break
+	trace := payload[int(count)*ReplPairSize:]
+	for i := uint32(0); i < uint32(count); i++ {
+		var tid uint64
+		for len(trace) > 0 {
+			e := trace
+			idx := binary.LittleEndian.Uint32(e)
+			if idx > i {
+				break
+			}
+			trace = e[ReplTraceSize:]
+			if idx == i {
+				tid = binary.LittleEndian.Uint64(e[4:])
+				break
+			}
 		}
-		rb.trace = e[ReplTraceSize:]
-		if idx == rb.i {
-			tid = binary.LittleEndian.Uint64(e[4:])
-			break
-		}
+		pair := payload[int(i)*ReplPairSize:]
+		put(binary.LittleEndian.Uint64(pair), binary.LittleEndian.Uint64(pair[8:]), tid)
 	}
-	rb.i++
-	return key, val, tid, true
+	return true
 }
 
 // Response is one operation's outcome as seen by a Client. Err is set
@@ -403,13 +390,18 @@ func (cl *Client) fail(err error) {
 	cl.mu.Unlock()
 }
 
+// do issues one operation and waits for its Response.
+func (cl *Client) do(op byte, key, val, tid uint64) Response {
+	ch, err := cl.start(op, key, val, tid)
+	if err != nil {
+		return Response{Err: err}
+	}
+	return <-ch
+}
+
 // Put writes key=val and waits for the ack.
 func (cl *Client) Put(key, val uint64) (byte, error) {
-	ch, err := cl.start(OpPut, key, val, 0)
-	if err != nil {
-		return 0, err
-	}
-	r := <-ch
+	r := cl.do(OpPut, key, val, 0)
 	return r.Status, r.Err
 }
 
@@ -418,16 +410,9 @@ func (cl *Client) Put(key, val uint64) (byte, error) {
 // answers StatusBadRequest, which comes back as granted == 0 — the
 // caller keeps its optional features off and proceeds.
 func (cl *Client) Hello(features uint64) (uint64, error) {
-	ch, err := cl.start(OpHello, features, 0, 0)
-	if err != nil {
-		return 0, err
-	}
-	r := <-ch
-	if r.Err != nil {
+	r := cl.do(OpHello, features, 0, 0)
+	if r.Err != nil || r.Status != StatusOK {
 		return 0, r.Err
-	}
-	if r.Status != StatusOK {
-		return 0, nil
 	}
 	return r.Val & features, nil
 }
@@ -435,38 +420,23 @@ func (cl *Client) Hello(features uint64) (uint64, error) {
 // PutTraced writes key=val carrying trace ID tid (nonzero). Call only
 // after Hello granted FeatTrace.
 func (cl *Client) PutTraced(tid, key, val uint64) (byte, error) {
-	ch, err := cl.start(OpPut, key, val, tid)
-	if err != nil {
-		return 0, err
-	}
-	r := <-ch
+	r := cl.do(OpPut, key, val, tid)
 	return r.Status, r.Err
 }
 
 // Get reads key.
 func (cl *Client) Get(key uint64) (uint64, byte, error) {
-	ch, err := cl.start(OpGet, key, 0, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	r := <-ch
+	r := cl.do(OpGet, key, 0, 0)
 	return r.Val, r.Status, r.Err
 }
 
 // Ping round-trips a no-op frame.
 func (cl *Client) Ping() error {
-	ch, err := cl.start(OpPing, 1, 0, 0)
-	if err != nil {
-		return err
-	}
-	r := <-ch
-	if r.Err != nil {
-		return r.Err
-	}
-	if r.Status != StatusOK {
+	r := cl.do(OpPing, 1, 0, 0)
+	if r.Err == nil && r.Status != StatusOK {
 		return fmt.Errorf("kvserve: ping answered %s", StatusName(r.Status))
 	}
-	return nil
+	return r.Err
 }
 
 // Err returns the connection-level failure that poisoned the client,

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -49,18 +50,23 @@ func TestWireGolden(t *testing.T) {
 		t.Errorf("OpReplBatch frame\n got %s\nwant %s", got, wantRepl)
 	}
 	op, seq, count, tcount := DecodeReq((*[ReqSize]byte)(repl))
-	run, ok := DecodeReplBatch(count, tcount, repl[ReqSize:])
-	if op != OpReplBatch || seq != 5 || !ok {
-		t.Fatalf("OpReplBatch header = %c seq %d count %d tcount %d, decodes %v", op, seq, count, tcount, ok)
+	got, ok := decodeRepl(count, tcount, repl[ReqSize:])
+	if op != OpReplBatch || seq != 5 || !ok || len(got) != len(pairs) {
+		t.Fatalf("OpReplBatch header = %c seq %d count %d tcount %d, decodes %v to %d pairs", op, seq, count, tcount, ok, len(got))
 	}
-	for i := range pairs {
-		if key, val, tid, ok := run.Next(); !ok || key != pairs[i][0] || val != pairs[i][1] || tid != tids[i] {
-			t.Errorf("pair %d = %#x %#x tid %#x (%v)", i, key, val, tid, ok)
+	for i, p := range pairs {
+		if got[i] != [3]uint64{p[0], p[1], tids[i]} {
+			t.Errorf("pair %d = %#x", i, got[i])
 		}
 	}
-	if _, _, _, ok := run.Next(); ok {
-		t.Error("Next yields a third pair of two")
-	}
+}
+
+// decodeRepl collects what DecodeReplBatch yields as (key, val, tid).
+func decodeRepl(count, tcount uint64, payload []byte) (got [][3]uint64, ok bool) {
+	ok = DecodeReplBatch(count, tcount, payload, func(key, val, tid uint64) {
+		got = append(got, [3]uint64{key, val, tid})
+	})
+	return got, ok
 }
 
 // FuzzReplBatch: the OpReplBatch payload codec, for arbitrary header
@@ -99,13 +105,9 @@ func FuzzReplBatch(f *testing.F) {
 				t.Fatalf("ReplPayloadLen(%d, %d) = %d; at that length the model answers %d frames, cut=%v, one byte short cut=%v", count, tcount, need, n, cut, cutShort)
 			}
 		}
-		run, ok := DecodeReplBatch(count, tcount, payload)
+		got, ok := decodeRepl(count, tcount, payload)
 		if ok != (okLen && len(payload) == need) {
 			t.Fatalf("DecodeReplBatch(%d, %d, %d bytes) ok=%v; header ok=%v, need %d", count, tcount, len(payload), ok, okLen, need)
-		}
-		var got [][3]uint64
-		for key, val, tid, more := run.Next(); more; key, val, tid, more = run.Next() {
-			got = append(got, [3]uint64{key, val, tid})
 		}
 		if !ok {
 			if len(got) != 0 {
@@ -118,17 +120,15 @@ func FuzzReplBatch(f *testing.F) {
 		}
 		again := AppendReplBatch(nil, 1, len(got), func(i int) (key, val, tid uint64) { return got[i][0], got[i][1], got[i][2] })
 		_, _, count2, tcount2 := DecodeReq((*[ReqSize]byte)(again))
-		run2, ok := DecodeReplBatch(count2, tcount2, again[ReqSize:])
+		got2, ok := decodeRepl(count2, tcount2, again[ReqSize:])
 		if !ok || count2 != count || tcount2 > tcount {
 			t.Fatalf("re-encoded run: count %d→%d, tcount %d→%d, decodes %v", count, count2, tcount, tcount2, ok)
 		}
 		if !bytes.Equal(again[ReqSize:ReqSize+int(count)*ReplPairSize], payload[:int(count)*ReplPairSize]) {
 			t.Fatal("re-encoded pairs differ from the payload's")
 		}
-		for i := range got {
-			if key, val, tid, _ := run2.Next(); [3]uint64{key, val, tid} != got[i] {
-				t.Fatalf("pair %d round-trips as %#x %#x tid %#x, was %#x", i, key, val, tid, got[i])
-			}
+		if !slices.Equal(got, got2) {
+			t.Fatalf("round trip: %#x became %#x", got, got2)
 		}
 	})
 }

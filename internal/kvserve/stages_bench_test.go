@@ -267,12 +267,8 @@ func BenchmarkReplCodec(b *testing.B) {
 					return uint64(puts + i + 1), uint64(i), uint64(i&3) / 3 * 0xabc
 				})
 				_, _, count, tcount := DecodeReq((*[ReqSize]byte)(frame))
-				run, ok := DecodeReplBatch(count, tcount, frame[ReqSize:])
-				if !ok {
+				if !DecodeReplBatch(count, tcount, frame[ReqSize:], func(key, val, tid uint64) { sum += key + val + tid }) {
 					b.Fatal("the frame does not decode")
-				}
-				for key, val, tid, ok := run.Next(); ok; key, val, tid, ok = run.Next() {
-					sum += key + val + tid
 				}
 			}
 			perPut(b, b.Elapsed(), puts)
