@@ -553,7 +553,7 @@ func (r *Replicator) ensureSessionLocked(ps *peerState) (int, error) {
 	}
 	if err := helloRepl(conn, r.cfg.DialTimeout); err != nil {
 		conn.Close()
-		return 0, fmt.Errorf("cluster: peer %s (%s): %w", ps.id, ps.addr, err)
+		return 0, fmt.Errorf("cluster: replication hello to peer %s (%s): %w", ps.id, ps.addr, err)
 	}
 	r.sessMu.Lock()
 	sess := newPeerSession(r, ps, conn, len(r.sessions)+1)
@@ -570,7 +570,7 @@ func (r *Replicator) ensureSessionLocked(ps *peerState) (int, error) {
 // one that predates the bit — leaves the caller degraded, as a failed
 // dial does.
 func helloRepl(conn net.Conn, timeout time.Duration) error {
-	conn.SetDeadline(time.Now().Add(timeout))
+	_ = conn.SetDeadline(time.Now().Add(timeout)) // fails only on a closed conn; Write reports that
 	defer conn.SetDeadline(time.Time{})
 	var req [kvserve.ReqSize]byte
 	kvserve.EncodeReq(&req, kvserve.OpHello, 0, kvserve.FeatRepl, 0)
@@ -582,7 +582,7 @@ func helloRepl(conn net.Conn, timeout time.Duration) error {
 		return err
 	}
 	if _, status, granted := kvserve.DecodeResp(&resp); status != kvserve.StatusOK || granted&kvserve.FeatRepl == 0 {
-		return fmt.Errorf("replication hello refused (%s, granted %#x)", kvserve.StatusName(status), granted)
+		return fmt.Errorf("refused (%s, granted %#x)", kvserve.StatusName(status), granted)
 	}
 	return nil
 }

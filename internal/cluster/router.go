@@ -806,9 +806,8 @@ func wholeFrames(buf []byte) int {
 // (wholeFrames holds a chunk-trailing prefix back, so the successor is
 // in this chunk), which keeps the pair consecutive in one segment —
 // fused on the backend's wire exactly as the client sent them. ok =
-// false refuses the chunk: it holds an OpReplBatch header, whose payload
-// is not frames, and the router — which answers hellos itself and never
-// grants FeatRepl — has no backend connection that would take it.
+// false refuses a chunk that holds an OpReplBatch header: its payload is
+// not frames, and no backend granted this router FeatRepl.
 func planChunk(chunk []byte, t *Topology, segs []proxySeg) (_ []proxySeg, ok bool) {
 	route := func(key uint64) int {
 		if t != nil {
@@ -982,8 +981,7 @@ func (r *Router) serveClient(c net.Conn) {
 					// answers the handshake itself: it speaks the trace
 					// extension (prefix fusion above), so it grants
 					// FeatTrace regardless of backend vintage — backends
-					// accept OpTraceCtx unconditionally. It never grants
-					// FeatRepl: planChunk refuses OpReplBatch.
+					// accept OpTraceCtx unconditionally. Never FeatRepl.
 					ans = kvserve.AppendResp(ans, seq, kvserve.StatusOK, feats&kvserve.FeatTrace)
 					continue
 				}

@@ -109,7 +109,7 @@ func (c *fileCtx) ThreadID() int { return c.id }
 // Flush/Fence. Only the goroutine owning the lines may call this (the
 // shard owner; the startup path before owners exist). Persisting cannot
 // fail; the error is the priced fsync's. (The LP group commit goes
-// through the shard flusher's snapshot buffers instead; see server.go.)
+// through the shard flusher's snapshot buffers instead; see commit.go.)
 func (c *fileCtx) persistLines(lines []memsim.Addr) error {
 	for _, la := range lines {
 		c.mem.Persist(la, memsim.LineSize)

@@ -228,6 +228,7 @@ func BenchmarkStageAck(b *testing.B) {
 	go func() {
 		if c, err := ln.Accept(); err == nil {
 			io.Copy(io.Discard, c)
+			c.Close()
 		}
 	}()
 	c, err := net.Dial("tcp", ln.Addr().String())
