@@ -13,6 +13,10 @@ import (
 	"lazyp/internal/workloads"
 )
 
+// Keys whose slots stay distinct under the planTopo carve-up
+// (TestPlanChunkSegments checks that they do).
+const nearKey, farKey, orphanKey = 3, 5, 11
+
 // planTopo builds a two-node topology with every slot owned by node 0,
 // except the slot of farKey which is owned by node 1 and the slot of
 // orphanKey which has no live primary.
@@ -37,8 +41,6 @@ func planTopo(farKey, orphanKey uint64) *Topology {
 // primary-less slots locally (node -1), and splits at every
 // destination change.
 func TestPlanChunkSegments(t *testing.T) {
-	// Keys whose slots stay distinct under the planTopo carve-up.
-	const nearKey, farKey, orphanKey = 3, 5, 11
 	if SlotOf(farKey) == SlotOf(orphanKey) || SlotOf(nearKey) == SlotOf(farKey) ||
 		SlotOf(nearKey) == SlotOf(orphanKey) {
 		t.Fatal("test keys collide in slot space; pick different keys")
@@ -78,7 +80,6 @@ func TestPlanChunkSegments(t *testing.T) {
 // TestPlanChunkZeroAlloc pins the data plane's steady state: planning
 // a chunk into a reused segment slice allocates nothing.
 func TestPlanChunkZeroAlloc(t *testing.T) {
-	const nearKey, farKey, orphanKey = 3, 5, 11
 	topo := planTopo(farKey, orphanKey)
 	var chunk []byte
 	for i := 0; i < 64; i++ {
@@ -108,7 +109,6 @@ func TestPlanChunkZeroAlloc(t *testing.T) {
 // arms nothing and is exempt), names only nodes the topology has, and
 // refuses exactly the chunks that hold an OpReplBatch header.
 func FuzzPlanChunk(f *testing.F) {
-	const nearKey, farKey, orphanKey = 3, 5, 11
 	topo := planTopo(farKey, orphanKey)
 	var mix []byte
 	for i, key := range []uint64{nearKey, nearKey, farKey, orphanKey, nearKey} {
@@ -177,7 +177,6 @@ func FuzzPlanChunk(f *testing.F) {
 // decode and one slot lookup per put, segments coalesced as in a real
 // chunk (64 puts over the near, far and orphan slots).
 func BenchmarkPlanChunk(b *testing.B) {
-	const nearKey, farKey, orphanKey = 3, 5, 11
 	topo := planTopo(farKey, orphanKey)
 	var chunk []byte
 	for i := 0; i < 64; i++ {

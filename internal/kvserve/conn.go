@@ -443,6 +443,7 @@ func (s *Server) handleReplBatch(cn *srvConn, br *bufio.Reader, seq uint32, coun
 	rb := &replBatch{cn: cn, seq: seq}
 	rb.remaining.Store(int32(count))
 	now := time.Now()
+	// buf is as long as ReplPayloadLen said: the decode cannot refuse it.
 	DecodeReplBatch(count, tcount, buf, func(key, val, tid uint64) {
 		if key == 0 || key == lpstore.NopKey {
 			rb.reply(StatusBadRequest)

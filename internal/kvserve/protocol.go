@@ -30,8 +30,8 @@ import (
 //     it routes by — payload bytes pass through untouched — and
 //     AppendResp for the frames it answers itself;
 //   - the replicator (internal/cluster/repl.go): AppendReplBatch for a
-//     forwarded run, AppendReq for the session hello, DecodeResp for the
-//     follower's acks;
+//     forwarded run, EncodeReq for the session hello, DecodeResp for the
+//     hello's answer and the follower's acks;
 //   - bench/ and the tests: EncodeReq/EncodeResp and the decoders.
 const (
 	OpPut  = 'P'

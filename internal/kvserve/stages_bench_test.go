@@ -102,7 +102,8 @@ func BenchmarkStageApply(b *testing.B) {
 	run := make([]request, stageRun)
 	var leaked []lineSnap
 	puts := 0
-	for b.ResetTimer(); puts < b.N; puts += len(run) {
+	b.ResetTimer()
+	for ; puts < b.N; puts += len(run) {
 		if s == nil || sd.w.Seq()+len(run) > maxOps {
 			b.StopTimer()
 			if s != nil {
@@ -139,19 +140,15 @@ func fillBatch(s *Server, sd *shardState, cn *srvConn, at, fill int) {
 	sd.openAt = enq
 }
 
-// stageBatches runs fn once per batch of fill client puts until b.N puts
-// are through, on servers rebuilt whenever the journal runs out, and
-// reports the time spent inside timed — the stage under test — per put.
-func stageBatches(b *testing.B, fill int, cn *srvConn, fn func(s *Server, sd *shardState, timed func(func()))) {
+// stageBatches runs stage once per batch of fill client puts until b.N
+// puts are through, on servers rebuilt whenever the journal runs out.
+// stage returns how long its stage proper took — it does the untimed
+// work around it too — and the sum is reported per put.
+func stageBatches(b *testing.B, fill int, cn *srvConn, stage func(s *Server, sd *shardState) time.Duration) {
 	const batchK, maxOps = 32, 1 << 20
 	var s *Server
 	var sd *shardState
 	var spent time.Duration
-	timed := func(stage func()) {
-		t0 := time.Now()
-		stage()
-		spent += time.Since(t0)
-	}
 	var leaked []lineSnap
 	puts := 0
 	for ; puts < b.N; puts += fill {
@@ -162,7 +159,7 @@ func stageBatches(b *testing.B, fill int, cn *srvConn, fn func(s *Server, sd *sh
 			s, sd = stageServer(b, batchK, maxOps)
 		}
 		fillBatch(s, sd, cn, puts, fill)
-		fn(s, sd, timed)
+		spent += stage(s, sd)
 		if l, _ := s.leakq.take(leaked); l != nil {
 			leaked = l
 		}
@@ -188,9 +185,12 @@ func BenchmarkStageSeal(b *testing.B) {
 		fill int
 	}{{"full", 32}, {"padded4", 4}} {
 		b.Run(c.name, func(b *testing.B) {
-			stageBatches(b, c.fill, absorbConn(), func(s *Server, sd *shardState, timed func(func())) {
-				timed(func() { s.seal(sd, c.fill < 32) })
+			stageBatches(b, c.fill, absorbConn(), func(s *Server, sd *shardState) time.Duration {
+				t0 := time.Now()
+				s.seal(sd, c.fill < 32)
+				d := time.Since(t0)
 				recycle(sd)
+				return d
 			})
 		})
 	}
@@ -202,14 +202,17 @@ func BenchmarkStageSeal(b *testing.B) {
 func BenchmarkStageFlush(b *testing.B) {
 	cn := newSrvConn(&burstConn{})
 	var acks []byte
-	stageBatches(b, 32, cn, func(s *Server, sd *shardState, timed func(func())) {
+	stageBatches(b, 32, cn, func(s *Server, sd *shardState) time.Duration {
 		s.seal(sd, false)
 		it := <-sd.commitCh
-		timed(func() { s.flushItem(sd, it) })
+		t0 := time.Now()
+		s.flushItem(sd, it)
+		d := time.Since(t0)
 		sd.freeCh <- it
 		if run, _ := cn.acks.take(acks); run != nil {
 			acks = run
 		}
+		return d
 	})
 }
 
@@ -242,7 +245,8 @@ func BenchmarkStageAck(b *testing.B) {
 		acks = AppendResp(acks, uint32(i), StatusOK, 0)
 	}
 	puts := 0
-	for b.ResetTimer(); puts < b.N; puts += 32 {
+	b.ResetTimer()
+	for ; puts < b.N; puts += 32 {
 		cn.pushAcks(acks)
 		if !s.flushResponses(cn, nil) {
 			b.Fatal("write failed")
