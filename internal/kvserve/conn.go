@@ -164,9 +164,9 @@ func (s *Server) acceptLoop() {
 // appendGet serves one get entirely inside the calling (connection
 // reader) goroutine: route by key hash, read the shard table lock-free
 // under the seqlock, and append the response frame to rb. No mailbox,
-// no owner, no allocation — the tentpole of the serve hot path.
+// no owner, no allocation, no clock and no shared write — the read burst
+// it arrived in is what gets timed and counted (see connReader).
 func (s *Server) appendGet(rb []byte, seq uint32, key uint64) (out []byte, hit bool, retries uint64) {
-	t0 := time.Now()
 	sd := s.shards[shardOf(key, len(s.shards))]
 	v, ok, retr := sd.sh.Tab.SeqGet(s.mem, key)
 	if ok {
@@ -174,7 +174,6 @@ func (s *Server) appendGet(rb []byte, seq uint32, key uint64) (out []byte, hit b
 	} else {
 		rb = AppendResp(rb, seq, StatusNotFound, 0)
 	}
-	s.getLat.Observe(uint64(time.Since(t0).Nanoseconds()))
 	return rb, ok, retr
 }
 
@@ -184,26 +183,41 @@ func (s *Server) appendGet(rb []byte, seq uint32, key uint64) (out []byte, hit b
 // for answers) or rb fills — so a pipelining client gets its whole
 // window answered in one write. Puts reach the shard mailboxes in runs
 // (see the drain point) and are acked later through the writer
-// goroutine. Get tallies accumulate in locals and flush to the shared
-// counters periodically, keeping the per-op path free of contended atomics.
+// goroutine.
+//
+// The read burst — what one fill of the inbound buffer brought, up to the
+// drain point — is the reader's unit of self-measurement. burst is stamped
+// at the first get or put decoded after the buffer ran dry: it is the enq
+// stamp of every put staged in the burst, and the start of every get's
+// latency. Gets are tallied in locals; bookGets, after each response flush
+// that carried gets, books them in kvserve_get_latency_seconds as that
+// many samples of one duration — burst → the write returned, i.e. request
+// decoded → response handed to the socket, the get-side counterpart of
+// kvserve_put_latency_seconds, which starts at the same stamp — and adds
+// the tallies to the shared counters. A get costs no clock read and no
+// shared write; a burst of gets costs one clock pair.
 func (s *Server) connReader(cn *srvConn) {
-	var gets, misses, retries uint64
-	flushTallies := func() {
-		if gets != 0 {
-			s.ctGets.Add(gets)
-			gets = 0
+	var burst time.Time
+	var gets, misses, retries, retried uint64
+	bookGets := func() {
+		if gets == 0 {
+			return
 		}
+		s.getLat.ObserveN(uint64(time.Since(burst).Nanoseconds()), gets)
+		s.ctGets.Add(gets)
+		gets = 0
 		if misses != 0 {
 			s.ctGetMisses.Add(misses)
 			misses = 0
 		}
-		if retries != 0 {
+		if retried != 0 {
 			s.ctSeqRetries.Add(retries)
-			retries = 0
+			s.ctSeqRetried.Add(retried)
+			retries, retried = 0, 0
 		}
 	}
 	defer func() {
-		flushTallies()
+		bookGets() // gets whose responses a dying connection never carried
 		cn.stop()
 		s.mu.Lock()
 		delete(s.conns, cn)
@@ -216,11 +230,9 @@ func (s *Server) connReader(cn *srvConn) {
 	rb := make([]byte, 0, 512*RespSize)
 	// stage[i] holds the puts decoded for shard i and not yet pushed to
 	// its mailbox, in arrival order and pushed whole: one connection's
-	// puts to one shard apply in send order. burst is their enq stamp,
-	// taken at the first put after the inbound buffer ran dry (zero = take
-	// it), so staging time counts inside the queue stage.
+	// puts to one shard apply in send order. Their enq stamp is burst, so
+	// staging time counts inside the queue stage.
 	stage := make([][]request, len(s.shards))
-	var burst time.Time
 	// nextTid is the trace context armed by an OpTraceCtx prefix frame:
 	// it applies to exactly the next frame on the connection, then
 	// clears, so a lost successor can't mislabel an unrelated op.
@@ -264,6 +276,9 @@ func (s *Server) connReader(cn *srvConn) {
 		case s.draining.Load():
 			rb = AppendResp(rb, seq, StatusShutdown, 0)
 		case op == OpGet:
+			if burst.IsZero() {
+				burst = time.Now()
+			}
 			if tid != 0 {
 				s.trace(obs.EvStageEnq, -1, tid, key)
 			}
@@ -274,12 +289,12 @@ func (s *Server) connReader(cn *srvConn) {
 				s.trace(obs.EvStageReply, -1, tid, key)
 			}
 			gets++
-			retries += retr
 			if !hit {
 				misses++
 			}
-			if gets >= 512 {
-				flushTallies()
+			if retr != 0 {
+				retries += retr
+				retried++
 			}
 		default: // OpPut
 			sd := s.shards[shardOf(key, len(s.shards))]
@@ -322,20 +337,25 @@ func (s *Server) connReader(cn *srvConn) {
 		// blocked on us). Nothing staged waits across the blocking read
 		// that follows: every stage goes to its mailbox now — before the
 		// flush, so an Overload answer from the push leaves in the same
-		// write — and the next put opens a new burst. rb goes to the socket
-		// here or past its flush threshold; in between it keeps batching
-		// without paying a syscall, and the flush also steals any acks the
-		// flushers queued meanwhile: both batches leave in one writev.
+		// write. rb goes to the socket here or past its flush threshold;
+		// in between it keeps batching without paying a syscall, and the
+		// flush also steals any acks the flushers queued meanwhile: both
+		// batches leave in one writev. The gets it carried are booked once
+		// the write has returned, and the burst ends after that: the next
+		// get or put opens a new one.
 		drained := br.Buffered() < ReqSize
 		if drained {
 			rb = s.pushStages(cn, stage, rb)
-			burst = time.Time{}
 		}
 		if len(rb) > 0 && (drained || len(rb) >= 512*RespSize) {
 			if !s.flushResponses(cn, rb) {
 				return
 			}
 			rb = rb[:0]
+			bookGets()
+		}
+		if drained {
+			burst = time.Time{}
 		}
 	}
 }

@@ -237,6 +237,7 @@ func TestServeMetricsAndTrace(t *testing.T) {
 		`kvserve_put_latency_seconds_count{`,
 		`kvserve_get_latency_seconds_bucket{`,
 		`kvserve_seqlock_retries_total `,
+		`kvserve_seqlock_retried_gets_total `,
 		`kvserve_pipeline_inflight{shard="0"}`,
 		`kvserve_batch_fill_sum{shard="0"}`,
 		`kvserve_mailbox_high_water{shard="0"}`,

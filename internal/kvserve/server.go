@@ -69,7 +69,7 @@ type Server struct {
 	ctGets, ctGetMisses, ctPuts, ctAcked *obs.Counter
 	ctBatches, ctPads                    *obs.Counter
 	ctLeaked, ctDropped                  *obs.Counter
-	ctSeqRetries                         *obs.Counter
+	ctSeqRetries, ctSeqRetried           *obs.Counter // spins in SeqGet, and gets that spun at all
 	getLat                               *obs.Histogram
 	// hWriteFrames observes response frames per socket write syscall —
 	// the syscall-coalescing gauge of the vectored response path.
@@ -118,6 +118,7 @@ func New(cfg Config) (*Server, error) {
 	s.ctLeaked = root.Counter("kvserve_leaked_lines_total")
 	s.ctDropped = root.Counter("kvserve_leak_dropped_total")
 	s.ctSeqRetries = root.Counter("kvserve_seqlock_retries_total")
+	s.ctSeqRetried = root.Counter("kvserve_seqlock_retried_gets_total")
 	s.getLat = root.HistogramScaled("kvserve_get_latency_seconds", 1e-9)
 	s.hWriteFrames = root.Histogram("kvserve_writev_frames_per_syscall")
 	stage := func(name string) *obs.Histogram {

@@ -237,6 +237,122 @@ func TestPutOrderPerConnection(t *testing.T) {
 	}
 }
 
+// getBurst writes one get frame per key to c in a single Write, reads the
+// responses, and then completes a ping: the reader decodes the ping only
+// after it has booked the burst before it, so on return the gets are in
+// the counters and the histogram. It returns how many gets missed.
+func getBurst(t *testing.T, c net.Conn, keys []uint64) (misses int) {
+	t.Helper()
+	read := func(seq int) byte {
+		var f [RespSize]byte
+		if _, err := io.ReadFull(c, f[:]); err != nil {
+			t.Fatalf("response %d: %v", seq, err)
+		}
+		got, st, _ := DecodeResp(&f)
+		if got != uint32(seq) {
+			t.Fatalf("response %d carries seq %d", seq, got)
+		}
+		return st
+	}
+	var frames []byte
+	for i, k := range keys {
+		frames = AppendReq(frames, OpGet, uint32(i), k, 0)
+	}
+	if _, err := c.Write(frames); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	for i := range keys {
+		switch st := read(i); st {
+		case StatusOK:
+		case StatusNotFound:
+			misses++
+		default:
+			t.Fatalf("get %d answered %s", i, StatusName(st))
+		}
+	}
+	if _, err := c.Write(AppendReq(nil, OpPing, uint32(len(keys)), 0, 0)); err != nil {
+		t.Fatalf("write ping: %v", err)
+	}
+	if st := read(len(keys)); st != StatusOK {
+		t.Fatalf("ping answered %s", StatusName(st))
+	}
+	return misses
+}
+
+// TestGetCountersOnOpenConnection: get tallies reach the shared counters
+// with the burst's response flush, not at a count threshold or at close —
+// a client that keeps its connection sees its own gets in Stats.
+func TestGetCountersOnOpenConnection(t *testing.T) {
+	s := startServer(t, testCfg(t, lpstore.ModeLP))
+	defer s.Close()
+	c, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	var keys []uint64
+	for i := 1; i <= 10; i++ {
+		tid := 0
+		if i%3 == 0 {
+			tid = 9 // no such partition was preloaded: a miss
+		}
+		keys = append(keys, workloads.KVKey(tid, i))
+	}
+	if misses := getBurst(t, c, keys); misses != 3 {
+		t.Fatalf("%d gets missed, want 3", misses)
+	}
+	if st := s.Stats(); st.Gets != 10 || st.GetMisses != 3 {
+		t.Fatalf("with the connection still open Stats reads %d gets, %d misses; want 10, 3", st.Gets, st.GetMisses)
+	}
+	// A second burst adds to the counters what it carried, no more.
+	getBurst(t, c, keys[1:3])
+	if st := s.Stats(); st.Gets != 12 || st.GetMisses != 4 {
+		t.Fatalf("after a second burst Stats reads %d gets, %d misses; want 12, 4", st.Gets, st.GetMisses)
+	}
+	if n := s.getLat.Snapshot().Count; n != 12 {
+		t.Fatalf("kvserve_get_latency_seconds holds %d samples, want 12 (= kvserve_gets_total)", n)
+	}
+}
+
+// TestGetLatencyPerBurst pins what kvserve_get_latency_seconds measures:
+// the read burst is timed, not the get. 64 pipelined gets that arrive in
+// one segment are one burst — 64 samples of one duration, so one bucket
+// (a clock pair per get spreads them over several) — and that duration,
+// request decoded → response handed to the socket, lies inside what the
+// client saw from before its write to after the burst was booked.
+func TestGetLatencyPerBurst(t *testing.T) {
+	s := startServer(t, testCfg(t, lpstore.ModeLP))
+	defer s.Close()
+	c, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	keys := make([]uint64, 64)
+	for i := range keys {
+		keys[i] = workloads.KVKey(i%2, i/2)
+	}
+	t0 := time.Now()
+	getBurst(t, c, keys)
+	seen := uint64(time.Since(t0).Nanoseconds())
+	h := s.getLat.Snapshot()
+	if h.Count != 64 {
+		t.Fatalf("%d samples, want 64", h.Count)
+	}
+	buckets := 0
+	for _, n := range h.Counts {
+		if n != 0 {
+			buckets++
+		}
+	}
+	if buckets != 1 || h.Sum != 64*h.Max {
+		t.Fatalf("64 samples in %d buckets, sum %d ns, max %d ns: the gets were timed one by one", buckets, h.Sum, h.Max)
+	}
+	if h.Max == 0 || h.Max > seen {
+		t.Fatalf("samples of %d ns against %d ns seen by the client", h.Max, seen)
+	}
+}
+
 // TestBatchDeadlineUnderTrickle: BatchWait bounds a batch's age, not the
 // owner's idle time. One put a millisecond keeps waking the owner before
 // a full BatchWait of idleness, and the batch must still seal by its

@@ -1,6 +1,7 @@
 package kvserve
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"path/filepath"
@@ -14,9 +15,10 @@ import (
 // Started: no listener, no owner, no flusher, one goroutine. Every
 // benchmark counts puts and reports ns/put, so the rows add up to the
 // server's share of a put (EXPERIMENTS.md "Put path by stage" sets the
-// sum beside put_sat's host.cpu_us_per_op). One shard, 65 536 preloaded
-// keys in a half-full table, updates walking the key space in a stride —
-// put_sat's shape, a quarter of its table.
+// sum beside put_sat's host.cpu_us_per_op); the get path is one stage,
+// BenchmarkStageGet, in ns/get. One shard, 65 536 preloaded keys in a
+// half-full table, updates walking the key space in a stride — put_sat's
+// shape, a quarter of its table.
 
 const (
 	stageKeys = 1 << 16
@@ -73,6 +75,15 @@ func (c *burstConn) Read(p []byte) (int, error) {
 func (c *burstConn) Write(p []byte) (int, error) { return len(p), nil }
 func (c *burstConn) Close() error                { return nil }
 
+// readBursts times connReader over b.N frames that arrive as repeats of
+// burst.
+func readBursts(b *testing.B, s *Server, burst []byte) {
+	cn := newSrvConn(&burstConn{burst: burst, left: b.N, s: s})
+	s.wgConns.Add(1)
+	b.ResetTimer()
+	s.connReader(cn)
+}
+
 // BenchmarkStageDecode: connReader alone — read, DecodeReq, validate,
 // route, stage, and at each drain point one push into the mailbox.
 func BenchmarkStageDecode(b *testing.B) {
@@ -82,11 +93,31 @@ func BenchmarkStageDecode(b *testing.B) {
 	for i := 0; i < stageRun; i++ {
 		burst = AppendReq(burst, OpPut, uint32(i), stageKey(sd, i), uint64(i))
 	}
-	cn := newSrvConn(&burstConn{burst: burst, left: b.N, s: s})
-	s.wgConns.Add(1)
-	b.ResetTimer()
-	s.connReader(cn)
+	readBursts(b, s, burst)
 	perPut(b, b.Elapsed(), b.N)
+}
+
+// BenchmarkStageGet: connReader alone on the get path — read, DecodeReq,
+// validate, SeqGet on a preloaded key, the response frame, and per burst
+// one clock pair, one ObserveN, one tally flush and one (discarded)
+// write. The burst is what one buffer fill brings: 64 is get_sat's window
+// per connection, 1 a client that waits for each answer.
+func BenchmarkStageGet(b *testing.B) {
+	for _, n := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("burst%d", n), func(b *testing.B) {
+			s, sd := stageServer(b, 32, 1<<10)
+			defer s.Close()
+			var burst []byte
+			for i := 0; i < n; i++ {
+				burst = AppendReq(burst, OpGet, uint32(i), stageKey(sd, i), 0)
+			}
+			readBursts(b, s, burst)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/get")
+			if got := s.Stats().Gets; got != uint64(b.N) {
+				b.Fatalf("%d gets counted, want %d", got, b.N)
+			}
+		})
+	}
 }
 
 // BenchmarkStageApply: the owner's apply for a run of puts — queue-stage

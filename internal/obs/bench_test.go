@@ -4,7 +4,8 @@ import "testing"
 
 // BenchmarkObsOverhead is the per-event cost budget for leaving
 // instruments on in hot paths: a counter add, a histogram
-// observation, a disabled-tracer record (the steady state in
+// observation (of one sample, and of a run of 64 equal ones — the same
+// price), a disabled-tracer record (the steady state in
 // production), and an enabled-tracer record (the debugging state).
 // CI runs it once as a smoke check; the absolute numbers back the
 // <2% service-throughput overhead recorded in EXPERIMENTS.md.
@@ -25,6 +26,12 @@ func BenchmarkObsOverhead(b *testing.B) {
 		var h Histogram
 		for i := 0; i < b.N; i++ {
 			h.Observe(uint64(i) * 37)
+		}
+	})
+	b.Run("HistogramObserveN", func(b *testing.B) {
+		var h Histogram
+		for i := 0; i < b.N; i++ {
+			h.ObserveN(uint64(i)*37, 64)
 		}
 	})
 	b.Run("TracerOff", func(b *testing.B) {

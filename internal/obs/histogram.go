@@ -16,9 +16,9 @@ import (
 // whole uint64 range maps into 496 buckets, so a histogram is a flat
 // ~4 KiB of atomics with no allocation after construction.
 //
-// Observe is two atomic adds (bucket, sum) plus a conditional CAS
-// for the max; there is no lock anywhere, so concurrent writers
-// scale and a scrape never blocks an observer.
+// Observe and ObserveN are two atomic adds (bucket, sum) plus a
+// conditional CAS for the max; there is no lock anywhere, so concurrent
+// writers scale and a scrape never blocks an observer.
 type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	sum    atomic.Uint64
@@ -57,6 +57,24 @@ func bucketUB(b int) uint64 {
 func (h *Histogram) Observe(v uint64) {
 	h.counts[bucketOf(v)].Add(1)
 	h.sum.Add(v)
+	h.raiseMax(v)
+}
+
+// ObserveN records n samples of the same value v — what n calls of
+// Observe(v) leave behind, for the price of one: a caller that times a
+// run of operations with one clock pair (kvserve's read burst) books the
+// whole run here. n = 0 records nothing.
+func (h *Histogram) ObserveN(v, n uint64) {
+	if n == 0 {
+		return
+	}
+	h.counts[bucketOf(v)].Add(n)
+	h.sum.Add(v * n)
+	h.raiseMax(v)
+}
+
+// raiseMax lifts the recorded maximum to v if v is above it.
+func (h *Histogram) raiseMax(v uint64) {
 	for {
 		m := h.max.Load()
 		if v <= m || h.max.CompareAndSwap(m, v) {
@@ -76,13 +94,7 @@ func (h *Histogram) Merge(o *Histogram) {
 		}
 	}
 	h.sum.Add(o.sum.Load())
-	v := o.max.Load()
-	for {
-		m := h.max.Load()
-		if v <= m || h.max.CompareAndSwap(m, v) {
-			break
-		}
-	}
+	h.raiseMax(o.max.Load())
 }
 
 // HistSnapshot is a point-in-time copy of a histogram, safe to read

@@ -152,3 +152,48 @@ func TestSnapshotSub(t *testing.T) {
 		t.Fatalf("delta p100 = %d, want 7", got)
 	}
 }
+
+// TestObserveN: ObserveN(v, n) leaves what n calls of Observe(v) leave —
+// compared as whole snapshots (every bucket, Count, Sum, Max) and through
+// Quantile, Merge and Sub — for an exact value, both sides of a bucket
+// edge and a large one; n = 0 records nothing.
+func TestObserveN(t *testing.T) {
+	for _, v := range []uint64{0, 7, 15, 16, bucketUB(40), bucketUB(40) + 1, 1<<40 + 12345} {
+		for _, n := range []uint64{1, 64, 1000} {
+			var one, many Histogram
+			for _, h := range []*Histogram{&one, &many} {
+				h.Observe(3) // something already there, below and above v
+				h.Observe(1 << 50)
+			}
+			before := many.Snapshot()
+			for i := uint64(0); i < n; i++ {
+				one.Observe(v)
+			}
+			many.ObserveN(v, n)
+			want, got := one.Snapshot(), many.Snapshot()
+			if got != want {
+				t.Fatalf("ObserveN(%d, %d): snapshot differs from %d × Observe: count %d/%d sum %d/%d max %d/%d",
+					v, n, n, got.Count, want.Count, got.Sum, want.Sum, got.Max, want.Max)
+			}
+			for _, q := range []float64{0.5, 0.99, 1} {
+				if got.Quantile(q) != want.Quantile(q) {
+					t.Fatalf("ObserveN(%d, %d): q%g = %d, want %d", v, n, q, got.Quantile(q), want.Quantile(q))
+				}
+			}
+			if d := got.Sub(before); d.Count != n || d.Sum != v*n || d.Counts[bucketOf(v)] != n {
+				t.Fatalf("ObserveN(%d, %d): delta count=%d sum=%d bucket=%d", v, n, d.Count, d.Sum, d.Counts[bucketOf(v)])
+			}
+			var mOne, mMany Histogram
+			mOne.Merge(&one)
+			mMany.Merge(&many)
+			if mOne.Snapshot() != mMany.Snapshot() {
+				t.Fatalf("ObserveN(%d, %d): merged snapshots differ", v, n)
+			}
+		}
+	}
+	var h Histogram
+	h.ObserveN(1<<30, 0)
+	if s := h.Snapshot(); s != (HistSnapshot{}) {
+		t.Fatalf("ObserveN(v, 0) recorded count=%d sum=%d max=%d", s.Count, s.Sum, s.Max)
+	}
+}
