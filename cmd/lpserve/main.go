@@ -112,13 +112,18 @@ func main() {
 		Fsync: *fsync, PipelineDepth: *pipeline, TraceCap: *traceCap,
 		TraceSample: *traceN, TraceSlow: *traceSlow,
 	}
-	tron := *trace || *traceN > 0 || *traceSlow > 0
+	if *trace || *traceN > 0 || *traceSlow > 0 {
+		// Enabled before New, so that the boot and recovery events of this
+		// very start are on the ring.
+		cfg.Tracer = obs.NewTracer(*traceCap)
+		cfg.Tracer.Enable(true)
+	}
 
 	if *nodeID != "" {
 		if *metrics == "" {
 			fail("-node-id requires -metrics (the cluster control plane address)")
 		}
-		runClusterNode(*nodeID, *metrics, cfg, *replWin, tron)
+		runClusterNode(*nodeID, *metrics, cfg, *replWin)
 		return
 	}
 
@@ -148,9 +153,6 @@ func main() {
 	s, err := kvserve.New(cfg)
 	if err != nil {
 		fail("%v", err)
-	}
-	if tron {
-		s.Tracer().Enable(true)
 	}
 	logRecovery(s, *path, "", *streams**keys)
 
@@ -221,11 +223,19 @@ func logRecovery(s *kvserve.Server, path, nodeTag string, preload int) {
 		fmt.Fprintf(os.Stderr, "lpserve:%s initialized fresh image %s (%d preloaded keys)\n",
 			tag, path, preload)
 	}
+	// The boot's record, as the server's registry holds it.
+	reg, kind := s.Metrics(), "fresh"
+	if s.Restored() {
+		kind = "restored"
+	}
+	took := reg.Scope("kind", kind).HistogramScaled("kvserve_boot_seconds", 1e-9).Snapshot().Sum
+	fmt.Fprintf(os.Stderr, "lpserve:%s boot kind=%s boot_seconds=%.6f image_bytes=%d persisted_bytes=%d\n", tag, kind,
+		float64(took)/1e9, reg.Gauge("kvserve_image_bytes").Load(), reg.Gauge("kvserve_boot_persisted_bytes").Load())
 }
 
 // runClusterNode boots the process as a cluster member and blocks
 // until SIGTERM/SIGINT.
-func runClusterNode(id, ctrlAddr string, cfg kvserve.Config, replWin int, trace bool) {
+func runClusterNode(id, ctrlAddr string, cfg kvserve.Config, replWin int) {
 	if cfg.Mode != lpstore.ModeLP {
 		fail("cluster members must run -mode lp (the replication ack rule is the LP group commit)")
 	}
@@ -237,9 +247,6 @@ func runClusterNode(id, ctrlAddr string, cfg kvserve.Config, replWin int, trace 
 	})
 	if err != nil {
 		fail("%v", err)
-	}
-	if trace {
-		n.Server().Tracer().Enable(true)
 	}
 	logRecovery(n.Server(), cfg.Path, id, cfg.Streams*cfg.Keys)
 	fmt.Fprintf(os.Stderr, "lpserve: node=%s serving %s on %s (ctrl http://%s)\n",

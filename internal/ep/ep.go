@@ -138,10 +138,20 @@ type Markers struct {
 
 // NewMarkers allocates and durably initializes one marker per thread.
 func NewMarkers(m *memsim.Memory, name string, nthreads int) Markers {
-	w := pmem.AllocU64(m, name, nthreads*markerStride)
-	w.Fill(m, MarkerNone)
-	return Markers{words: w}
+	mk := LayoutMarkers(m, name, nthreads)
+	mk.Format(m)
+	return mk
 }
+
+// LayoutMarkers allocates the markers' addresses and writes nothing; see
+// lp.LayoutTable for who wants that.
+func LayoutMarkers(m *memsim.Memory, name string, nthreads int) Markers {
+	return Markers{words: pmem.AllocU64(m, name, nthreads*markerStride)}
+}
+
+// Format durably initializes every marker to MarkerNone and returns the
+// bytes it persisted.
+func (mk Markers) Format(m *memsim.Memory) int { return mk.words.Fill(m, MarkerNone) }
 
 // Addr returns the address of thread tid's marker.
 func (mk Markers) Addr(tid int) memsim.Addr { return mk.words.Addr(tid * markerStride) }
@@ -169,7 +179,15 @@ type Recompute struct {
 // NewRecompute builds the EagerRecompute strategy for nthreads threads,
 // allocating its persistent progress markers from m.
 func NewRecompute(m *memsim.Memory, name string, nthreads int) *Recompute {
-	s := &Recompute{Markers: NewMarkers(m, name+".markers", nthreads)}
+	s := LayoutRecompute(m, name, nthreads)
+	s.Markers.Format(m)
+	return s
+}
+
+// LayoutRecompute is NewRecompute with the markers laid out but not
+// formatted (Markers.Format is the caller's, on a blank image only).
+func LayoutRecompute(m *memsim.Memory, name string, nthreads int) *Recompute {
+	s := &Recompute{Markers: LayoutMarkers(m, name+".markers", nthreads)}
 	s.threads = make([]*recomputeTS, nthreads)
 	for i := range s.threads {
 		s.threads[i] = &recomputeTS{parent: s, tid: i}

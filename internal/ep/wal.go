@@ -55,14 +55,22 @@ func WALStatus(v uint64) (key int, inTx, ok bool) {
 // NewWAL builds the WAL strategy. maxStores bounds the stores a single
 // region may perform (log capacity); exceeding it panics.
 func NewWAL(m *memsim.Memory, name string, nthreads, maxStores int) *WAL {
-	s := &WAL{Status: NewMarkers(m, name+".status", nthreads)}
+	s := LayoutWAL(m, name, nthreads, maxStores)
+	s.Status.Format(m)
+	return s
+}
+
+// LayoutWAL is NewWAL with the status words laid out but not formatted
+// (Status.Format is the caller's, on a blank image only). Logs and entry
+// counts start at zero, which fresh memory already is.
+func LayoutWAL(m *memsim.Memory, name string, nthreads, maxStores int) *WAL {
+	s := &WAL{Status: LayoutMarkers(m, name+".status", nthreads)}
 	s.logs = make([]pmem.U64, nthreads)
 	s.counts = make([]pmem.U64, nthreads)
 	s.thr = make([]*walTS, nthreads)
 	for i := range s.thr {
 		s.logs[i] = pmem.AllocU64(m, fmt.Sprintf("%s.log%d", name, i), 2*maxStores)
 		s.counts[i] = pmem.AllocU64(m, fmt.Sprintf("%s.logcount%d", name, i), markerStride)
-		s.counts[i].Fill(m, 0)
 		s.thr[i] = &walTS{parent: s, tid: i, max: maxStores, lines: NewLineSet()}
 	}
 	return s

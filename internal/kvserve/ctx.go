@@ -37,6 +37,7 @@ type fileCtx struct {
 
 	dirtyOrder []memsim.Addr
 	pendOrder  []memsim.Addr
+	persisted  int   // lines persistLines has written (recovery's share is the boot record's)
 	err        error // first fsync error; surfaced at commit points
 }
 
@@ -114,6 +115,7 @@ func (c *fileCtx) persistLines(lines []memsim.Addr) error {
 	for _, la := range lines {
 		c.mem.Persist(la, memsim.LineSize)
 	}
+	c.persisted += len(lines)
 	if c.pf.fsync {
 		return c.pf.sync()
 	}

@@ -3,13 +3,14 @@
 // closed-loop, in-process persistency study into a request-serving
 // system under open-loop concurrent load.
 //
-// The deployment mapping inverts the simulator's: here the process
-// heap plays the cache hierarchy and a backing file plays NVMM — and
-// not by analogy: the file's mapped image region is attached to the
-// server's memsim.Memory as its durable image (pmemfile.go), so a plain
-// store mutates only the heap image, durability is Memory.Persist of a
-// 64-byte line, and a restart loads the file with Memory.Crash. Kill -9
-// loses the heap and keeps the file — exactly the simulator's crash,
+// The deployment mapping inverts the simulator's: here the process's
+// own memory plays the cache hierarchy and a backing file plays NVMM —
+// and not by analogy: the server's memsim.Memory is built over an
+// anonymous mapping (the heap image) and the file's mapped image region
+// (its durable image; pmemfile.go), so a plain store mutates only the
+// heap image, durability is Memory.Persist of a 64-byte line, and a
+// restart loads the file with Memory.Crash. Kill -9 loses the heap
+// image and keeps the file — exactly the simulator's crash,
 // but produced by a real process death with a genuinely torn image:
 // committed journal prefixes, a half-written open batch, and table
 // lines leaked out of order by the background write-back goroutine.

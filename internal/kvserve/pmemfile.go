@@ -3,6 +3,7 @@ package kvserve
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -38,85 +39,106 @@ func headerBytes(cfg Config, imageSize int) []byte {
 	return h
 }
 
-// pmemFile is the durability domain: a file holding the geometry header
-// followed by the memory image, whose MAP_SHARED mapping (img) the
-// server attaches to its memsim.Memory as the durable image. The file
-// therefore *is* the Memory's NVMM: a line is durable exactly when
-// Memory.Persist/PersistLine has stored it, the heap image is the cache,
-// and memsim's inspection helpers (DurableLoad64) read what survives
-// kill -9. This type is only the file's lifecycle — header, open and
-// validate, map, sync, close. Disjoint lines may be persisted
+// pmemFile is the durability domain and the owner of both of the
+// server's images: a file holding the geometry header followed by the
+// memory image, whose MAP_SHARED mapping (img) is the memsim.Memory's
+// durable image, and an anonymous private mapping of the same size (heap),
+// its architectural one. The file therefore *is* the Memory's NVMM: a line
+// is durable exactly when Memory.Persist/PersistLine has stored it, the
+// heap image is the cache a kill -9 loses, and the page cache keeps the
+// stored bytes as it would pwrite()n ones (DESIGN §9 has the argument, and
+// the boot sequence this type is the file half of). Both mappings are
+// lazily zero, so an image costs the pages written into it, not its
+// geometry, and they share this type's lifecycle — open and validate,
+// map, commit the header, sync, close. Disjoint lines may be persisted
 // concurrently without coordination: the write-back goroutine, a shard's
 // flusher and its owner never share a line.
 //
-// Why a mapping is a faithful NVMM: a SIGKILL'd process loses its heap
-// (the simulated cache) but not the page cache, so bytes stored into the
-// shared mapping survive exactly as pwrite()n bytes would, while a
-// persist costs a 64-byte copy instead of a syscall. A kill can land
-// between the stores of one line; real NVM persists with 8-byte
-// atomicity too, and LP's batch checksums are the recovery story for
-// torn lines.
-//
-// Platform rule: kvserve needs a shared file mapping (syscall.Mmap —
-// linux, darwin, freebsd). There is no positional-write fallback; where
-// the mapping cannot be made, open fails.
+// Platform rule: kvserve needs a shared file mapping and an anonymous one
+// (syscall.Mmap — linux, darwin, freebsd). There is no positional-write
+// fallback and no Go-heap image; where a mapping cannot be made, open
+// fails. Linux also preallocates the file's blocks and turns read-around
+// off (pmemfile_linux.go); elsewhere the file stays sparse.
 type pmemFile struct {
 	f     *os.File
 	fsync bool
-	img   []byte // MAP_SHARED view of the image region
+	img   []byte // MAP_SHARED view of the file's image region
+	heap  []byte // MAP_ANON|MAP_PRIVATE, same size
 }
 
 // openPmemFile opens or creates the backing file for an image of
-// imageSize bytes and maps the image region. A zero-size (new) file
-// gets the header and a zero image, and restored=false is returned: the
-// caller persists its initial contents. An existing file must match the
-// expected header and size exactly and restored=true is returned: the
-// caller loads the image (Memory.Crash) and runs recovery.
-func openPmemFile(path string, cfg Config, imageSize int) (pf *pmemFile, restored bool, err error) {
+// imageSize bytes and maps both images. A file that never completed a
+// first boot — no longer than the image and its header page blank (an
+// empty file reads so), since commit writes the header last; or the
+// header and nothing else, which the header-first order of earlier
+// versions could leave — is cut to nothing and sized afresh, and restored=false is returned: the caller
+// formats, preloads and commits. Any other file must match the expected
+// header and size exactly and restored=true is returned: the caller loads
+// the image (Memory.Crash) and runs recovery.
+func openPmemFile(path string, cfg Config, imageSize int) (_ *pmemFile, restored bool, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, false, err
 	}
+	pf := &pmemFile{f: f, fsync: cfg.Fsync}
 	defer func() {
 		if err != nil {
-			f.Close()
+			pf.close()
 		}
 	}()
 	st, err := f.Stat()
 	if err != nil {
 		return nil, false, err
 	}
-	want := headerBytes(cfg, imageSize)
-	restored = st.Size() != 0
-	if restored {
-		got := make([]byte, headerSize)
-		if _, err = io.ReadFull(io.NewSectionReader(f, 0, headerSize), got); err != nil {
-			return nil, false, fmt.Errorf("kvserve: %s: short header: %w", path, err)
+	got := make([]byte, headerSize) // a short file reads as zero-padded
+	if _, err = f.ReadAt(got, 0); err != nil && err != io.EOF {
+		return nil, false, err
+	}
+	want, size := headerBytes(cfg, imageSize), int64(headerSize+imageSize)
+	switch {
+	case st.Size() <= size && bytes.Equal(got, make([]byte, headerSize)), st.Size() == headerSize && bytes.Equal(got, want):
+		if err = f.Truncate(0); err == nil {
+			if err = f.Truncate(size); err == nil {
+				err = preallocate(f, size)
+			}
 		}
-		if string(got[:len(pmemMagic)]) != pmemMagic {
-			return nil, false, fmt.Errorf("kvserve: %s is not a kvserve backing file", path)
-		}
-		if !bytes.Equal(got, want) {
-			return nil, false, fmt.Errorf("kvserve: %s geometry does not match the configuration", path)
-		}
-		if st.Size() != int64(headerSize+imageSize) {
-			return nil, false, fmt.Errorf("kvserve: %s is %d bytes, want %d", path, st.Size(), headerSize+imageSize)
-		}
-	} else {
-		if _, err = f.WriteAt(want, 0); err != nil {
-			return nil, false, err
-		}
-		if err = f.Truncate(int64(headerSize + imageSize)); err != nil {
-			return nil, false, err
-		}
+	case string(got[:len(pmemMagic)]) != pmemMagic:
+		err = fmt.Errorf("kvserve: %s is not a kvserve backing file", path)
+	case !bytes.Equal(got, want):
+		err = fmt.Errorf("kvserve: %s geometry does not match the configuration", path)
+	case st.Size() != size:
+		err = fmt.Errorf("kvserve: %s is %d bytes, want %d", path, st.Size(), size)
+	default:
+		restored = true
+	}
+	if err != nil {
+		return nil, false, err
 	}
 	// headerSize is one page, so the offset is always aligned.
-	img, err := syscall.Mmap(int(f.Fd()), headerSize, imageSize,
+	pf.img, err = syscall.Mmap(int(f.Fd()), headerSize, imageSize,
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-	if err != nil {
-		return nil, false, fmt.Errorf("kvserve: %s: mapping the image: %w", path, err)
+	if err == nil {
+		pf.heap, err = syscall.Mmap(-1, 0, imageSize,
+			syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	}
-	return &pmemFile{f: f, fsync: cfg.Fsync, img: img}, restored, nil
+	if err != nil {
+		return nil, false, fmt.Errorf("kvserve: %s: mapping the images: %w", path, err)
+	}
+	return pf, restored, nil
+}
+
+// commit ends a first boot. The header is what makes the file a kvserve
+// image, so it is written last and over a storage-durable image: killed
+// or powered off anywhere before it lands, the next open finds a blank
+// header page and starts the boot over.
+func (p *pmemFile) commit(header []byte) error {
+	err := p.sync()
+	if err == nil {
+		if _, err = p.f.WriteAt(header, 0); err == nil {
+			err = p.sync()
+		}
+	}
+	return err
 }
 
 // sync makes every line persisted so far storage-durable: fsync flushes
@@ -124,13 +146,15 @@ func openPmemFile(path string, cfg Config, imageSize int) (pf *pmemFile, restore
 // shared mapping.
 func (p *pmemFile) sync() error { return p.f.Sync() }
 
-// close unmaps the image and closes the file. The Memory must have been
-// detached from img first (see Server.closeFile).
+// close unmaps what is mapped and closes the file. The Memory must have
+// been detached from the images first (see Server.closeFile).
 func (p *pmemFile) close() error {
-	err := syscall.Munmap(p.img)
-	p.img = nil
-	if cerr := p.f.Close(); err == nil {
-		err = cerr
+	err := p.f.Close()
+	for _, m := range [][]byte{p.img, p.heap} {
+		if m != nil {
+			err = errors.Join(err, syscall.Munmap(m))
+		}
 	}
+	p.img, p.heap = nil, nil
 	return err
 }

@@ -1,0 +1,9 @@
+//go:build !linux
+
+package kvserve
+
+import "os"
+
+func preallocate(*os.File, int64) error { return nil }
+
+func storeByLine([]byte) {}

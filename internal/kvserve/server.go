@@ -35,8 +35,9 @@ type Stats struct {
 
 // Server is one kvserve instance. Build with New (which performs
 // preload or crash recovery), then Start to accept traffic, then
-// Close to drain gracefully. Contents is only safe before Start or
-// after Close/Abort returns; VerifyRecovered only before Start.
+// Close to drain gracefully. Contents is only safe while no put is in
+// flight and VerifyRecovered only before Start; both fail by name after
+// Close/Abort, which unmap the images.
 type Server struct {
 	cfg      Config
 	mem      *memsim.Memory
@@ -133,25 +134,40 @@ func New(cfg Config) (*Server, error) {
 	s.tidBase = uint64(time.Now().UnixNano()) << 20
 	s.slowNs = cfg.TraceSlow.Nanoseconds()
 
-	// The allocation order below is the layout contract with every
-	// prior incarnation of this config: guard line, persistence
-	// machinery, then shards in index order. The header check in
-	// openPmemFile refuses files whose geometry differs, but a layout
-	// change at equal geometry (e.g. reordering these calls) would
-	// corrupt silently — don't.
+	// The boot sequence (DESIGN §9): open → attach → layout →
+	// format+preload+commit | load+recover. Open comes first, so every
+	// later failure leaves through closeFile.
+	t0 := time.Now()
 	cap2 := 1
 	for cap2 < cfg.Capacity {
 		cap2 <<= 1
 	}
 	perShardWords := 2*cap2 + 2*cfg.MaxOps + cfg.MaxOps/cfg.BatchK + 2
-	s.mem = memsim.NewMemory(cfg.Shards*perShardWords*8 + (2 << 20))
+	size := (cfg.Shards*perShardWords*8 + (2 << 20) + memsim.LineMask) &^ memsim.LineMask
+	pf, restored, err := openPmemFile(cfg.Path, cfg, size)
+	if err != nil {
+		return nil, err
+	}
+	s.pf, s.restored = pf, restored
+	s.mem = memsim.NewMemoryOver(pf.heap, pf.img)
+	s.leakq = newRunQueue[lineSnap](leakDepth, leakDepth)
+
+	// The allocation order below is the layout contract with every
+	// prior incarnation of this config: guard line, persistence
+	// machinery, then shards in index order. The header check in
+	// openPmemFile refuses files whose geometry differs, but a layout
+	// change at equal geometry (e.g. reordering these calls) would
+	// corrupt silently — don't. Layout only hands out addresses, over a
+	// restored image as over a blank one; format, below, writes what a
+	// blank image holds that is not zero, and is under the same contract:
+	// a new non-zero initial value is a new file version.
 	s.mem.Alloc("kvserve.guard", memsim.LineSize)
 	switch cfg.Mode {
 	case lpstore.ModeEP:
-		s.rec = ep.NewRecompute(s.mem, "kvserve.ep", cfg.Shards)
+		s.rec = ep.LayoutRecompute(s.mem, "kvserve.ep", cfg.Shards)
 		s.rec.Obs = ep.NewTally(root, "ep")
 	case lpstore.ModeWAL:
-		s.wal = ep.NewWAL(s.mem, "kvserve.wal", cfg.Shards, 2) // a put stores ≤2 words
+		s.wal = ep.LayoutWAL(s.mem, "kvserve.wal", cfg.Shards, 2) // a put stores ≤2 words
 		s.wal.Obs = ep.NewTally(root, "wal")
 	}
 	base := make([][][2]uint64, cfg.Shards)
@@ -168,9 +184,9 @@ func New(cfg Config) (*Server, error) {
 	maxBatchLines := (2*cfg.BatchK*8+memsim.LineSize-1)/memsim.LineSize + 2
 	for id := 0; id < cfg.Shards; id++ {
 		name := fmt.Sprintf("kvserve.s%d", id)
-		sd := &shardState{id: id, baseline: base[id]}
+		sd := &shardState{id: id, baseline: base[id], ctx: newFileCtx(s.mem, pf, id)}
 		if cfg.Mode == lpstore.ModeLP {
-			sd.sh = lpstore.NewShardLP(s.mem, name, id, cfg.Capacity, cfg.MaxOps, cfg.BatchK, cfg.Kind)
+			sd.sh = lpstore.LayoutShardLP(s.mem, name, id, cfg.Capacity, cfg.MaxOps, cfg.BatchK, cfg.Kind)
 			sd.w = sd.sh.NewLPWriter()
 			sd.commitCh = make(chan *commitItem, cfg.PipelineDepth)
 			sd.freeCh = make(chan *commitItem, cfg.PipelineDepth)
@@ -215,37 +231,22 @@ func New(cfg Config) (*Server, error) {
 		s.shards = append(s.shards, sd)
 	}
 
-	// Only now does the file become the Memory's durable image: the
-	// constructors above format what they allocate (Fill → Persist), and
-	// through an attached mapping that would clobber a restored file.
-	pf, restored, err := openPmemFile(cfg.Path, cfg, s.mem.Size())
-	if err != nil {
-		return nil, err
-	}
-	s.mem.AttachDurable(pf.img)
-	s.pf = pf
-	s.restored = restored
-	s.leakq = newRunQueue[lineSnap](leakDepth, leakDepth)
-	for _, sd := range s.shards {
-		sd.ctx = newFileCtx(s.mem, pf, sd.id)
-	}
-
+	persisted := 0 // bytes this boot stored into the durable image
 	if restored {
 		// Loading the file is the simulator's crash: the heap image
 		// becomes what survived, RAM == NVMM, and recovery runs on that.
 		s.mem.Crash()
+		storeByLine(pf.img)
 		err = s.recoverAll()
-	} else {
-		// The blank file takes the constructors' format in one sweep;
-		// Preload then persists what it inserts itself (both images, its
-		// contract). The sweep comes first because first-touching the
-		// mapping table by table and sweeping afterwards boots ~12%
-		// slower on a small image (36 MB: 118 vs 104 ms).
-		s.mem.Persist(0, s.mem.Size())
 		for _, sd := range s.shards {
-			sd.sh.Preload(s.mem, len(sd.baseline), sd.basePair)
+			persisted += sd.ctx.persisted * memsim.LineSize
 		}
-		err = pf.sync()
+	} else {
+		// Nothing but format is written: the rest of a blank image is
+		// zero in both mappings because neither has been touched.
+		storeByLine(pf.img)
+		persisted = s.format()
+		err = pf.commit(headerBytes(cfg, size))
 	}
 	if err != nil {
 		s.closeFile()
@@ -254,7 +255,36 @@ func New(cfg Config) (*Server, error) {
 	for _, sd := range s.shards {
 		sd.occupied = sd.sh.Tab.Occupied(s.mem)
 	}
+	// The boot's record: its kind, its time, and its cost against the
+	// image's geometry.
+	kind, kindArg := "fresh", uint64(0)
+	if restored {
+		kind, kindArg = "restored", 1
+	}
+	root.With("kind", kind).HistogramScaled("kvserve_boot_seconds", 1e-9).Observe(uint64(time.Since(t0)))
+	root.Gauge("kvserve_image_bytes").Set(int64(size))
+	root.Gauge("kvserve_boot_persisted_bytes").Set(int64(persisted))
+	s.trace(obs.EvBoot, -1, kindArg, uint64(persisted))
 	return s, nil
+}
+
+// format writes a blank image's only non-zero contents — progress
+// markers and ack slots at their never-written sentinels, then the
+// preload — into both images, and returns the bytes it persisted.
+func (s *Server) format() (persisted int) {
+	switch s.cfg.Mode {
+	case lpstore.ModeEP:
+		persisted = s.rec.Markers.Format(s.mem)
+	case lpstore.ModeWAL:
+		persisted = s.wal.Status.Format(s.mem)
+	}
+	for _, sd := range s.shards {
+		if sd.sh.Ack != nil {
+			persisted += sd.sh.Ack.Format(s.mem)
+		}
+		persisted += sd.sh.Preload(s.mem, len(sd.baseline), sd.basePair)
+	}
+	return persisted
 }
 
 // recoverAll runs each mode's restart recovery over the loaded image.
@@ -400,10 +430,13 @@ func (s *Server) trace(typ obs.EventType, src int32, a, b uint64) {
 	}
 }
 
-// Contents merges every shard's architectural contents. Only safe
-// while the server is quiesced (before Start or after Close/Abort — it
-// reads the heap image, which outlives the file mapping).
+// Contents merges every shard's architectural contents. Only safe while
+// no put is in flight (before Start, or with every put sent answered): it
+// reads the heap image, which Close/Abort unmap — after them it panics.
 func (s *Server) Contents() map[uint64]uint64 {
+	if s.closed.Load() {
+		panic("kvserve: Contents after Close or Abort: the images are unmapped")
+	}
 	out := make(map[uint64]uint64)
 	for _, sd := range s.shards {
 		for k, v := range sd.sh.Tab.Contents(s.mem) {
@@ -416,10 +449,12 @@ func (s *Server) Contents() map[uint64]uint64 {
 // VerifyRecovered runs a second LP recovery pass over every shard and
 // reports an error unless each verifies cleanly — the idempotence
 // check a restarted operator runs before trusting the image. A no-op
-// under the other modes. Only safe between New and Start, and never
-// after Close/Abort: the pass may repair, repairs persist, and shutdown
-// has detached the durable image, so a repair there panics.
+// under the other modes. Only safe between New and Start; after
+// Close/Abort, which unmap the images, it is an error.
 func (s *Server) VerifyRecovered() error {
+	if s.closed.Load() {
+		return fmt.Errorf("kvserve: VerifyRecovered after Close or Abort: the images are unmapped")
+	}
 	if s.cfg.Mode != lpstore.ModeLP {
 		return nil
 	}
@@ -501,12 +536,12 @@ func (s *Server) shutdown(abort bool) error {
 	return err
 }
 
-// closeFile detaches the Memory from the mapping, then unmaps and
-// closes the file. The order matters: a persist that arrives after
-// Close/Abort must find an empty durable image and panic like any Go
-// out-of-range access, not fault on unmapped pages. The heap image
-// stays readable (Contents).
+// closeFile detaches the Memory from both images, then unmaps them and
+// closes the file — the one exit of whoever opened it, New's failures
+// included. The order matters: an access that arrives after Close/Abort
+// must find empty images and panic like any Go out-of-range access, not
+// fault on unmapped pages.
 func (s *Server) closeFile() error {
-	s.mem.AttachDurable(nil)
+	s.mem.Detach()
 	return s.pf.close()
 }

@@ -6,11 +6,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"lazyp/internal/checksum"
 	"lazyp/internal/lpstore"
 	"lazyp/internal/memsim"
 	"lazyp/internal/workloads"
@@ -513,9 +515,13 @@ func TestServeGeometryMismatch(t *testing.T) {
 // persisted through a shard's ctx is what memsim's inspection helper
 // returns and what the file holds, on a fresh boot and on a reopen; and
 // once the server is closed, a late persist is an ordinary panic, never
-// a fault on the unmapped file.
+// a fault on the unmapped file. Byte identity holds in both directions:
+// a fresh boot, which writes only what is not zero, leaves the two images
+// equal on every allocation, and reopening that file finds nothing to
+// repair.
 func TestBackingFileIsDurableImage(t *testing.T) {
 	cfg := testCfg(t, lpstore.ModeLP)
+	cfg.MaxOps = 1 << 18 // a journal 16 times the tables: what a boot must not write
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -536,12 +542,32 @@ func TestBackingFileIsDurableImage(t *testing.T) {
 		}
 	}
 
-	// A fresh boot leaves RAM == NVMM: the image sweep carries the
-	// constructors' format, Preload persists what it inserts.
-	for a := 0; a < s.mem.Size(); a += 8 {
-		if ram, nvmm := s.mem.Load64(memsim.Addr(a)), s.mem.DurableLoad64(memsim.Addr(a)); ram != nvmm {
-			t.Fatalf("fresh boot: heap image holds %#x at %#x, durable image %#x", ram, a, nvmm)
+	// A fresh boot leaves RAM == NVMM, allocation by allocation: format
+	// and Preload persist what they write, and everything they do not
+	// write is zero in both images because neither was ever touched.
+	for _, al := range s.mem.Allocations() {
+		var want func(i int, w uint64) bool
+		switch {
+		case strings.HasSuffix(al.Name, ".jrn"), al.Name == "kvserve.guard":
+			want = func(_ int, w uint64) bool { return w == 0 }
+		case strings.HasSuffix(al.Name, ".ack"):
+			want = func(_ int, w uint64) bool { return w == checksum.Invalid }
+		case strings.HasSuffix(al.Name, ".tab"):
+			pre := preloadOf(cfg)
+			want = func(i int, w uint64) bool { _, ok := pre[w]; return i%2 == 1 || w == 0 || ok }
+		default:
+			t.Fatalf("allocation %q: the test does not know its initial contents", al.Name)
 		}
+		for i := 0; i < al.Size/8; i++ {
+			a := al.Base + memsim.Addr(8*i)
+			ram, nvmm := s.mem.Load64(a), s.mem.DurableLoad64(a)
+			if ram != nvmm || !want(i, ram) {
+				t.Fatalf("fresh boot: %s word %d: heap image %#x, durable image %#x", al.Name, i, ram, nvmm)
+			}
+		}
+	}
+	if got, want := s.Contents(), preloadOf(cfg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fresh boot holds %d keys, want the %d preloaded", len(got), len(want))
 	}
 
 	c := s.shards[0].ctx
@@ -579,6 +605,11 @@ func TestBackingFileIsDurableImage(t *testing.T) {
 	defer s2.Close()
 	if !s2.Restored() {
 		t.Fatal("reopen did not detect the image")
+	}
+	for _, st := range s2.RecoveryStats() {
+		if !st.Verified || st.Repaired != 0 || st.AckedPuts != 0 {
+			t.Fatalf("reopening a fresh boot's file: %+v", st)
+		}
 	}
 	// Recovery truncated the unacknowledged journal word — durably, or
 	// the images would differ here.

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"lazyp/internal/lpstore"
+	"lazyp/internal/obs"
 )
 
 // The put path, one stage per benchmark, each built with New and never
@@ -312,5 +314,58 @@ func BenchmarkReplCodec(b *testing.B) {
 				b.Fatal("nothing decoded")
 			}
 		})
+	}
+}
+
+// BenchmarkBoot: kvserve.New alone, on put_sat's table with the journal
+// at a sixteenth of its size and at a quarter (MaxOps 1<<17 and 1<<19 per
+// shard). ns/boot and persisted-B/boot of a fresh boot must read the same
+// in both rows — it writes tables and ack slots, whatever the journal; a
+// restored boot of a drained image persists nothing and still pays the
+// load and recovery's passes over the journal, both linear in MaxOps
+// (ROADMAP item 2).
+func BenchmarkBoot(b *testing.B) {
+	for _, maxOps := range []int{1 << 17, 1 << 19} {
+		cfg := Config{
+			Mode: lpstore.ModeLP, Shards: 1, Capacity: 2 * stageKeys, MaxOps: maxOps, BatchK: 32,
+			Streams: 1, Keys: stageKeys,
+		}
+		for _, kind := range []string{"fresh", "restored"} {
+			b.Run(fmt.Sprintf("%s/maxops=%d", kind, maxOps), func(b *testing.B) {
+				cfg.Path = filepath.Join(b.TempDir(), "kv.img")
+				if kind == "restored" {
+					s, err := New(cfg)
+					if err != nil {
+						b.Fatalf("New: %v", err)
+					}
+					if err := s.Close(); err != nil {
+						b.Fatalf("Close: %v", err)
+					}
+				}
+				persisted := int64(0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if kind == "fresh" {
+						b.StopTimer()
+						os.Remove(cfg.Path)
+						b.StartTimer()
+					}
+					cfg.Registry = obs.NewRegistry()
+					s, err := New(cfg)
+					if err != nil {
+						b.Fatalf("New: %v", err)
+					}
+					b.StopTimer()
+					if s.Restored() != (kind == "restored") {
+						b.Fatalf("%s boot: Restored() = %v", kind, s.Restored())
+					}
+					persisted += cfg.Registry.Gauge("kvserve_boot_persisted_bytes").Load()
+					s.Abort()
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/boot")
+				b.ReportMetric(float64(persisted)/float64(b.N), "persisted-B/boot")
+			})
+		}
 	}
 }

@@ -260,10 +260,11 @@ func TestOneRuleBothPacings(t *testing.T) {
 				t.Fatalf("window %d: put %#x=%d acked %d times", window, kv[0], kv[1], n)
 			}
 		}
+		contents := s.Contents() // every op is answered; Close unmaps the image
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		return rep, s.Contents()
+		return rep, contents
 	}
 	closed, wantContents := run(32, true)
 	open, gotContents := run(1, false)

@@ -52,9 +52,21 @@ func NewTableStrided(m *memsim.Memory, name string, slots, strideWords int) *Tab
 		n:      slots,
 		stride: strideWords,
 	}
-	t.slots.Fill(m, checksum.Invalid)
+	t.Format(m)
 	return t
 }
+
+// LayoutTable is NewTable without the format: it allocates the dense
+// table's addresses and writes nothing, for a caller that lays out an
+// image before knowing whether it is blank (then Format) or holds a
+// prior run (then not — kvserve's restart).
+func LayoutTable(m *memsim.Memory, name string, slots int) *Table {
+	return &Table{slots: pmem.AllocU64(m, name, slots), n: slots, stride: 1}
+}
+
+// Format durably initializes every slot to Invalid, in both images, and
+// returns the bytes it persisted.
+func (t *Table) Format(m *memsim.Memory) int { return t.slots.Fill(m, checksum.Invalid) }
 
 // Slots returns the table capacity.
 func (t *Table) Slots() int { return t.n }

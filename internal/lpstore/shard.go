@@ -69,20 +69,27 @@ func NewShard(m *memsim.Memory, name string, id, capacity int) *Shard {
 	return &Shard{ID: id, Tab: NewStore(m, name+".tab", capacity)}
 }
 
-// NewShardLP builds a shard with the LP journal and acknowledgment
-// table sized for at most maxOps puts in batches of batchK. The journal
-// is durably zeroed: key word 0 marks a never-written entry, which is
-// how recovery measures a batch's length (sealed partial batches are
-// shorter than batchK, and the Modular checksum cannot distinguish
-// trailing zero words by itself).
+// NewShardLP builds a shard with the LP journal and a formatted ack
+// table, sized for at most maxOps puts in batches of batchK.
 func NewShardLP(m *memsim.Memory, name string, id, capacity, maxOps, batchK int, kind checksum.Kind) *Shard {
+	sh := LayoutShardLP(m, name, id, capacity, maxOps, batchK, kind)
+	sh.Ack.Format(m)
+	return sh
+}
+
+// LayoutShardLP is NewShardLP without the format: it writes nothing, so it
+// is safe over an image holding a prior run; over a blank one the caller
+// formats Ack. The journal needs none: fresh memory is durably zero, and
+// key word 0 marks a never-written entry, which is how recovery measures
+// a batch's length (sealed partial batches are shorter than batchK, and
+// the Modular checksum cannot distinguish trailing zero words by itself).
+func LayoutShardLP(m *memsim.Memory, name string, id, capacity, maxOps, batchK int, kind checksum.Kind) *Shard {
 	if batchK < 1 || maxOps < 1 {
 		panic("lpstore: batchK and maxOps must be positive")
 	}
 	sh := NewShard(m, name, id, capacity)
 	sh.Jrn = pmem.AllocU64(m, name+".jrn", 2*maxOps)
-	sh.Jrn.Fill(m, 0)
-	sh.Ack = lp.NewTable(m, name+".ack", (maxOps+batchK-1)/batchK+1)
+	sh.Ack = lp.LayoutTable(m, name+".ack", (maxOps+batchK-1)/batchK+1)
 	sh.BatchK = batchK
 	sh.MaxOps = maxOps
 	sh.kind = kind
@@ -94,8 +101,9 @@ func (sh *Shard) batches() int { return (sh.MaxOps + sh.BatchK - 1) / sh.BatchK 
 
 // Preload inserts n keys directly into the table — architectural and
 // durable images both, no simulation — before measured execution, the
-// same convention as the kernels' Fill. keyval yields the i-th pair.
-func (sh *Shard) Preload(m *memsim.Memory, n int, keyval func(i int) (k, v uint64)) {
+// same convention as the kernels' Fill. keyval yields the i-th pair;
+// the result is the bytes persisted (the whole table).
+func (sh *Shard) Preload(m *memsim.Memory, n int, keyval func(i int) (k, v uint64)) int {
 	c := &pmem.Native{Mem: m}
 	base := lp.Base{}.Thread(0)
 	for i := 0; i < n; i++ {
@@ -103,6 +111,7 @@ func (sh *Shard) Preload(m *memsim.Memory, n int, keyval func(i int) (k, v uint6
 		sh.Tab.Put(c, base, k, v)
 	}
 	m.Persist(sh.Tab.kv.Base, 2*sh.Tab.cap*pmem.WordSize)
+	return 2 * sh.Tab.cap * pmem.WordSize
 }
 
 // Writer drives one shard under one persistence discipline. It is

@@ -71,15 +71,14 @@ type Store struct {
 }
 
 // NewStore allocates a table with at least the given capacity (rounded
-// up to a power of two), durably zeroed (all slots empty).
+// up to a power of two). It writes nothing: all slots are empty because
+// fresh memory is durably zero (memsim.Alloc).
 func NewStore(m *memsim.Memory, name string, capacity int) *Store {
 	c := 1
 	for c < capacity {
 		c <<= 1
 	}
-	s := &Store{kv: pmem.AllocU64(m, name, 2*c), cap: c}
-	s.kv.Fill(m, 0)
-	return s
+	return &Store{kv: pmem.AllocU64(m, name, 2*c), cap: c}
 }
 
 // Cap returns the slot capacity.
@@ -251,10 +250,9 @@ func (s *Store) Contents(m *memsim.Memory) map[uint64]uint64 {
 
 // Occupied returns the architectural number of occupied slots.
 func (s *Store) Occupied(m *memsim.Memory) int {
-	words := s.kv.Snapshot(m)
 	n := 0
 	for i := 0; i < s.cap; i++ {
-		if words[2*i] != 0 {
+		if m.Load64(s.KeyAddr(i)) != 0 {
 			n++
 		}
 	}

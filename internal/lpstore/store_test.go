@@ -1,6 +1,7 @@
 package lpstore
 
 import (
+	"sync"
 	"testing"
 
 	"lazyp/internal/checksum"
@@ -296,4 +297,53 @@ func TestNewWriterPanicsForLP(t *testing.T) {
 		}
 	}()
 	sh.NewWriter(ModeLP, lp.Base{}.Thread(0))
+}
+
+// atomicCtx stores the way kvserve's fileCtx does: every word the single
+// writer mutates goes through Memory.AtomicStore64.
+type atomicCtx struct{ pmem.Native }
+
+func (c *atomicCtx) Store64(a memsim.Addr, v uint64) { c.Mem.AtomicStore64(a, v) }
+
+// TestSeqGetAgainstWriterRace is the -race witness for the seqlock over
+// an image the detector can see. kvserve's heap image is an anonymous
+// mapping, outside the race detector's shadow memory, so its
+// TestSeqlockStress still checks that no get is torn but no longer that
+// the table words are free of data races; here the same Put and SeqGet
+// run over memsim.NewMemory's Go-heap image. Readers assert the
+// contract: a value returned for a key is one the writer stored for it.
+func TestSeqGetAgainstWriterRace(t *testing.T) {
+	m := memsim.NewMemory(1 << 16)
+	s := NewStore(m, "t", 256)
+	s.EnableSeqlock()
+	c := &atomicCtx{pmem.Native{Mem: m}}
+	base := lp.Base{}.Thread(0)
+	const keys, rounds = 96, 200
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := uint64(i%keys + 1)
+				if v, ok, _ := s.SeqGet(m, k); ok && (v%keys+1 != k || v/keys >= rounds) {
+					t.Errorf("SeqGet(%d) = %d: not a value the writer stored under that key", k, v)
+					return
+				}
+			}
+		}(r)
+	}
+	for round := 0; round < rounds; round++ {
+		for k := uint64(1); k <= keys; k++ {
+			s.Put(c, base, k, uint64(round)*keys+k-1)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

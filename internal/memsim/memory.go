@@ -11,9 +11,9 @@ import (
 // durable NVMM contents (what survives a crash). The two arrays diverge
 // exactly on the lines that are dirty somewhere in the cache hierarchy;
 // WriteBackLine reconciles one line and accounts one NVMM write. The
-// durable image is a heap array unless AttachDurable substitutes the
-// caller's (kvserve: the mapped backing file), in which case "durable"
-// means whatever survives there.
+// images are heap arrays (NewMemory) or the caller's (NewMemoryOver —
+// kvserve: an anonymous mapping and the mapped backing file, so "durable"
+// means what survives there), who calls Detach before unmapping them.
 //
 // Memory also embeds a trivial bump allocator so that workloads can carve
 // named, line-aligned regions out of the address space. Address 0 is never
@@ -60,26 +60,30 @@ func NewMemory(capacity int) *Memory {
 	}
 }
 
+// NewMemoryOver creates a memory over the caller's images as they are:
+// nothing is copied or written, so a fresh pair must be zero (Alloc's
+// promise) and a durable image holding a prior run is followed by Crash.
+// Both are the same whole number of lines; backing is 8-byte aligned.
+func NewMemoryOver(backing, durable []byte) *Memory {
+	if len(backing) == 0 || len(backing)&LineMask != 0 || len(durable) != len(backing) {
+		panic(fmt.Sprintf("memsim: NewMemoryOver: images of %d and %d bytes", len(backing), len(durable)))
+	}
+	checkEndianness()
+	return &Memory{backing: backing, durable: durable, next: LineSize}
+}
+
+// Detach drops both images, so that any later access panics like an
+// index out of range instead of touching memory the owner has unmapped.
+func (m *Memory) Detach() { m.backing, m.durable = nil, nil }
+
 // Size returns the capacity of the memory in bytes.
 func (m *Memory) Size() int { return len(m.backing) }
 
-// AttachDurable makes img the durable image in place of the current one;
-// nothing is copied in either direction, so the caller follows with
-// Persist (img is blank) or Crash (img holds a prior run). img must be
-// Size() bytes and outlive its attachment. nil detaches: the durable
-// image becomes empty and any later access to it panics — what the owner
-// of a mapping wants before unmapping it.
-func (m *Memory) AttachDurable(img []byte) {
-	if img != nil && len(img) != len(m.backing) {
-		panic(fmt.Sprintf("memsim: AttachDurable: image is %d bytes, memory is %d", len(img), len(m.backing)))
-	}
-	m.durable = img
-}
-
 // Alloc reserves size bytes, line-aligned, and returns the base address.
 // Initial contents are zero in both the architectural and durable images
-// (i.e. freshly allocated persistent memory is durably zero) — unless an
-// attached durable image says otherwise; Alloc never writes to it.
+// (i.e. freshly allocated persistent memory is durably zero, so no
+// constructor zero-fills) — unless images handed to NewMemoryOver say
+// otherwise; Alloc writes to neither.
 func (m *Memory) Alloc(name string, size int) Addr {
 	if size <= 0 {
 		panic(fmt.Sprintf("memsim: Alloc(%q, %d): non-positive size", name, size))
@@ -116,8 +120,12 @@ func (m *Memory) LoadFloat64(a Addr) float64 { return math.Float64frombits(m.Loa
 func (m *Memory) StoreFloat64(a Addr, v float64) { m.Store64(a, math.Float64bits(v)) }
 
 // DurableLoad64 returns the durable (NVMM) value of the word at a — the
-// value that would survive a crash right now.
+// value that would survive a crash right now. An inspection helper, so
+// it can afford to name itself on a detached memory.
 func (m *Memory) DurableLoad64(a Addr) uint64 {
+	if m.durable == nil {
+		panic("memsim: DurableLoad64 on a detached memory")
+	}
 	return binary.LittleEndian.Uint64(m.durable[a:])
 }
 

@@ -2,6 +2,8 @@ package memsim
 
 import (
 	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -112,21 +114,24 @@ func TestPersistInitializesDurable(t *testing.T) {
 	}
 }
 
-// TestAttachDurable: after attaching a caller-supplied image, every way
-// of making a line durable lands in that slice (and nowhere else),
-// Crash loads from it, nothing is copied at attach time, and detaching
-// turns a late persist into an ordinary panic.
-func TestAttachDurable(t *testing.T) {
-	m := NewMemory(1 << 12)
+// TestMemoryOverImages: a memory built over the caller's two images
+// copies nothing, every way of making a line durable lands in the durable
+// slice (and nowhere else), stores land in the backing slice, Crash loads
+// from the durable one, and Detach turns late use into an ordinary panic —
+// one that names the call, for the inspection helper.
+func TestMemoryOverImages(t *testing.T) {
+	const size = 1 << 12
+	backing, img := alignedBytes(size), make([]byte, size)
+	binary.LittleEndian.PutUint64(img[LineSize:], 5) // a prior run's bytes
+	m := NewMemoryOver(backing, img)
 	a := m.Alloc("x", 4*LineSize)
-	m.Store64(a, 1)
-	m.Persist(a, LineSize) // reaches the heap image only
-	img := make([]byte, m.Size())
-	m.AttachDurable(img)
-	if got := m.DurableLoad64(a); got != 0 {
-		t.Fatalf("attach copied the old durable image: durable=%d", got)
+	if a != LineSize || m.Size() != size {
+		t.Fatalf("first allocation at %#x of %d bytes", a, m.Size())
 	}
-	word := func(off Addr) uint64 { return binary.LittleEndian.Uint64(img[off:]) }
+	if m.Load64(a) != 0 || m.DurableLoad64(a) != 5 {
+		t.Fatalf("construction copied between the images: ram=%d durable=%d", m.Load64(a), m.DurableLoad64(a))
+	}
+	word := func(b []byte, off Addr) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
 
 	m.Store64(a, 11)
 	m.Persist(a, LineSize)
@@ -140,43 +145,83 @@ func TestAttachDurable(t *testing.T) {
 		off  Addr
 		want uint64
 	}{{a, 11}, {a + LineSize, 22}, {a + 2*LineSize + 8, 33}} {
-		if got := word(c.off); got != c.want || m.DurableLoad64(c.off) != c.want {
-			t.Fatalf("attached image at %#x = %d (DurableLoad64 %d), want %d", c.off, got, m.DurableLoad64(c.off), c.want)
+		if got := word(img, c.off); got != c.want || m.DurableLoad64(c.off) != c.want {
+			t.Fatalf("durable image at %#x = %d (DurableLoad64 %d), want %d", c.off, got, m.DurableLoad64(c.off), c.want)
 		}
+	}
+	if got := word(backing, a+2*LineSize+8); got != 99 {
+		t.Fatalf("a store did not land in the caller's backing image: %d", got)
 	}
 	if total, _, flush, _ := m.NVMMWrites(); total != 1 || flush != 1 {
 		t.Fatalf("only WriteBackLine counts NVMM traffic: total %d flush %d", total, flush)
 	}
 
-	binary.LittleEndian.PutUint64(img[a+3*LineSize:], 44) // a prior run's bytes
+	binary.LittleEndian.PutUint64(img[a+3*LineSize:], 44)
 	m.Crash()
 	if got := m.Load64(a + 3*LineSize); got != 44 {
-		t.Fatalf("Crash did not load the attached image: %d", got)
+		t.Fatalf("Crash did not load the durable image: %d", got)
 	}
 	if got := m.Load64(a + 2*LineSize + 8); got != 33 {
 		t.Fatalf("Crash kept an unpersisted store: %d", got)
 	}
 
-	m.AttachDurable(nil)
-	if got := m.Load64(a); got != 11 {
-		t.Fatalf("detach disturbed the architectural image: %d", got)
+	m.Detach()
+	for name, use := range map[string]func(){
+		"Persist":       func() { m.Persist(a, LineSize) },
+		"Load64":        func() { m.Load64(a) },
+		"AtomicStore64": func() { m.AtomicStore64(a, 1) },
+		"DurableLoad64": func() { m.DurableLoad64(a) },
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s after Detach did not panic", name)
+				}
+				if name == "DurableLoad64" && !strings.Contains(fmt.Sprint(r), name) {
+					t.Fatalf("DurableLoad64 after Detach panicked without naming itself: %v", r)
+				}
+			}()
+			use()
+		}()
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Persist after detach did not panic")
-		}
-	}()
-	m.Persist(a, LineSize)
+	if word(backing, a) != 11 || word(img, a) != 11 {
+		t.Fatal("Detach disturbed the caller's images")
+	}
 }
 
-func TestAttachDurableSizeMismatchPanics(t *testing.T) {
-	m := NewMemory(1 << 12)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on a short image")
+func TestMemoryOverSizeMismatchPanics(t *testing.T) {
+	for _, sizes := range [][2]int{{1 << 12, 1<<12 - LineSize}, {1<<12 + 8, 1<<12 + 8}, {0, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic on images of %d and %d bytes", sizes[0], sizes[1])
+				}
+			}()
+			NewMemoryOver(make([]byte, sizes[0]), make([]byte, sizes[1]))
+		}()
+	}
+}
+
+// TestAllocIsZeroInBothImages pins the promise that lets constructors
+// skip zero-filling: whatever was allocated, stored and persisted before,
+// a fresh allocation reads zero architecturally and durably.
+func TestAllocIsZeroInBothImages(t *testing.T) {
+	m := NewMemory(1 << 14)
+	a := m.Alloc("used", 3*LineSize+8)
+	for off := Addr(0); off < 3*LineSize+8; off += 8 {
+		m.Store64(a+off, ^uint64(0))
+	}
+	m.Persist(a, 3*LineSize+8)
+	b := m.Alloc("fresh", 1<<12)
+	if b != a+4*LineSize {
+		t.Fatalf("fresh allocation at %#x, want the next whole line %#x", b, a+4*LineSize)
+	}
+	for off := Addr(0); off < 1<<12; off += 8 {
+		if m.Load64(b+off) != 0 || m.DurableLoad64(b+off) != 0 {
+			t.Fatalf("fresh allocation holds %#x / %#x at +%d", m.Load64(b+off), m.DurableLoad64(b+off), off)
 		}
-	}()
-	m.AttachDurable(make([]byte, m.Size()-LineSize))
+	}
 }
 
 func TestWriteBackCauseSplit(t *testing.T) {

@@ -57,6 +57,8 @@ const (
 	EvStageFwdWrite // replication frame hit the wire; a=traceID
 	EvStageFwdAck   // follower ack resolved the forward; a=traceID, b=1 acked / 0 degraded
 	EvSlowPut       // tail sample: put latency over threshold; a=key, b=latency ns
+
+	EvBoot // a kvserve image was brought up; a=0 fresh / 1 restored, b=bytes persisted doing it
 )
 
 var evNames = [...]string{
@@ -89,6 +91,7 @@ var evNames = [...]string{
 	EvStageFwdWrite:  "stage_fwd_write",
 	EvStageFwdAck:    "stage_fwd_ack",
 	EvSlowPut:        "slow_put",
+	EvBoot:           "boot",
 }
 
 func (t EventType) String() string {

@@ -136,10 +136,12 @@ func (v U64) Snapshot(m *memsim.Memory) []uint64 {
 	return out
 }
 
-// Fill initializes every word to x directly (architectural + durable).
-func (v U64) Fill(m *memsim.Memory, x uint64) {
+// Fill initializes every word to x directly (architectural + durable)
+// and returns the bytes it persisted.
+func (v U64) Fill(m *memsim.Memory, x uint64) int {
 	for i := 0; i < v.N; i++ {
 		m.Store64(v.Addr(i), x)
 	}
 	m.Persist(v.Base, v.N*WordSize)
+	return v.N * WordSize
 }
