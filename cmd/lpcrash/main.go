@@ -199,9 +199,9 @@ func runKV(variant, mix string, at, clean float64, threads int, double, jsonOut 
 		if spec.Variant == harness.VariantLP && tid < len(ses.Stats) {
 			st := ses.Stats[tid]
 			if st.Verified {
-				line += fmt.Sprintf(" (%d batches; table verified in place)", st.AckedBatches)
+				line += fmt.Sprintf(" (in %d journal windows; table verified in place)", st.AckedBatches)
 			} else {
-				line += fmt.Sprintf(" (%d batches; %d deviations — shard rebuilt eagerly)",
+				line += fmt.Sprintf(" (in %d journal windows; %d deviations — shard rebuilt eagerly)",
 					st.AckedBatches, st.Repaired)
 			}
 		}

@@ -6,7 +6,7 @@
 // initialized with the preloaded dataset; an existing path is loaded
 // and recovered — LP journal replay with ghost-wiping repair, WAL
 // rollback — before the listener accepts a single connection. SIGTERM
-// or SIGINT drains gracefully: open batches are padded and committed,
+// or SIGINT drains gracefully: open batches are sealed and committed,
 // every queued client is answered, and the file is synced, so the next
 // boot recovers with zero repair.
 //
@@ -84,7 +84,7 @@ func main() {
 		keys      = flag.Int("keys", 2048, "preloaded keys per stream")
 		seed      = flag.Uint64("seed", 1, "preload value seed")
 		mailbox   = flag.Int("mailbox", 256, "per-shard request queue depth")
-		batchWait = flag.Duration("batchwait", 500*time.Microsecond, "max time an open batch waits before padding")
+		batchWait = flag.Duration("batchwait", 500*time.Microsecond, "max time an open batch waits for its K-th put before it is sealed short")
 		maxDelay  = flag.Duration("maxdelay", 0, "per-request mailbox deadline (0 = none)")
 		fsync     = flag.Bool("fsync", false, "fsync the backing file on every commit")
 		pipeline  = flag.Int("pipeline", 4, "LP commit pipeline depth (1 = synchronous group commit)")

@@ -38,11 +38,13 @@ func expCluster(w io.Writer, o Options) error {
 	// the nodes, and insert-heavy phases must not exhaust a shard's LP
 	// journal — a full journal answers StatusFull, which stalls
 	// replication catch-up (replays degrade forever) instead of failing
-	// loudly.
+	// loudly. A put is one journal record on each of its two copies: the
+	// busiest shard writes some 30 k over the rounds (the hot keys' shard
+	// of the single-node round), so 1<<16 leaves it half empty.
 	nodeCfg := func(path string) kvserve.Config {
 		c := kvserve.Config{
 			Addr: "127.0.0.1:0", Path: path, Mode: lpstore.ModeLP,
-			Shards: 2, Capacity: 1 << 15, MaxOps: 1 << 17, BatchK: 32,
+			Shards: 2, Capacity: 1 << 15, MaxOps: 1 << 16, BatchK: 32,
 			Streams: 4, Keys: 2048, Seed: 16,
 			Mailbox: 256, BatchWait: 300 * time.Microsecond,
 			PipelineDepth: 2,

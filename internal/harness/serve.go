@@ -25,12 +25,12 @@ func expServe(w io.Writer, o Options) error {
 	}
 	defer os.RemoveAll(dir)
 
-	// Journal sizing headroom: worst case every put opens its own batch
-	// and pads, consuming BatchK entries per put; Conns*Ops puts across
-	// Shards shards stay far below Shards*MaxOps even then.
+	// Journal sizing: a put is one record however its batch sealed, so a
+	// shard's journal holds a round's Conns*Ops/2 puts even if every one
+	// of them hashed to it.
 	cfg := kvserve.Config{
 		Addr: "127.0.0.1:0", Mode: lpstore.ModeLP,
-		Shards: 4, Capacity: 1 << 14, MaxOps: 1 << 17, BatchK: 16,
+		Shards: 4, Capacity: 1 << 14, MaxOps: 1 << 14, BatchK: 16,
 		Streams: 4, Keys: 2048, Seed: 1,
 		Mailbox: 256, BatchWait: 500 * time.Microsecond,
 	}
@@ -39,7 +39,7 @@ func expServe(w io.Writer, o Options) error {
 		Streams: cfg.Streams, Keys: cfg.Keys, Seed: cfg.Seed,
 	}
 	if o.Quick {
-		cfg.Shards, cfg.Capacity, cfg.MaxOps = 2, 1<<12, 1<<14
+		cfg.Shards, cfg.Capacity, cfg.MaxOps = 2, 1<<12, 1<<10
 		cfg.Streams, cfg.Keys = 2, 256
 		load.Streams, load.Keys = cfg.Streams, cfg.Keys
 		load.Ops = 300

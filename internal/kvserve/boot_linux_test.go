@@ -4,14 +4,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"syscall"
 	"testing"
 	"unsafe"
 
 	"lazyp/internal/lpstore"
 	"lazyp/internal/obs"
-	"lazyp/internal/workloads"
 )
 
 // residentBytes counts the pages of a mapping that are in memory: for the
@@ -76,35 +74,5 @@ func TestBootFootprint(t *testing.T) {
 			}
 		}
 		s.Abort()
-	}
-}
-
-// TestNewFailureReleasesTheImages: New fails after both images exist —
-// here on a journal acknowledged up to the middle of a batch, which group
-// commit never writes — and leaves through closeFile like every other
-// exit, which unmaps the heap image and the file (the mapping that
-// /proc/self/maps can name).
-func TestNewFailureReleasesTheImages(t *testing.T) {
-	cfg := testCfg(t, lpstore.ModeLP)
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	sd := s.shards[0]
-	sd.w.Put(sd.ctx, workloads.KVKey(7, 0), 1)
-	sd.w.Seal(sd.ctx) // a one-put batch, sealed short instead of padded
-	if err := sd.ctx.persistLines(sd.ctx.takeDirty()); err != nil {
-		t.Fatalf("persistLines: %v", err)
-	}
-	s.Abort()
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "batch boundary") {
-		t.Fatalf("New over a half-batch journal = %v", err)
-	}
-	maps, err := os.ReadFile("/proc/self/maps")
-	if err != nil {
-		t.Fatalf("reading /proc/self/maps: %v", err)
-	}
-	if strings.Contains(string(maps), cfg.Path) {
-		t.Fatal("the failed New left the file mapped")
 	}
 }

@@ -18,14 +18,15 @@ import (
 // commitCh), so the steady-state commit path never allocates.
 //
 // The snapshots are taken by the owner, not read later by the flusher:
-// the lp.Table ack slots are dense, so batch N's checksum line is also
-// batch N+1..N+3's, and by the time the flusher ran, the owner might
-// have stored the next batch's checksum into the very line whose write
-// would acknowledge this one. Sealing freezes the bytes instead; the
-// per-shard flusher writes items in FIFO order, so the file image of a
-// shared line only ever moves forward.
+// a window's checksum slot is committed again by every later seal inside
+// the window (and its line holds seven more windows' slots), and a
+// journal line may hold the next batch's first records — by the time the
+// flusher ran, the owner might have stored the next batch's checksum into
+// the very line whose write would acknowledge this one. Sealing freezes
+// the bytes instead; the per-shard flusher writes items in FIFO order, so
+// the file image of a shared line only ever moves forward.
 type commitItem struct {
-	batch   int       // batch index (trace)
+	batch   int       // journal window of the batch's last record (trace)
 	seq     int       // journal put seq after this batch (trace)
 	sealed  time.Time // commit latency epoch
 	pending []request
@@ -74,6 +75,7 @@ func (s *Server) flushItem(sd *shardState, it *commitItem) {
 		for i, la := range it.lines {
 			s.mem.PersistLine(la, &it.bufs[i])
 		}
+		s.ctCommitLines.Add(uint64(len(it.lines)))
 		if s.pf.fsync {
 			err = s.pf.sync()
 		}

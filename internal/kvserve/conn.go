@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lazyp/internal/lpstore"
 	"lazyp/internal/obs"
 )
 
@@ -271,7 +270,7 @@ func (s *Server) connReader(cn *srvConn) {
 			rb = AppendResp(rb, seq, StatusOK, granted)
 		case op == OpPing:
 			rb = AppendResp(rb, seq, StatusOK, 0)
-		case (op != OpGet && op != OpPut) || key == 0 || key == lpstore.NopKey:
+		case (op != OpGet && op != OpPut) || key == 0:
 			rb = AppendResp(rb, seq, StatusBadRequest, 0)
 		case s.draining.Load():
 			rb = AppendResp(rb, seq, StatusShutdown, 0)
@@ -465,7 +464,7 @@ func (s *Server) handleReplBatch(cn *srvConn, br *bufio.Reader, seq uint32, coun
 	now := time.Now()
 	// buf is as long as ReplPayloadLen said: the decode cannot refuse it.
 	DecodeReplBatch(count, tcount, buf, func(key, val, tid uint64) {
-		if key == 0 || key == lpstore.NopKey {
+		if key == 0 {
 			rb.reply(StatusBadRequest)
 			return
 		}

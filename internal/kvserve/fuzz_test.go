@@ -101,6 +101,9 @@ func FuzzConnReader(f *testing.F) {
 	f.Add(cat(hello, reqFrame(OpReplBatch, 5, 2, 3)))                               // refused: more trace entries than pairs
 	f.Add(cat(hello, replFrame(6, pairs, nil)[:ReqSize+20]))                        // cut payload
 	f.Add(cat(hello, reqFrame(OpHello, 2, FeatTrace, 0), replFrame(7, pairs, nil))) // the grant given back
+	// The all-ones key was the pad records' until ISSUE 24; it is a key.
+	f.Add(cat(reqFrame(OpPut, 7, ^uint64(0), 9), reqFrame(OpGet, 8, ^uint64(0), 0)))
+	f.Add(cat(hello, replFrame(8, [][2]uint64{{^uint64(0), 1}, {k(4), 2}}, nil)))
 
 	cfg := Config{
 		Path: f.TempDir() + "/kv.img", Mode: lpstore.ModeLP, Shards: 2, Capacity: 1 << 10,

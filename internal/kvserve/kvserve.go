@@ -23,12 +23,13 @@
 //     shards assume, so no locks anywhere on the data path);
 //   - under LP, the owner group-commits: puts journal and mutate the
 //     table with plain heap stores, and when the batch reaches BatchK
-//     puts (or BatchWait expires, padding with lpstore.NopKey), the
-//     batch's journal lines and its lp.Table checksum line are written
-//     to the file in one burst — one file write set per K puts.
+//     puts (or BatchWait expires and it is sealed short), the batch's
+//     journal lines and the lp.Table checksum line of its journal
+//     window are written to the file in one burst — one file write set
+//     per batch, as long as the records the batch holds.
 //     Clients are acked only after that write set completes, so the
 //     service's durability contract is exactly lpstore's acked-prefix
-//     guarantee: a put is durable iff recovery acknowledges its batch;
+//     guarantee: a put is durable iff recovery acknowledges its record;
 //   - under EP every put flushes and fences its own lines (one write
 //     set per put), and under WAL every put runs a durable undo-logged
 //     transaction (several write sets per put) — the same Figure-10
@@ -42,7 +43,7 @@
 //     unprocessed (StatusExpired), and near-full tables or an
 //     exhausted journal reject puts (StatusFull);
 //   - graceful drain: Close stops the listener, lets owners drain
-//     their mailboxes, pads and commits open batches, and syncs the
+//     their mailboxes, seals and commits open batches, and syncs the
 //     file, so a SIGTERM'd server restarts with zero repair;
 //   - crash-recovering restart: opening an existing backing file
 //     replays every shard's journal through lpstore.RecoverLP before
@@ -81,7 +82,8 @@ type Config struct {
 	// MaxOps is the per-shard journal capacity in puts, the lifetime
 	// put budget of an LP shard across restarts. Multiple of BatchK.
 	MaxOps int
-	// BatchK is the LP group-commit size: puts per checksum region.
+	// BatchK is the LP group-commit size: the most puts a batch holds,
+	// and the journal records per checksum region (window).
 	BatchK int
 	// Kind is the checksum code for LP batches.
 	Kind checksum.Kind
@@ -98,7 +100,7 @@ type Config struct {
 	// answers StatusOverload immediately (backpressure, not buffering).
 	Mailbox int
 	// BatchWait bounds how long an open LP batch waits for more puts
-	// before it is padded and committed.
+	// before it is sealed short of BatchK and committed.
 	BatchWait time.Duration
 	// MaxQueueDelay expires requests that waited longer than this in
 	// the mailbox (0 disables the deadline).

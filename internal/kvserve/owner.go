@@ -94,7 +94,7 @@ type shardState struct {
 type shardObs struct {
 	mbDepth      *obs.Gauge     // kvserve_mailbox_depth
 	mbHigh       *obs.Gauge     // kvserve_mailbox_high_water
-	jrnUsed      *obs.Gauge     // kvserve_journal_used (LP: puts journaled)
+	jrnUsed      *obs.Gauge     // kvserve_journal_used (LP: journal records written, one per client put)
 	jrnCap       *obs.Gauge     // kvserve_journal_capacity (LP: MaxOps)
 	pipeInflight *obs.Gauge     // kvserve_pipeline_inflight: sealed, unflushed batches
 	batchFill    *obs.Histogram // kvserve_batch_fill: client puts acked per committed batch
@@ -149,7 +149,7 @@ func (s *Server) owner(sd *shardState) {
 			spare = run
 		case closed:
 			if len(sd.pending) > 0 && !s.aborting.Load() {
-				s.seal(sd, true)
+				s.seal(sd)
 			}
 			if sd.commitCh != nil {
 				close(sd.commitCh)
@@ -165,7 +165,7 @@ func (s *Server) owner(sd *shardState) {
 					<-t.C
 				}
 			case <-t.C:
-				s.seal(sd, true)
+				s.seal(sd)
 			}
 		}
 	}
@@ -206,7 +206,7 @@ func (s *Server) apply(sd *shardState, run []request) {
 			continue
 		}
 		s.ctPuts.Inc()
-		insBefore, batchBefore := sd.w.Inserts, sd.w.Batch()
+		insBefore := sd.w.Inserts
 		sd.w.Put(c, r.key, r.val)
 		sd.occupied += int(sd.w.Inserts - insBefore)
 		switch s.cfg.Mode {
@@ -216,11 +216,9 @@ func (s *Server) apply(sd *shardState, run []request) {
 				sd.openAt = now // fill-stage epoch, whatever seals the batch
 				sd.deadline = now.Add(s.cfg.BatchWait)
 			}
-			switch {
-			case sd.w.Batch() != batchBefore:
-				s.seal(sd, false)
-			case r.sealHint && i == len(run)-1 && sd.mb.depth() == 0:
-				s.seal(sd, true)
+			if len(sd.pending) == s.cfg.BatchK ||
+				(r.sealHint && i == len(run)-1 && sd.mb.depth() == 0) {
+				s.seal(sd)
 			}
 			continue
 		case lpstore.ModeEP, lpstore.ModeWAL:
@@ -238,29 +236,32 @@ func (s *Server) apply(sd *shardState, run []request) {
 		r.reply(StatusOK, 0)
 	}
 	if len(sd.pending) > 0 && !now.Before(sd.deadline) {
-		s.seal(sd, true)
+		s.seal(sd)
 	}
 	s.leak(sd)
 }
 
-// seal closes the open LP batch (padding it if it closed on timeout or
-// drain rather than on its K-th put), snapshots the batch's durable
-// write set — its journal-window lines and checksum line — into a free
-// commitItem, and hands the item to the shard's flusher. The owner
-// returns to filling the next batch immediately; the batch's clients
-// are acked by the flusher once the write set (and fsync, if priced)
-// completes — the pipelined group-commit durability point. An
+// seal closes the open LP batch — the records journaled since the last
+// seal, BatchK of them or fewer (deadline, seal hint, drain) — by
+// committing the open window's checksum over the records it holds, then
+// snapshots the batch's durable write set into a free commitItem and
+// hands the item to the shard's flusher. The write set is the journal
+// lines of the batch's records and the checksum line of each window they
+// fall in: one, or two when the batch straddles a window boundary, the
+// lower window's first — the order recovery walks, so a crash between the
+// two leaves the lower window acknowledged whole and the upper one as it
+// was. The owner returns to filling the next batch immediately; the
+// batch's clients are acked by the flusher once the write set (and fsync,
+// if priced) completes — the pipelined group-commit durability point. An
 // exhausted item ring (PipelineDepth sealed batches already in flight)
 // blocks here: flush-side backpressure.
-func (s *Server) seal(sd *shardState, padded bool) {
-	c := sd.ctx
+func (s *Server) seal(sd *shardState) {
 	t0 := time.Now()
-	if padded {
-		s.ctPads.Add(uint64(sd.w.PadBatch(c)))
-	}
+	sd.w.Seal(sd.ctx)
 	it := <-sd.freeCh
-	it.batch = sd.w.Batch() - 1
 	it.seq = sd.w.Seq()
+	from := it.seq - len(sd.pending)
+	it.batch = (it.seq - 1) / sd.sh.BatchK
 	it.sealed = t0
 	it.pending, sd.pending = sd.pending, it.pending[:0]
 	if len(it.pending) > 0 && !sd.openAt.IsZero() {
@@ -278,14 +279,17 @@ func (s *Server) seal(sd *shardState, padded bool) {
 		s.forwardBatch(sd, it)
 	}
 
-	base := it.batch * sd.sh.BatchK
-	first := memsim.LineOf(sd.sh.Jrn.Addr(2 * base))
-	last := memsim.LineOf(sd.sh.Jrn.Addr(2*(base+sd.sh.BatchK) - 1))
+	first := memsim.LineOf(sd.sh.Jrn.Addr(2 * from))
+	last := memsim.LineOf(sd.sh.Jrn.Addr(2*it.seq - 1))
 	it.lines = it.lines[:0]
 	for la := first; la <= last; la += memsim.LineSize {
 		it.lines = append(it.lines, la)
 	}
-	it.lines = append(it.lines, memsim.LineOf(sd.sh.Ack.SlotAddr(it.batch)))
+	lo := memsim.LineOf(sd.sh.Ack.SlotAddr(from / sd.sh.BatchK))
+	it.lines = append(it.lines, lo)
+	if hi := memsim.LineOf(sd.sh.Ack.SlotAddr(it.batch)); hi != lo {
+		it.lines = append(it.lines, hi)
+	}
 	for i, la := range it.lines {
 		it.bufs[i] = s.mem.LoadLine(la)
 	}
@@ -362,5 +366,6 @@ func (s *Server) writeBack() {
 		for i := range run {
 			s.mem.PersistLine(run[i].la, &run[i].buf)
 		}
+		s.ctLeakLines.Add(uint64(len(run)))
 	}
 }

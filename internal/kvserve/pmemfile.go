@@ -11,9 +11,12 @@ import (
 )
 
 const (
-	// pmemMagic identifies a kvserve backing file; the trailing digits
-	// version the header layout.
-	pmemMagic = "LPKVPM01"
+	// pmemMagic identifies a kvserve backing file: the family, then two
+	// digits that version the header layout and the image format under
+	// it. 02: an LP journal of growing-window acks; a 01 journal's pad
+	// records would replay as puts of key ^0, so 01 files are refused.
+	pmemFamily = "LPKVPM"
+	pmemMagic  = pmemFamily + "02"
 	// headerSize is the byte offset of the memory image in the file;
 	// the header occupies one page regardless of how little it uses.
 	headerSize = 4096
@@ -102,8 +105,10 @@ func openPmemFile(path string, cfg Config, imageSize int) (_ *pmemFile, restored
 				err = preallocate(f, size)
 			}
 		}
-	case string(got[:len(pmemMagic)]) != pmemMagic:
+	case string(got[:len(pmemFamily)]) != pmemFamily:
 		err = fmt.Errorf("kvserve: %s is not a kvserve backing file", path)
+	case string(got[:len(pmemMagic)]) != pmemMagic:
+		err = fmt.Errorf("kvserve: %s has image format %q, this build reads only %q", path, got[:len(pmemMagic)], pmemMagic)
 	case !bytes.Equal(got, want):
 		err = fmt.Errorf("kvserve: %s geometry does not match the configuration", path)
 	case st.Size() != size:

@@ -113,8 +113,8 @@ const (
 	// StatusFull rejects a put: the shard's table is at its admission
 	// watermark or its LP journal is exhausted.
 	StatusFull
-	// StatusBadRequest rejects a malformed frame (unknown op, or a
-	// reserved key: 0 and NopKey).
+	// StatusBadRequest rejects a malformed frame (unknown op, or the
+	// reserved key 0).
 	StatusBadRequest
 	// StatusShutdown means the server is draining (or hit a backing-
 	// file write error) and took no action.

@@ -24,7 +24,7 @@ type Stats struct {
 	Puts        uint64 `json:"puts"`
 	AckedPuts   uint64 `json:"acked_puts"`
 	Batches     uint64 `json:"batches"`
-	Pads        uint64 `json:"pads"`
+	Pads        uint64 `json:"pads"` // always 0 since ISSUE 24 (no pad records); kept for bench/, which reads it
 	Overloads   uint64 `json:"overloads"`
 	Expired     uint64 `json:"expired"`
 	Full        uint64 `json:"full"`
@@ -68,8 +68,9 @@ type Server struct {
 	tr  *obs.Tracer
 	// Server-wide counters (per-shard instruments live in shardObs).
 	ctGets, ctGetMisses, ctPuts, ctAcked *obs.Counter
-	ctBatches, ctPads                    *obs.Counter
+	ctBatches                            *obs.Counter
 	ctLeaked, ctDropped                  *obs.Counter
+	ctCommitLines, ctLeakLines           *obs.Counter // kvserve_persisted_lines_total{path}: lines the flushers / write-back persisted
 	ctSeqRetries, ctSeqRetried           *obs.Counter // spins in SeqGet, and gets that spun at all
 	getLat                               *obs.Histogram
 	// hWriteFrames observes response frames per socket write syscall —
@@ -115,9 +116,10 @@ func New(cfg Config) (*Server, error) {
 	s.ctPuts = root.Counter("kvserve_puts_total")
 	s.ctAcked = root.Counter("kvserve_acked_puts_total")
 	s.ctBatches = root.Counter("kvserve_batch_commits_total")
-	s.ctPads = root.Counter("kvserve_pads_total")
 	s.ctLeaked = root.Counter("kvserve_leaked_lines_total")
 	s.ctDropped = root.Counter("kvserve_leak_dropped_total")
+	s.ctCommitLines = root.With("path", "commit").Counter("kvserve_persisted_lines_total")
+	s.ctLeakLines = root.With("path", "leak").Counter("kvserve_persisted_lines_total")
 	s.ctSeqRetries = root.Counter("kvserve_seqlock_retries_total")
 	s.ctSeqRetried = root.Counter("kvserve_seqlock_retried_gets_total")
 	s.getLat = root.HistogramScaled("kvserve_get_latency_seconds", 1e-9)
@@ -178,10 +180,11 @@ func New(cfg Config) (*Server, error) {
 			base[si] = append(base[si], [2]uint64{k, workloads.KVInitVal(cfg.Seed, k)})
 		}
 	}
-	// A batch's durable write set: the journal lines its 2*BatchK words
-	// span (one extra when the window straddles a line boundary), plus
-	// the checksum line. Sizes the commitItem snapshot buffers.
-	maxBatchLines := (2*cfg.BatchK*8+memsim.LineSize-1)/memsim.LineSize + 2
+	// A batch's durable write set at its largest: the journal lines
+	// 2*BatchK words span from any record (one more than from a line
+	// boundary), plus the checksum lines of the two windows a batch can
+	// straddle. Sizes the commitItem snapshot buffers.
+	maxBatchLines := (2*cfg.BatchK*8+memsim.LineSize-1)/memsim.LineSize + 3
 	for id := 0; id < cfg.Shards; id++ {
 		name := fmt.Sprintf("kvserve.s%d", id)
 		sd := &shardState{id: id, baseline: base[id], ctx: newFileCtx(s.mem, pf, id)}
@@ -297,16 +300,11 @@ func (s *Server) recoverAll() error {
 			if err := sd.ctx.takeErr(); err != nil {
 				return fmt.Errorf("kvserve: shard %d repair: %w", sd.id, err)
 			}
-			if st.AckedPuts%s.cfg.BatchK != 0 {
-				// Group commit only ever seals full (padded) batches, so a
-				// partial acked tail means the file was written by something
-				// else (e.g. the closed-loop harness's Seal).
-				return fmt.Errorf("kvserve: shard %d acked prefix %d is not a batch boundary", sd.id, st.AckedPuts)
-			}
 			if err := s.truncateTail(sd, st); err != nil {
 				return fmt.Errorf("kvserve: shard %d tail truncation: %w", sd.id, err)
 			}
-			sd.w.ResumeAt(st.AckedPuts)
+			sd.w.ResumeAt(sd.ctx, st.AckedPuts)
+			sd.ctx.takeDirty() // the open window's records, stored back unchanged
 			st.RecoverNs = time.Since(t0).Nanoseconds()
 			sd.obs.recovery.Observe(uint64(st.RecoverNs))
 			sd.obs.jrnUsed.Set(int64(sd.w.Seq()))
@@ -331,12 +329,15 @@ func (s *Server) recoverAll() error {
 }
 
 // truncateTail durably zeroes the journal beyond the acknowledged
-// prefix and invalidates ack slots beyond the acknowledged batches.
-// The unacked tail is garbage from the previous incarnation (leaked
-// lines of an uncommitted batch); the resumed writer will overwrite
-// the heap words, but until its next commit the *file* would still
-// hold them, and a stale checksum over a half-overwritten window must
-// never acknowledge.
+// prefix — which may end inside a window — and invalidates the ack slots
+// of the windows beyond it. The unacked tail is garbage from the previous
+// incarnation (journal lines of a batch whose checksum line never
+// followed); the resumed writer will overwrite the heap words, but until
+// its next commit the *file* would still hold them, and recovery measures
+// a window by its leading non-zero keys: a stale record behind the
+// resumed writer's next short seal must never count. A crash in here is
+// harmless: the slots up to the prefix are untouched, so the next
+// recovery acknowledges the same prefix and truncates again.
 func (s *Server) truncateTail(sd *shardState, st lpstore.RecoverStats) error {
 	c := sd.ctx
 	sh := sd.sh
@@ -401,7 +402,7 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		Gets: s.ctGets.Load(), GetMisses: s.ctGetMisses.Load(),
 		Puts: s.ctPuts.Load(), AckedPuts: s.ctAcked.Load(),
-		Batches: s.ctBatches.Load(), Pads: s.ctPads.Load(),
+		Batches:     s.ctBatches.Load(),
 		LeakedLines: s.ctLeaked.Load(), LeakDropped: s.ctDropped.Load(),
 	}
 	for _, sd := range s.shards {
@@ -471,7 +472,7 @@ func (s *Server) VerifyRecovered() error {
 }
 
 // Close drains gracefully: stop accepting, tear down connections,
-// let owners empty their mailboxes and seal (padding) open batches,
+// let owners empty their mailboxes and seal open batches,
 // drain the commit pipelines and the write-back queue, and sync the
 // file. Idempotent.
 func (s *Server) Close() error { return s.shutdown(false) }

@@ -102,7 +102,6 @@ func TestServeBadRequest(t *testing.T) {
 		wantName string
 	}{
 		{OpPut, 0, "zero key"},
-		{OpGet, lpstore.NopKey, "NopKey"},
 		{'X', 5, "unknown op"},
 		{'R', 5, "the retired single-put replication op"},
 	} {
@@ -113,6 +112,14 @@ func TestServeBadRequest(t *testing.T) {
 		if r := <-ch; r.Status != StatusBadRequest {
 			t.Fatalf("%s answered %s, want bad_request", c.wantName, StatusName(r.Status))
 		}
+	}
+	// The all-ones key was reserved for pad records; there are none, and
+	// it is a key like any other.
+	if st, err := cl.Put(^uint64(0), 7); err != nil || st != StatusOK {
+		t.Fatalf("Put(^0) = %s,%v want ok", StatusName(st), err)
+	}
+	if v, st, err := cl.Get(^uint64(0)); err != nil || st != StatusOK || v != 7 {
+		t.Fatalf("Get(^0) = %d,%s,%v want 7,ok", v, StatusName(st), err)
 	}
 }
 
@@ -405,15 +412,15 @@ func TestBatchDeadlineUnderTrickle(t *testing.T) {
 		go s.flusher(sd)
 		cn := absorbConn()
 		t0 := time.Now()
-		for i := 0; sd.w.Batch() == 0; i++ {
+		for i := 0; i == 0 || len(sd.pending) > 0; i++ {
 			if i == cfg.BatchK-1 {
 				t.Fatalf("batch still open after %v and %d puts", time.Since(t0), i)
 			}
 			s.apply(sd, []request{{key: workloads.KVKey(9, i), val: 1, enq: time.Now(), cn: cn}})
 			time.Sleep(time.Millisecond)
 		}
-		if s.ctPads.Load() == 0 {
-			t.Fatal("the batch sealed unpadded: not by its deadline")
+		if sd.w.Seq() >= cfg.BatchK {
+			t.Fatalf("the batch sealed on its %d-th put: not by its deadline", sd.w.Seq())
 		}
 		close(sd.commitCh)
 		s.wgFlush.Wait()

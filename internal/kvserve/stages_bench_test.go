@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lazyp/internal/lpstore"
+	"lazyp/internal/memsim"
 	"lazyp/internal/obs"
 )
 
@@ -161,8 +162,7 @@ func BenchmarkStageApply(b *testing.B) {
 }
 
 // fillBatch journals fill puts into sd's open batch as apply would,
-// outside any timed region. fill = BatchK closes the batch in the writer
-// (seal it unpadded); fewer leaves it open (seal it padded).
+// outside any timed region.
 func fillBatch(s *Server, sd *shardState, cn *srvConn, at, fill int) {
 	enq := time.Now()
 	for j := 0; j < fill; j++ {
@@ -174,56 +174,70 @@ func fillBatch(s *Server, sd *shardState, cn *srvConn, at, fill int) {
 }
 
 // stageBatches runs stage once per batch of fill client puts until b.N
-// puts are through, on servers rebuilt whenever the journal runs out.
-// stage returns how long its stage proper took — it does the untimed
-// work around it too — and the sum is reported per put.
-func stageBatches(b *testing.B, fill int, cn *srvConn, stage func(s *Server, sd *shardState) time.Duration) {
+// puts are through, on servers rebuilt whenever the journal runs out;
+// each server's journal starts with one sealed batch of skew records, so
+// that with skew % BatchK != 0 every full batch after it straddles two
+// windows. stage returns how long its stage proper took — it does the
+// untimed work around it too — and the lines of the batch's write set;
+// the sums are reported per put.
+func stageBatches(b *testing.B, skew, fill int, cn *srvConn, stage func(s *Server, sd *shardState) (time.Duration, int)) {
 	const batchK, maxOps = 32, 1 << 20
 	var s *Server
 	var sd *shardState
 	var spent time.Duration
 	var leaked []lineSnap
-	puts := 0
+	puts, lines := 0, 0
 	for ; puts < b.N; puts += fill {
 		if s == nil || sd.w.Seq()+batchK > maxOps {
 			if s != nil {
 				s.Close()
 			}
 			s, sd = stageServer(b, batchK, maxOps)
+			if skew > 0 {
+				fillBatch(s, sd, cn, puts, skew)
+				s.seal(sd)
+				recycle(sd)
+			}
 		}
 		fillBatch(s, sd, cn, puts, fill)
-		spent += stage(s, sd)
+		d, n := stage(s, sd)
+		spent += d
+		lines += n
 		if l, _ := s.leakq.take(leaked); l != nil {
 			leaked = l
 		}
 	}
 	perPut(b, spent, puts)
+	b.ReportMetric(float64(lines*memsim.LineSize)/float64(puts), "B/put")
 	s.Close()
 }
 
-// recycle returns the sealed batch to the ring unflushed.
-func recycle(sd *shardState) {
+// recycle returns the sealed batch to the ring unflushed, and the lines
+// of its write set.
+func recycle(sd *shardState) int {
 	it := <-sd.commitCh
 	it.pending = it.pending[:0]
 	sd.freeCh <- it
+	return len(it.lines)
 }
 
-// BenchmarkStageSeal: seal alone — pad (a batch of 4, put_few's fill),
-// stage observes, the write set's line snapshots, the leak — for a full
-// batch and a padded one. Two clock reads per batch sit inside the
-// figure (≈ 1–2 ns/put at K = 32).
+// BenchmarkStageSeal: seal alone — the window's checksum commit, stage
+// observes, the write set's line snapshots, the leak — for a full batch
+// on its window, a batch of 4 (put_few's fill), and a full batch
+// straddling two windows. Two clock reads per batch sit inside the figure
+// (≈ 1–2 ns/put at K = 32). B/put is the write set the flusher will
+// persist.
 func BenchmarkStageSeal(b *testing.B) {
 	for _, c := range []struct {
-		name string
-		fill int
-	}{{"full", 32}, {"padded4", 4}} {
+		name       string
+		skew, fill int
+	}{{"full", 0, 32}, {"short4", 0, 4}, {"straddle", 13, 32}} {
 		b.Run(c.name, func(b *testing.B) {
-			stageBatches(b, c.fill, absorbConn(), func(s *Server, sd *shardState) time.Duration {
+			stageBatches(b, c.skew, c.fill, absorbConn(), func(s *Server, sd *shardState) (time.Duration, int) {
 				t0 := time.Now()
-				s.seal(sd, c.fill < 32)
+				s.seal(sd)
 				d := time.Since(t0)
-				recycle(sd)
-				return d
+				return d, recycle(sd)
 			})
 		})
 	}
@@ -235,8 +249,8 @@ func BenchmarkStageSeal(b *testing.B) {
 func BenchmarkStageFlush(b *testing.B) {
 	cn := newSrvConn(&burstConn{})
 	var acks []byte
-	stageBatches(b, 32, cn, func(s *Server, sd *shardState) time.Duration {
-		s.seal(sd, false)
+	stageBatches(b, 0, 32, cn, func(s *Server, sd *shardState) (time.Duration, int) {
+		s.seal(sd)
 		it := <-sd.commitCh
 		t0 := time.Now()
 		s.flushItem(sd, it)
@@ -245,7 +259,7 @@ func BenchmarkStageFlush(b *testing.B) {
 		if run, _ := cn.acks.take(acks); run != nil {
 			acks = run
 		}
-		return d
+		return d, len(it.lines)
 	})
 }
 

@@ -409,10 +409,10 @@ func Plan(spec *Spec, ops []Op, cfg PlanConfig) *PlanReport {
 		fillSumNs += now - sh.openAt
 		sealedBatches++
 		sh.flushQ = append(sh.flushQ, simBatch{ops: sh.open, sealAt: now})
+		sh.journal += len(sh.open) // a sealed batch costs the records it holds
 		sh.open = nil
 		sh.epoch++
 		sh.inflight++
-		sh.journal += cfg.BatchK // padded batches consume full K
 		sh.stalled = false
 		startFlush(now, si)
 	}
@@ -460,7 +460,7 @@ func Plan(spec *Spec, ops []Op, cfg PlanConfig) *PlanReport {
 			}
 			si := int32(kvserve.ShardOf(op.Key, cfg.Shards))
 			sh := &shards[si]
-			if cfg.MaxOpsPerShard > 0 && sh.journal+cfg.BatchK > cfg.MaxOpsPerShard {
+			if cfg.MaxOpsPerShard > 0 && sh.journal+len(sh.open)+len(sh.q) >= cfg.MaxOpsPerShard {
 				accs[op.Class].full++
 				break
 			}

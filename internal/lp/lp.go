@@ -18,6 +18,13 @@
 // Eager Persistency so that recovery itself makes forward progress
 // (§III-E). Package ep provides the eager primitives.
 //
+// A region may be committed more than once: End stores the running
+// checksum and does not reset it (Begin does), so a caller that appends
+// to one region over time — lpstore's journal windows under kvserve's
+// group commit — calls End after each append it wants acknowledged, each
+// time over a longer prefix of the region's stores, and recovery accepts
+// whichever prefix the durable slot sums.
+//
 // The package also defines the Strategy interface under which the same
 // kernel source runs without failure safety (Base), with Lazy
 // Persistency (LP), or with the eager baselines in package ep — the four

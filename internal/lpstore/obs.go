@@ -11,12 +11,12 @@ import "lazyp/internal/obs"
 // up in the same registry as the service's own series.
 type Metrics struct {
 	// Fast path.
-	JournalAppends *obs.Counter // lpstore_journal_appends_total: records written, pads included
-	BatchSeals     *obs.Counter // lpstore_batch_seals_total: batch checksums lazily committed
+	JournalAppends *obs.Counter // lpstore_journal_appends_total: records written, one per put
+	BatchSeals     *obs.Counter // lpstore_batch_seals_total: window checksums lazily committed (a window may commit more than once)
 
 	// Recovery path (checksum-region outcomes).
-	BatchesAcked   *obs.Counter // lpstore_batches_acked_total: regions whose checksum verified
-	RegionMismatch *obs.Counter // lpstore_region_mismatches_total: regions ending the prefix on a failed checksum
+	BatchesAcked   *obs.Counter // lpstore_batches_acked_total: windows with an acknowledged record prefix
+	RegionMismatch *obs.Counter // lpstore_region_mismatches_total: windows whose journal words do not sum to their slot; the prefix ends there, at the longest record prefix that does
 	ReplayedPuts   *obs.Counter // lpstore_replayed_puts_total: journal entries replayed during verification
 	SlotsRepaired  *obs.Counter // lpstore_slots_repaired_total: table slots that deviated from the replay
 	GhostWipes     *obs.Counter // lpstore_ghost_wipes_total: shard-wide wipe+rebuild passes

@@ -1,6 +1,7 @@
 package lpstore
 
 import (
+	"lazyp/internal/checksum"
 	"lazyp/internal/ep"
 	"lazyp/internal/lp"
 	"lazyp/internal/memsim"
@@ -12,11 +13,11 @@ import (
 // where the architectural contents equal the durable ones).
 //
 // The durably-acknowledged op prefix is defined by recovery itself, as
-// everywhere in Lazy Persistency: the longest prefix of journal batches
-// whose checksums verify against the journal words that survived in
-// NVMM. Everything after it — an in-flight batch's journal tail, table
+// everywhere in Lazy Persistency: the longest prefix of journal records
+// whose window checksums verify against the journal words that survived
+// in NVMM. Everything after it — an unsealed journal tail, table
 // mutations that leaked to NVMM through natural evictions before their
-// batch was acknowledged — is discarded.
+// records were acknowledged — is discarded.
 //
 // Unlike the paper's kernels, whose regions write disjoint outputs
 // exactly once, KV batches freely overwrite each other's slots and an
@@ -34,7 +35,7 @@ import (
 type RecoverStats struct {
 	Shard        int  `json:"shard"`
 	AckedPuts    int  `json:"acked_puts"`    // puts in the durably-acknowledged journal prefix
-	AckedBatches int  `json:"acked_batches"` // batches (incl. a sealed partial tail) acknowledged
+	AckedBatches int  `json:"acked_batches"` // journal windows of BatchK records holding any of them (the last may be short)
 	Verified     bool `json:"verified"`      // table matched the replay; no repair needed
 	Repaired     int  `json:"repaired"`      // slots that deviated from the replay (0 if Verified)
 	// RecoverNs is the monotonic wall-clock duration of the shard's
@@ -44,26 +45,36 @@ type RecoverStats struct {
 	RecoverNs int64 `json:"recover_ns,omitempty"`
 }
 
-// AckedPrefix walks the journal from batch 0 and returns the longest
-// acknowledged prefix: a batch is acknowledged when its checksum slot
-// was durably written and matches the checksum of the batch's surviving
-// journal words. A batch's length is the run of leading journal entries
-// with nonzero key words (the journal is durably zeroed at allocation;
-// sealed partial tails are shorter than BatchK, and any persistence
-// hole inside a batch makes its checksum mismatch and ends the prefix).
-func (sh *Shard) AckedPrefix(c pmem.Ctx) (puts, batches int) {
+// AckedPrefix walks the journal from window 0 and returns the longest
+// acknowledged prefix and the number of windows holding any of it. A
+// window's checksum slot is committed over a growing record prefix — by
+// every Seal that ends inside the window and by the put that fills it —
+// so the slot acknowledges the records it sums to, wherever the window's
+// journal words end:
+//
+//   - the window's length is its run of leading entries with nonzero key
+//     words (fresh journal memory is durably zero), and the common case
+//     is that the slot matches the checksum of all of them;
+//   - otherwise the longest shorter prefix whose checksum equals the slot
+//     is what was acknowledged: a later seal's journal lines reached NVMM
+//     and its checksum did not. A weak code may match a longer prefix than
+//     the one the slot was committed over; that admits whole, in-order
+//     records of an unacknowledged seal — still a consistent cut;
+//   - no prefix matches when a persistence hole sits inside the summed
+//     records (the lazily written slot overtook its data): the window
+//     acknowledges nothing.
+//
+// The walk ends at the first window acknowledged short of BatchK.
+func (sh *Shard) AckedPrefix(c pmem.Ctx) (puts, windows int) {
 	if sh.Ack == nil {
 		panic("lpstore: AckedPrefix on a shard without the LP mechanism")
 	}
-	for b := 0; b < sh.batches(); b++ {
-		if !sh.Ack.Written(c, b) {
+	for w := 0; w < sh.windows(); w++ {
+		if !sh.Ack.Written(c, w) {
 			break
 		}
-		base := b * sh.BatchK
-		rem := sh.MaxOps - base
-		if rem > sh.BatchK {
-			rem = sh.BatchK
-		}
+		base := w * sh.BatchK
+		rem := min(sh.MaxOps-base, sh.BatchK)
 		n := 0
 		for n < rem && c.Load64(sh.Jrn.Addr(2*(base+n))) != 0 {
 			n++
@@ -75,20 +86,39 @@ func (sh *Shard) AckedPrefix(c pmem.Ctx) (puts, batches int) {
 		for i := 0; i < n; i++ {
 			addrs = append(addrs, sh.Jrn.Addr(2*(base+i)), sh.Jrn.Addr(2*(base+i)+1))
 		}
-		if !sh.Ack.Matches(c, b, lp.SumLoads(c, sh.kind, addrs)) {
+		if !sh.Ack.Matches(c, w, lp.SumLoads(c, sh.kind, addrs)) {
 			if m := sh.Obs; m != nil {
 				m.RegionMismatch.Inc()
-				m.trace(obs.EvRegionMismatch, int32(sh.ID), uint64(b), uint64(n))
+				m.trace(obs.EvRegionMismatch, int32(sh.ID), uint64(w), uint64(n))
 			}
-			break
+			if n = sh.ackedShort(c, w, addrs); n == 0 {
+				break
+			}
 		}
 		puts += n
-		batches++
+		windows++
 		if n < rem {
-			break // a sealed partial batch is the end of the stream
+			break // acknowledged short: the end of the stream
 		}
 	}
-	return puts, batches
+	return puts, windows
+}
+
+// ackedShort returns the length in records of the longest proper prefix
+// of window w's journal words (addrs, two per record) whose checksum
+// equals the window's slot, 0 if there is none.
+func (sh *Shard) ackedShort(c pmem.Ctx, w int, addrs []memsim.Addr) (records int) {
+	slot := sh.Ack.LoadSum(c, w)
+	s := checksum.New(sh.kind)
+	for i := 0; i+2 < len(addrs); i += 2 {
+		s.Add(c.Load64(addrs[i]))
+		s.Add(c.Load64(addrs[i+1]))
+		c.Compute(2 * sh.kind.CostPerAdd())
+		if s.Sum() == slot {
+			records = i/2 + 1
+		}
+	}
+	return records
 }
 
 // replayJournal overlays the first `puts` journal entries on the
@@ -107,9 +137,6 @@ func (sh *Shard) replayJournal(c pmem.Ctx, puts, baseN int, basePair func(i int)
 		k := c.Load64(sh.Jrn.Addr(2 * i))
 		v := c.Load64(sh.Jrn.Addr(2*i + 1))
 		c.Compute(2)
-		if k == NopKey {
-			continue // group-commit padding records never touch the table
-		}
 		if _, ok := expect[k]; !ok {
 			order = append(order, k)
 		}

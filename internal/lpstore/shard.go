@@ -10,16 +10,6 @@ import (
 	"lazyp/internal/pmem"
 )
 
-// NopKey is the reserved key of journal padding records. Group-commit
-// callers (kvserve) close a partial LP batch by padding it to BatchK
-// entries with no-op records so every committed batch occupies exactly
-// its aligned journal window — the invariant that lets a restarted
-// writer resume appending at a batch boundary. NOP entries fold into
-// the batch checksum and count toward AckedPrefix like real puts, but
-// replay and rebuild skip them; they never touch the table. Clients of
-// a store must not use this key (or 0, the empty-slot sentinel).
-const NopKey = ^uint64(0)
-
 // Mode selects the persistence discipline a Writer applies per put.
 type Mode uint8
 
@@ -47,14 +37,14 @@ func (m Mode) String() string {
 
 // Shard is one thread's share of the store: a table plus, when built
 // with NewShardLP, the LP mechanism — a persistent op journal and the
-// per-batch checksum table that acknowledges journal prefixes.
+// per-window checksum table that acknowledges journal prefixes.
 type Shard struct {
 	ID  int
 	Tab *Store
 
 	// LP mechanism; nil/zero unless built by NewShardLP.
 	Jrn    pmem.U64  // 2 words per put: (key, value), append-only
-	Ack    *lp.Table // one checksum slot per batch of BatchK puts
+	Ack    *lp.Table // one checksum slot per window of BatchK journal records
 	BatchK int
 	MaxOps int
 	kind   checksum.Kind
@@ -81,7 +71,7 @@ func NewShardLP(m *memsim.Memory, name string, id, capacity, maxOps, batchK int,
 // is safe over an image holding a prior run; over a blank one the caller
 // formats Ack. The journal needs none: fresh memory is durably zero, and
 // key word 0 marks a never-written entry, which is how recovery measures
-// a batch's length (sealed partial batches are shorter than batchK, and
+// a window's length (a window sealed short holds fewer than batchK, and
 // the Modular checksum cannot distinguish trailing zero words by itself).
 func LayoutShardLP(m *memsim.Memory, name string, id, capacity, maxOps, batchK int, kind checksum.Kind) *Shard {
 	if batchK < 1 || maxOps < 1 {
@@ -96,8 +86,8 @@ func LayoutShardLP(m *memsim.Memory, name string, id, capacity, maxOps, batchK i
 	return sh
 }
 
-// batches returns the journal's batch capacity.
-func (sh *Shard) batches() int { return (sh.MaxOps + sh.BatchK - 1) / sh.BatchK }
+// windows returns the journal's window capacity.
+func (sh *Shard) windows() int { return (sh.MaxOps + sh.BatchK - 1) / sh.BatchK }
 
 // Preload inserts n keys directly into the table — architectural and
 // durable images both, no simulation — before measured execution, the
@@ -119,8 +109,10 @@ func (sh *Shard) Preload(m *memsim.Memory, n int, keyval func(i int) (k, v uint6
 // shard) and holds the discipline's region cadence:
 //
 //	base — plain stores, no regions;
-//	lp   — one region per BatchK puts, journal words folded into the
-//	       region checksum, data stores plain (lazy);
+//	lp   — one region per window of BatchK journal records, their words
+//	       folded into the region checksum, which is committed when the
+//	       window fills and by every Seal before that, each time over a
+//	       longer prefix; data stores plain (lazy);
 //	ep   — one region per put (flush+fence+marker via ep.Recompute);
 //	wal  — one durable transaction per put (ep.WAL).
 type Writer struct {
@@ -130,9 +122,8 @@ type Writer struct {
 	mut lp.ThreadStrategy // slot-store interceptor (base/ep/wal TS)
 	jr  lp.ThreadStrategy // LP: journal folding TS (lpTS over Ack)
 
-	seq     int // puts issued (journal cursor; ep/wal region key)
-	inBatch int // puts in the open LP batch
-	batch   int // current LP batch index
+	seq   int // puts issued (journal cursor; ep/wal region key)
+	inWin int // LP: records in the open journal window (seq % BatchK)
 
 	// Host-side op counters for reporting.
 	Reads, Puts, Inserts uint64
@@ -174,9 +165,6 @@ func (w *Writer) Get(c pmem.Ctx, k uint64) (uint64, bool) {
 
 // Put inserts or updates k under the writer's discipline.
 func (w *Writer) Put(c pmem.Ctx, k, v uint64) {
-	if k == NopKey {
-		panic("lpstore: NopKey is reserved for journal padding")
-	}
 	w.Puts++
 	switch w.mode {
 	case ModeBase:
@@ -196,8 +184,8 @@ func (w *Writer) Put(c pmem.Ctx, k, v uint64) {
 		if w.seq >= w.Sh.MaxOps {
 			panic("lpstore: LP journal capacity exceeded")
 		}
-		if w.inBatch == 0 {
-			w.jr.Begin(c, w.batch)
+		if w.inWin == 0 {
+			w.jr.Begin(c, w.seq/w.Sh.BatchK)
 		}
 		// Journal first (the record that makes the op replayable), then
 		// the table mutation; both are plain lazy stores — only the
@@ -214,29 +202,31 @@ func (w *Writer) Put(c pmem.Ctx, k, v uint64) {
 			m.trace(obs.EvJournalAppend, int32(w.Sh.ID), uint64(w.seq), k)
 		}
 		w.seq++
-		w.inBatch++
-		if w.inBatch == w.Sh.BatchK {
-			w.jr.End(c)
-			w.batch++
-			w.inBatch = 0
-			if m := w.Sh.Obs; m != nil {
-				m.BatchSeals.Inc()
-			}
+		w.inWin++
+		if w.inWin == w.Sh.BatchK {
+			w.commit(c)
+			w.inWin = 0
 		}
 	}
 }
 
-// Seal closes an open partial LP batch at the end of a run, lazily
-// committing its checksum so the tail ops become acknowledgeable. A
-// no-op under the other disciplines (they acknowledge per put).
+// Seal acknowledges the puts journaled so far: it lazily commits the
+// open window's checksum over the records the window holds, and leaves
+// the window open — the next Put appends to it and the next commit
+// covers a longer prefix. A no-op when the last put filled its window
+// (Put committed it) and under the other disciplines (they acknowledge
+// per put).
 func (w *Writer) Seal(c pmem.Ctx) {
-	if w.mode == ModeLP && w.inBatch > 0 {
-		w.jr.End(c)
-		w.batch++
-		w.inBatch = 0
-		if m := w.Sh.Obs; m != nil {
-			m.BatchSeals.Inc()
-		}
+	if w.mode == ModeLP && w.inWin > 0 {
+		w.commit(c)
+	}
+}
+
+// commit stores the running checksum into the open window's slot.
+func (w *Writer) commit(c pmem.Ctx) {
+	w.jr.End(c)
+	if m := w.Sh.Obs; m != nil {
+		m.BatchSeals.Inc()
 	}
 }
 
@@ -244,64 +234,22 @@ func (w *Writer) Seal(c pmem.Ctx) {
 // the region key under EP/WAL).
 func (w *Writer) Seq() int { return w.seq }
 
-// InBatch returns the number of puts in the open LP batch (0 when no
-// batch is open or the writer is not in LP mode).
-func (w *Writer) InBatch() int { return w.inBatch }
-
-// Batch returns the index of the current (next-to-commit) LP batch.
-func (w *Writer) Batch() int { return w.batch }
-
-// PadBatch closes an open LP batch by journaling NopKey records until
-// the batch reaches BatchK entries, which triggers the normal lazy
-// checksum commit. It returns the number of padding records written (0
-// if no batch was open). Unlike Seal, the committed batch fills its
-// whole aligned journal window, so a restarted writer can resume at
-// the next batch boundary and AckedPrefix never sees a short batch
-// followed by live data. Group-commit services use this on batch
-// timeout and drain; the closed-loop harness keeps using Seal.
-func (w *Writer) PadBatch(c pmem.Ctx) int {
-	if w.mode != ModeLP || w.inBatch == 0 {
-		return 0
-	}
-	pads := 0
-	for w.inBatch > 0 {
-		if w.seq >= w.Sh.MaxOps {
-			panic("lpstore: LP journal capacity exceeded while padding")
-		}
-		w.jr.Store64(c, w.Sh.Jrn.Addr(2*w.seq), NopKey)
-		w.jr.Store64(c, w.Sh.Jrn.Addr(2*w.seq+1), 0)
-		if m := w.Sh.Obs; m != nil {
-			m.JournalAppends.Inc()
-		}
-		w.seq++
-		w.inBatch++
-		pads++
-		if w.inBatch == w.Sh.BatchK {
-			w.jr.End(c)
-			w.batch++
-			w.inBatch = 0
-			if m := w.Sh.Obs; m != nil {
-				m.BatchSeals.Inc()
-			}
-		}
-	}
-	return pads
-}
-
 // ResumeAt positions a freshly built LP writer at put sequence seq so
 // it continues appending to a journal recovered from a previous
-// incarnation (kvserve restart). seq must be a batch boundary — the
-// acknowledged prefix of a journal whose batches were all committed
-// full (PadBatch) always is — because the running checksum of a
-// half-open batch cannot be reconstructed.
-func (w *Writer) ResumeAt(seq int) {
-	if w.mode != ModeLP {
-		panic("lpstore: ResumeAt is only meaningful for LP writers")
-	}
-	if seq < 0 || seq > w.Sh.MaxOps || seq%w.Sh.BatchK != 0 {
-		panic(fmt.Sprintf("lpstore: ResumeAt(%d) is not a batch boundary (BatchK %d)", seq, w.Sh.BatchK))
+// incarnation (kvserve restart). seq may fall inside a window: the
+// window's seq % BatchK acknowledged records are folded again through
+// the journal strategy (stored back unchanged), which rebuilds the
+// running checksum the next commit extends.
+func (w *Writer) ResumeAt(c pmem.Ctx, seq int) {
+	if w.mode != ModeLP || seq < 0 || seq > w.Sh.MaxOps {
+		panic(fmt.Sprintf("lpstore: ResumeAt(%d) outside an LP journal of %d", seq, w.Sh.MaxOps))
 	}
 	w.seq = seq
-	w.batch = seq / w.Sh.BatchK
-	w.inBatch = 0
+	w.inWin = seq % w.Sh.BatchK
+	if w.inWin > 0 {
+		w.jr.Begin(c, seq/w.Sh.BatchK)
+		for i := 2 * (seq - w.inWin); i < 2*seq; i++ {
+			w.jr.Store64(c, w.Sh.Jrn.Addr(i), w.Sh.Jrn.Load(c, i))
+		}
+	}
 }

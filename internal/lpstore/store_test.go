@@ -227,67 +227,6 @@ func TestShardLPRecoverKeepsBaseline(t *testing.T) {
 	}
 }
 
-// TestPadBatchAndResume exercises the group-commit restart invariant:
-// padding closes batches on their aligned journal windows, NOP records
-// are acknowledged but never replayed into the table, and a resumed
-// writer appends at the next batch boundary.
-func TestPadBatchAndResume(t *testing.T) {
-	m := memsim.NewMemory(1 << 20)
-	c := &pmem.Native{Mem: m}
-	sh := NewShardLP(m, "s", 0, 64, 20, 4, checksum.Modular)
-	w := sh.NewLPWriter()
-
-	w.Put(c, 1, 101)
-	w.Put(c, 2, 102)
-	if pads := w.PadBatch(c); pads != 2 {
-		t.Fatalf("PadBatch padded %d records, want 2", pads)
-	}
-	if w.Seq() != 4 || w.InBatch() != 0 || w.Batch() != 1 {
-		t.Fatalf("after pad: seq=%d inBatch=%d batch=%d, want 4/0/1", w.Seq(), w.InBatch(), w.Batch())
-	}
-	puts, batches := sh.AckedPrefix(c)
-	if puts != 4 || batches != 1 {
-		t.Fatalf("AckedPrefix = %d/%d, want 4 puts (incl. 2 NOPs) in 1 batch", puts, batches)
-	}
-
-	// A new writer (a restarted process) resumes at the boundary.
-	w2 := sh.NewLPWriter()
-	w2.ResumeAt(puts)
-	w2.Put(c, 3, 103)
-	w2.PadBatch(c)
-	puts, batches = sh.AckedPrefix(c)
-	if puts != 8 || batches != 2 {
-		t.Fatalf("AckedPrefix after resume = %d/%d, want 8/2", puts, batches)
-	}
-
-	st := sh.RecoverLP(c, 0, nil)
-	if !st.Verified {
-		t.Fatalf("RecoverLP = %+v: NOP records leaked into the replay", st)
-	}
-	want := map[uint64]uint64{1: 101, 2: 102, 3: 103}
-	got := sh.Tab.Contents(m)
-	if len(got) != len(want) {
-		t.Fatalf("contents %v, want %v", got, want)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("contents[%d] = %d, want %d", k, got[k], v)
-		}
-	}
-}
-
-func TestResumeAtRejectsNonBoundary(t *testing.T) {
-	m := memsim.NewMemory(1 << 20)
-	sh := NewShardLP(m, "s", 0, 64, 20, 4, checksum.Modular)
-	w := sh.NewLPWriter()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ResumeAt off a batch boundary should panic")
-		}
-	}()
-	w.ResumeAt(3)
-}
-
 func TestNewWriterPanicsForLP(t *testing.T) {
 	m := memsim.NewMemory(1 << 20)
 	sh := NewShard(m, "s", 0, 16)

@@ -18,7 +18,7 @@ const (
 	EvNone EventType = iota
 
 	// Service / store events.
-	EvBatchCommit    // a group-commit batch persisted; a=batch index, b=puts acked
+	EvBatchCommit    // a group-commit batch persisted; a=journal window of its last record, b=puts acked
 	EvJournalAppend  // one journal record written; a=journal seq, b=key
 	EvAckAdvance     // durably-acked put prefix advanced; a=new acked count
 	EvRejectOverload // put rejected: mailbox full; a=shard
@@ -49,8 +49,8 @@ const (
 	EvRouterRoute   // router routed a traced frame; a=traceID, b=backend index
 	EvStageEnq      // request admitted to a shard mailbox; a=traceID, b=key
 	EvStageDeq      // shard owner dequeued the request; a=traceID, b=queue wait ns
-	EvStageSeal     // containing group-commit batch sealed; a=traceID, b=batch index
-	EvStageFlush    // batch write set durable (fsync included); a=traceID, b=batch index
+	EvStageSeal     // containing group-commit batch sealed; a=traceID, b=journal window
+	EvStageFlush    // batch write set durable (fsync included); a=traceID, b=journal window
 	EvStageReplAck  // replication wait resolved on the primary; a=traceID, b=1 acked / 0 degraded
 	EvStageReply    // response enqueued toward the client; a=traceID, b=status
 	EvStageFwdEnq   // replication forward committed to a session slot; a=traceID
