@@ -6,18 +6,19 @@
 // throughput, latency percentiles, and reject rates for a given server
 // geometry — before booting a single server.
 //
-// The model runs on calibration constants from one of two sources:
-//
-//   - defaults: rough localhost numbers, order-of-magnitude only;
-//   - -probe addr: four short window-paced probes against a live server
-//     (the server's geometry must match -shards/-batch/-batchwait and
-//     the spec's streams/keys/preload seed).
+// The model runs on rough localhost constants, order-of-magnitude only,
+// unless -probe names a live server's control address (lpserve
+// -metrics): then lpplan runs the steady builtin against it, at -rate
+// for -dur over -conns connections, and reads the constants off the
+// server's own stage histograms, scraped from /metrics before and after
+// that run (loadmodel.Calibrate). The server's data address comes from
+// its /healthz; its -shards and -batchwait must match lpplan's.
 //
 // Usage:
 //
 //	lpplan -builtin bursty -rate 0.5 -shards 4
 //	lpplan -spec work.json -replicated
-//	lpplan -builtin steady -probe 127.0.0.1:7411 -json
+//	lpplan -builtin steady -probe 127.0.0.1:9090 -json
 //	lpplan -builtin steady -sweep-shards 1,2,4,8
 package main
 
@@ -25,12 +26,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"lazyp/internal/loadmodel"
+	"lazyp/internal/obs"
 )
 
 func die(format string, args ...any) {
@@ -56,7 +60,7 @@ func main() {
 		fsync     = flag.Bool("fsync", false, "model fsync-per-commit")
 		repl      = flag.Bool("replicated", false, "model the synchronous replication hop")
 
-		probe       = flag.String("probe", "", "calibrate live against this server address")
+		probe       = flag.String("probe", "", "calibrate from the stage histograms of the server with this control address")
 		sweepShards = flag.String("sweep-shards", "", "comma-separated shard counts to compare (e.g. 1,2,4,8)")
 		jsonOut     = flag.Bool("json", false, "emit the report(s) as JSON")
 	)
@@ -78,17 +82,6 @@ func main() {
 		die("%v", err)
 	}
 
-	cal := loadmodel.DefaultCalibration()
-	if *probe != "" {
-		cal, err = loadmodel.CalibrateLive(*probe, loadmodel.ProbeGeometry{
-			Shards: *shards, BatchK: *batch, BatchWait: *batchwait,
-			Streams: spec.Streams, Keys: spec.Keys, Seed: spec.PreloadSeed,
-		})
-		if err != nil {
-			die("%v", err)
-		}
-	}
-
 	ops, err := loadmodel.Generate(spec)
 	if err != nil {
 		die("%v", err)
@@ -100,8 +93,12 @@ func main() {
 		BatchWaitNs:   batchwait.Nanoseconds(), MaxDelayNs: maxdelay.Nanoseconds(),
 		MaxOpsPerShard: *maxops, Conns: *conns,
 		Fsync: *fsync, Replicated: *repl,
-		Cal: cal,
+		Cal: loadmodel.DefaultCalibration(),
 	}
+	if *probe != "" {
+		cfg.Cal = calibrate(*probe, *rate, *dur, cfg)
+	}
+	cal := cfg.Cal
 
 	shardList := []int{*shards}
 	if *sweepShards != "" {
@@ -155,10 +152,13 @@ func printPlan(rep *loadmodel.PlanReport) {
 	}
 	fmt.Println()
 	fmt.Printf("  utilization: put %.2f  get %.2f  flush %.2f\n", rep.PutUtil, rep.GetUtil, rep.FlushUtil)
-	if st := rep.Stages; st != nil {
-		fmt.Printf("  put stages:  queue %.1fµs  fill %.1fµs  flush %.1fµs  repl %.1fµs  rtt %.1fµs  (%d puts, %d batches)\n",
-			st.QueueUs, st.FillUs, st.FlushUs, st.ReplUs, st.RTTUs, st.Puts, st.Batches)
+	fmt.Print("  put stages:")
+	for stage, us := range rep.Stages {
+		if us > 0 {
+			fmt.Printf("  %s %.1fµs", obs.Stage(stage), us)
+		}
 	}
+	fmt.Println()
 	rows := append([]loadmodel.ClassPlan{rep.Total}, rep.Classes...)
 	for i, cp := range rows {
 		name := cp.Name
@@ -169,4 +169,43 @@ func printPlan(rep *loadmodel.PlanReport) {
 			name, cp.Ops, cp.OfferedOpsS, cp.OKOpsS, cp.P50us, cp.P99us, cp.PutP99us,
 			cp.RejectRate, cp.Overloads, cp.Expired, cp.Full)
 	}
+}
+
+// calibrate runs the steady builtin against the server whose control
+// address is ctrl, over geo.Conns connections, and returns the constants
+// its histograms give over that run; geo must be the server's geometry.
+func calibrate(ctrl string, rate float64, dur time.Duration, geo loadmodel.PlanConfig) loadmodel.Calibration {
+	get := func(path string, read func(io.Reader) error) {
+		resp, err := http.Get("http://" + ctrl + path)
+		if err == nil {
+			err = read(resp.Body)
+			resp.Body.Close()
+		}
+		if err != nil {
+			die("-probe %s: %v", ctrl, err)
+		}
+	}
+	var health struct{ Status, Addr string }
+	get("/healthz", func(r io.Reader) error { return json.NewDecoder(r).Decode(&health) })
+	if health.Addr == "" {
+		die("-probe %s: server is %q, with no data address", ctrl, health.Status)
+	}
+	spec, err := loadmodel.BuiltinSpec("steady", rate, dur.String())
+	var ops []loadmodel.Op
+	if err == nil {
+		ops, err = loadmodel.Generate(spec)
+	}
+	var cal loadmodel.Calibration
+	if err == nil {
+		cal, _, err = loadmodel.CalibrationRun(health.Addr, loadmodel.TraceOf(spec, ops), geo,
+			func() (sc obs.Scrape, err error) {
+				get("/metrics", func(r io.Reader) error { sc, err = obs.ReadProm(r); return err })
+				return sc, err
+			})
+	}
+	if err != nil {
+		die("-probe %s: calibration run: %v", ctrl, err)
+	}
+	cal.Source += ":" + ctrl
+	return cal
 }

@@ -12,7 +12,8 @@
 //
 // The -metrics mux comes up before recovery starts and serves /healthz
 // from the first instant: 503 {"status":"recovering"} while journal
-// replay runs, 200 {"status":"serving"} once the data port accepts.
+// replay runs, 200 {"status":"serving","addr":...} once the data port
+// accepts.
 // That readiness split is what lets a router (or an orchestrator) tell
 // a booting node from a dead one.
 //
@@ -129,14 +130,14 @@ func main() {
 
 	// Standalone path. The metrics mux comes up before recovery so
 	// /healthz answers "recovering" while journal replay runs.
-	var ready atomic.Uint32
+	var serving atomic.Pointer[string] // the data address, once it accepts
 	var mux *http.ServeMux
 	if *metrics != "" {
 		mux = http.NewServeMux()
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			if ready.Load() == 1 {
-				fmt.Fprintln(w, `{"status":"serving"}`)
+			if a := serving.Load(); a != nil {
+				fmt.Fprintf(w, "{\"status\":\"serving\",\"addr\":%q}\n", *a)
 				return
 			}
 			w.WriteHeader(http.StatusServiceUnavailable)
@@ -191,14 +192,15 @@ func main() {
 	if err := s.Start(); err != nil {
 		fail("listen: %v", err)
 	}
-	ready.Store(1)
+	dataAddr := s.Addr()
+	serving.Store(&dataAddr)
 	fmt.Fprintf(os.Stderr, "lpserve: %s serving %s on %s\n", m, *path, s.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	got := <-sig
 	fmt.Fprintf(os.Stderr, "lpserve: %s — draining\n", got)
-	ready.Store(0)
+	serving.Store(nil)
 	if err := s.Close(); err != nil {
 		fail("drain: %v", err)
 	}

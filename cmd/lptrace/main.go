@@ -34,46 +34,6 @@ func die(format string, args ...any) {
 	os.Exit(1)
 }
 
-// stageDef maps a measured stage name to the span-event pair bounding
-// it. The taxonomy mirrors the server's kvserve_stage_seconds labels
-// plus the client/router hops only a merged trace can see.
-type stageDef struct {
-	name     string
-	from, to obs.EventType
-}
-
-var stageDefs = []stageDef{
-	{"route", obs.EvClientSend, obs.EvStageEnq},     // client send → mailbox admit (wire + router + reader)
-	{"queue", obs.EvStageEnq, obs.EvStageDeq},       // mailbox wait
-	{"fill", obs.EvStageDeq, obs.EvStageSeal},       // open-batch residence until seal
-	{"flush", obs.EvStageSeal, obs.EvStageFlush},    // seal → write set durable
-	{"repl", obs.EvStageFlush, obs.EvStageReplAck},  // primary durable → follower acks resolved
-	{"reply", obs.EvStageReply, obs.EvClientAck},    // response flush → client observes it
-	{"fwd", obs.EvStageFwdWrite, obs.EvStageFwdAck}, // repl frame on the wire → follower ack
-}
-
-// stageAgg accumulates one stage's samples across timelines.
-type stageAgg struct {
-	n     int
-	sumNs int64
-	maxNs int64
-}
-
-func (a *stageAgg) add(ns int64) {
-	a.n++
-	a.sumNs += ns
-	if ns > a.maxNs {
-		a.maxNs = ns
-	}
-}
-
-func (a *stageAgg) meanUs() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return float64(a.sumNs) / float64(a.n) / 1e3
-}
-
 func main() {
 	var (
 		jsonOut   = flag.Bool("json", false, "emit assembled timelines and the stage summary as JSON")
@@ -107,42 +67,31 @@ func main() {
 	}
 
 	timelines := obs.AssembleTimelines(drains)
-	if *traceID != 0 {
-		kept := timelines[:0]
-		for _, tl := range timelines {
-			if tl.Trace == *traceID {
-				kept = append(kept, tl)
-			}
+	kept := timelines[:0]
+	for _, tl := range timelines {
+		if (*traceID == 0 || tl.Trace == *traceID) && (!*crossOnly || tl.CrossNode()) {
+			kept = append(kept, tl)
 		}
-		timelines = kept
 	}
-	if *crossOnly {
-		kept := timelines[:0]
-		for _, tl := range timelines {
-			if tl.CrossNode() {
-				kept = append(kept, tl)
-			}
-		}
-		timelines = kept
-	}
+	timelines = kept
 
 	// Aggregate the stage breakdown over every kept timeline.
-	aggs := make([]stageAgg, len(stageDefs))
+	var hists [obs.NumStages]obs.Histogram
 	cross := 0
 	for i := range timelines {
 		tl := &timelines[i]
 		if tl.CrossNode() {
 			cross++
 		}
-		for j, sd := range stageDefs {
-			if ns, ok := tl.Stage(sd.from, sd.to); ok {
-				aggs[j].add(ns)
+		for st := range obs.NumStages {
+			if ns, ok := tl.Stage(st.Span()); ok {
+				hists[st].Observe(uint64(ns))
 			}
 		}
 	}
 
 	if *jsonOut {
-		emitJSON(timelines, aggs, cross)
+		emitJSON(timelines, &hists, cross)
 		return
 	}
 
@@ -159,17 +108,18 @@ func main() {
 	}
 
 	fmt.Println("stage breakdown (means across timelines with both endpoints):")
-	for j, sd := range stageDefs {
-		a := &aggs[j]
-		if a.n == 0 {
+	for st := range obs.NumStages {
+		a := hists[st].Snapshot()
+		if a.Count == 0 {
 			continue
 		}
+		from, to := st.Span()
 		fmt.Printf("  %-6s %9.1fµs mean  %9.1fµs max  (%d samples, %s → %s)\n",
-			sd.name, a.meanUs(), float64(a.maxNs)/1e3, a.n, sd.from, sd.to)
+			st, a.Mean()/1e3, float64(a.Max)/1e3, a.Count, from, to)
 	}
 
 	if *vsPlan != "" {
-		diffPlan(*vsPlan, aggs)
+		diffPlan(*vsPlan, &hists)
 	}
 }
 
@@ -196,11 +146,10 @@ func printTimeline(tl *obs.Timeline) {
 }
 
 // diffPlan loads an lpplan -json report (object or sweep array; the
-// first entry wins) and prints measured-vs-modeled stage means. Only
-// stages both sides know about are compared: queue/fill/flush/repl
-// directly, and the measured route+reply hops sum against the
+// first entry wins) and prints measured-vs-modeled means for every stage
+// the model predicts, then the measured route+reply hops against the
 // model's single round-trip constant.
-func diffPlan(path string, aggs []stageAgg) {
+func diffPlan(path string, hists *[obs.NumStages]obs.Histogram) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		die("%v", err)
@@ -213,40 +162,18 @@ func diffPlan(path string, aggs []stageAgg) {
 		}
 		rep = reps[0]
 	}
-	st := rep.Stages
-	if st == nil {
-		die("-vs-plan %s: report has no stages section (re-run lpplan)", path)
-	}
-
-	byName := map[string]*stageAgg{}
-	for j := range stageDefs {
-		byName[stageDefs[j].name] = &aggs[j]
-	}
-	rtt := stageAgg{}
-	if r, ok := byName["route"]; ok && r.n > 0 {
-		rtt.n = r.n
-		rtt.sumNs += r.sumNs
-	}
-	if r, ok := byName["reply"]; ok && r.n > 0 {
-		if rtt.n == 0 {
-			rtt.n = r.n
-		}
-		rtt.sumNs += r.sumNs
-	}
-
 	fmt.Printf("vs plan %s (spec %s, calibration %s):\n", path, rep.Spec, rep.Cfg.Cal.Source)
 	row := func(name string, meas, plan float64, note string) {
-		delta := meas - plan
 		fmt.Printf("  %-6s measured %9.1fµs  plan %9.1fµs  delta %+9.1fµs%s\n",
-			name, meas, plan, delta, note)
+			name, meas, plan, meas-plan, note)
 	}
-	row("queue", byName["queue"].meanUs(), st.QueueUs, "")
-	row("fill", byName["fill"].meanUs(), st.FillUs, "  (plan: batch open→seal; measured: per-put deq→seal)")
-	row("flush", byName["flush"].meanUs(), st.FlushUs, "")
-	if byName["repl"].n > 0 || st.ReplUs > 0 {
-		row("repl", byName["repl"].meanUs(), st.ReplUs, "")
+	for stage, plan := range rep.Stages {
+		if plan > 0 {
+			row(obs.Stage(stage).String(), hists[stage].Snapshot().Mean()/1e3, plan, "")
+		}
 	}
-	row("rtt", rtt.meanUs(), st.RTTUs, "  (measured: route+reply hops)")
+	rtt := hists[obs.StageRoute].Snapshot().Mean() + hists[obs.StageReply].Snapshot().Mean()
+	row("rtt", rtt/1e3, rep.Cfg.Cal.NetRTTNs/1e3, "  (measured: route+reply hops)")
 }
 
 // jsonTimeline is the -json shape for one assembled request.
@@ -267,10 +194,10 @@ type jsonEvent struct {
 	B     uint64  `json:"b"`
 }
 
-func emitJSON(timelines []obs.Timeline, aggs []stageAgg, cross int) {
+func emitJSON(timelines []obs.Timeline, hists *[obs.NumStages]obs.Histogram, cross int) {
 	type stageOut struct {
 		Stage   string  `json:"stage"`
-		Samples int     `json:"samples"`
+		Samples uint64  `json:"samples"`
 		MeanUs  float64 `json:"mean_us"`
 		MaxUs   float64 `json:"max_us"`
 	}
@@ -294,13 +221,13 @@ func emitJSON(timelines []obs.Timeline, aggs []stageAgg, cross int) {
 		}
 		out.Timelines = append(out.Timelines, jt)
 	}
-	for j, sd := range stageDefs {
-		a := &aggs[j]
-		if a.n == 0 {
+	for st := range obs.NumStages {
+		a := hists[st].Snapshot()
+		if a.Count == 0 {
 			continue
 		}
 		out.Stages = append(out.Stages, stageOut{
-			Stage: sd.name, Samples: a.n, MeanUs: a.meanUs(), MaxUs: float64(a.maxNs) / 1e3,
+			Stage: st.String(), Samples: a.Count, MeanUs: a.Mean() / 1e3, MaxUs: float64(a.Max) / 1e3,
 		})
 	}
 	enc := json.NewEncoder(os.Stdout)

@@ -241,7 +241,7 @@ func Experiments() []Experiment {
 		{
 			ID:     "plan",
 			Title:  "E17 (beyond paper): capacity planner predicted vs live lpload, per SLO class",
-			Paper:  "n/a (extension): queueing model calibrated by live probes lands within the documented error band",
+			Paper:  "n/a (extension): queueing model calibrated from the server's own stage histograms lands within the documented error band",
 			Run:    expPlan,
 			Native: true,
 		},

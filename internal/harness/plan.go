@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,16 +13,19 @@ import (
 	"lazyp/internal/kvserve"
 	"lazyp/internal/loadmodel"
 	"lazyp/internal/lpstore"
+	"lazyp/internal/obs"
 )
 
 // expPlan is E17: the capacity planner validated against the live
-// service. One server boots to donate calibration constants (four
-// short window-paced probes); then, per built-in spec, the same
-// deterministic op stream is (a) run through the planner's
-// discrete-event model and (b) replayed on its schedule against a fresh
-// server, and the predicted vs measured throughput and latency land
-// side by side with their relative error. Native: wall-clock latency
-// on a live TCP server, so the runner executes it alone.
+// service. Per built-in spec, the same deterministic op stream is (a)
+// replayed on its schedule against a fresh server and (b) run through
+// the planner's discrete-event model, and the predicted vs measured
+// throughput and latency land side by side with their relative error.
+// steady runs first and is the calibration workload: the planner's
+// constants are read off its server's own stage histograms
+// (loadmodel.Calibrate) before any spec is predicted. Native:
+// wall-clock latency on a live TCP server, so the runner executes it
+// alone.
 func expPlan(w io.Writer, o Options) error {
 	dir, err := os.MkdirTemp("", "lpplan-e17-*")
 	if err != nil {
@@ -40,10 +45,8 @@ func expPlan(w io.Writer, o Options) error {
 		Mailbox: 256, BatchWait: 2 * time.Millisecond,
 	}
 	rate, dur, trials := 1.0, "2s", 3
-	probeDur := 400 * time.Millisecond
 	if o.Quick {
 		rate, dur, trials = 0.1, "700ms", 1
-		probeDur = 150 * time.Millisecond
 	}
 
 	boot := func(tag string) (*kvserve.Server, error) {
@@ -60,49 +63,32 @@ func expPlan(w io.Writer, o Options) error {
 		return s, nil
 	}
 
-	// Calibration server: probed, then discarded — the measured runs
-	// get fresh images so the probe load doesn't pre-age their
-	// journals.
-	cs, err := boot("cal")
-	if err != nil {
-		return err
+	scrape := func(s *kvserve.Server) (obs.Scrape, error) {
+		var b bytes.Buffer
+		if err := s.Metrics().WriteProm(&b); err != nil {
+			return nil, err
+		}
+		return obs.ReadProm(&b)
 	}
-	cal, err := loadmodel.CalibrateLive(cs.Addr(), loadmodel.ProbeGeometry{
-		Shards: cfg.Shards, BatchK: cfg.BatchK, BatchWait: cfg.BatchWait,
-		Streams: cfg.Streams, Keys: cfg.Keys, Seed: cfg.Seed,
-		Dur: probeDur,
-	})
-	cs.Close()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "calibration (%s): get %.1fµs put %.1fµs flush %.1fµs rtt %.1fµs seal-lag %.1fµs\n",
-		cal.Source, cal.GetSvcNs/1e3, cal.PutSvcNs/1e3, cal.FlushNs/1e3, cal.NetRTTNs/1e3, cal.SealLagNs/1e3)
 
 	pcfg := loadmodel.PlanConfig{
 		Shards: cfg.Shards, BatchK: cfg.BatchK, Mailbox: cfg.Mailbox,
 		PipelineDepth: 4, BatchWaitNs: cfg.BatchWait.Nanoseconds(),
-		Conns: 4, Cal: cal,
+		Conns: 4,
 	}
 
 	relErr := func(pred, meas float64) float64 {
 		if meas == 0 {
 			return 0
 		}
-		e := (pred - meas) / meas
-		if e < 0 {
-			return -e
-		}
-		return e
+		return math.Abs(pred-meas) / meas
 	}
 
 	tw := newTab(w)
 	fmt.Fprintln(tw, "spec\tops\tthr pred (ops/s)\tthr live\terr\tput p99 pred (µs)\tput p99 live\terr\tp50 pred/live (µs)\trej pred/live")
-	// steady is the calibration workload: its live run refits the
-	// under-load seal lag (idle probes understate it), so its latency
-	// row is a fit, not a prediction — the asterisk marks that. bursty
-	// and mixed are held out: the planner never sees their live numbers
-	// before predicting.
+	// steady is the calibration workload, so its row is a fit, not a
+	// prediction — the asterisk marks that. bursty and mixed are held
+	// out: the planner never sees their live numbers before predicting.
 	for _, name := range []string{"steady", "bursty", "mixed"} {
 		spec, err := loadmodel.BuiltinSpec(name, rate, dur)
 		if err != nil {
@@ -116,36 +102,37 @@ func expPlan(w io.Writer, o Options) error {
 		// A 1-CPU host's scheduler can stall any single run for
 		// milliseconds and blow up that run's measured tail; the
 		// median-by-put-p99 trial is the representative one.
-		runs := make([]*loadmodel.Report, 0, trials)
+		type trial struct {
+			meas *loadmodel.Report
+			cal  loadmodel.Calibration
+		}
+		runs := make([]trial, 0, trials)
 		for t := 0; t < trials; t++ {
 			s, err := boot(fmt.Sprintf("%s-%d", name, t))
 			if err != nil {
 				return err
 			}
-			meas, err := loadmodel.Run(s.Addr(), loadmodel.TraceOf(spec, ops),
-				loadmodel.Options{Conns: pcfg.Conns, Window: 512})
+			cal, meas, err := loadmodel.CalibrationRun(s.Addr(), loadmodel.TraceOf(spec, ops), pcfg,
+				func() (obs.Scrape, error) { return scrape(s) })
 			if cerr := s.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("plan %s: drain: %w", name, cerr)
+				err = fmt.Errorf("drain: %w", cerr)
 			}
 			if err != nil {
 				return fmt.Errorf("plan %s: %w", name, err)
 			}
-			if meas.Partial || meas.Errors > 0 {
-				return fmt.Errorf("plan %s: partial run (%d errors)", name, meas.Errors)
-			}
-			runs = append(runs, meas)
+			runs = append(runs, trial{meas, cal})
 		}
 		sort.Slice(runs, func(i, j int) bool {
-			return runs[i].Total.PutP99us < runs[j].Total.PutP99us
+			return runs[i].meas.Total.PutP99us < runs[j].meas.Total.PutP99us
 		})
-		meas := runs[len(runs)/2]
+		meas := runs[len(runs)/2].meas
 
 		tag := name
 		if name == "steady" {
-			lag := loadmodel.SealLagFromRun(pcfg.Cal, pcfg.BatchWaitNs, meas.Total)
-			pcfg.Cal.SealLagNs = lag
-			fmt.Fprintf(w, "shakedown (steady): seal-lag refit %.1fµs -> %.1fµs\n",
-				cal.SealLagNs/1e3, lag/1e3)
+			cal := runs[len(runs)/2].cal
+			pcfg.Cal = cal
+			fmt.Fprintf(w, "calibration (steady's server): get %.1fµs put %.1fµs flush %.1fµs rtt %.1fµs seal-lag %.1fµs\n",
+				cal.GetSvcNs/1e3, cal.PutSvcNs/1e3, cal.FlushNs/1e3, cal.NetRTTNs/1e3, cal.SealLagNs/1e3)
 			tag = "steady*"
 		}
 		pred := loadmodel.Plan(spec, ops, pcfg)
@@ -170,6 +157,6 @@ func expPlan(w io.Writer, o Options) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "* calibration workload: its live run is the seal-lag fit target, so its latency row is a fit; bursty and mixed are held-out predictions")
+	fmt.Fprintln(w, "* calibration workload: the constants come from its own server, so its row is a fit; bursty and mixed are held-out predictions")
 	return nil
 }

@@ -86,7 +86,7 @@ func (s *Server) flushItem(sd *shardState, it *commitItem) {
 	} else {
 		s.ctBatches.Inc()
 		sd.obs.batchFill.Observe(uint64(len(it.pending)))
-		s.stFlush.Observe(uint64(now.Sub(it.sealed).Nanoseconds()))
+		s.stage[obs.StageFlush].Observe(uint64(now.Sub(it.sealed).Nanoseconds()))
 		s.trace(obs.EvBatchCommit, int32(sd.id), uint64(it.batch), uint64(len(it.pending)))
 		s.trace(obs.EvAckAdvance, int32(sd.id), uint64(it.seq), 0)
 		if s.tr.Enabled() {
@@ -181,7 +181,7 @@ func (s *Server) replWaiter(sd *shardState) {
 			if job.err == nil && !job.flushed.IsZero() {
 				// Per-job repl stage: local write set durable → every
 				// follower token of the batch resolved.
-				s.stRepl.Observe(uint64(now.Sub(job.flushed).Nanoseconds()))
+				s.stage[obs.StageRepl].Observe(uint64(now.Sub(job.flushed).Nanoseconds()))
 			}
 		}
 		clear(jobs) // drop the pending slice references

@@ -117,7 +117,7 @@ func newShardObs(sc obs.Scope) shardObs {
 		jrnCap:       sc.Gauge("kvserve_journal_capacity"),
 		pipeInflight: sc.Gauge("kvserve_pipeline_inflight"),
 		batchFill:    sc.Histogram("kvserve_batch_fill"),
-		putLat:       sc.HistogramScaled("kvserve_put_latency_seconds", 1e-9),
+		putLat:       sc.HistogramScaled(MetricPutLatency, 1e-9),
 		recovery:     sc.HistogramScaled("kvserve_recovery_seconds", 1e-9),
 		rejOver:      rej("overload"),
 		rejExp:       rej("expired"),
@@ -185,7 +185,7 @@ func (s *Server) apply(sd *shardState, run []request) {
 	for i := range run {
 		r := &run[i]
 		wait := now.Sub(r.enq)
-		s.stQueue.Observe(uint64(wait.Nanoseconds()))
+		s.stage[obs.StageQueue].Observe(uint64(wait.Nanoseconds()))
 		if r.tid != 0 {
 			s.trace(obs.EvStageDeq, int32(sd.id), r.tid, uint64(wait.Nanoseconds()))
 		}
@@ -239,6 +239,12 @@ func (s *Server) apply(sd *shardState, run []request) {
 		s.seal(sd)
 	}
 	s.leak(sd)
+	// The run's owner time, seals and leak included (and a seal's wait for
+	// a free commit item, which only a saturated pipeline imposes), booked
+	// as len(run) samples of its per-put share.
+	if n := uint64(len(run)); n > 0 {
+		s.applyLat.ObserveN(uint64(time.Since(now).Nanoseconds())/n, n)
+	}
 }
 
 // seal closes the open LP batch — the records journaled since the last
@@ -265,7 +271,7 @@ func (s *Server) seal(sd *shardState) {
 	it.sealed = t0
 	it.pending, sd.pending = sd.pending, it.pending[:0]
 	if len(it.pending) > 0 && !sd.openAt.IsZero() {
-		s.stFill.Observe(uint64(t0.Sub(sd.openAt).Nanoseconds()))
+		s.stage[obs.StageFill].Observe(uint64(t0.Sub(sd.openAt).Nanoseconds()))
 	}
 	if s.tr.Enabled() {
 		ts := t0.UnixNano()

@@ -33,6 +33,15 @@ type Stats struct {
 	LeakDropped uint64 `json:"leak_dropped"`
 }
 
+// The histograms a client reads back from a scrape to calibrate the
+// planner (loadmodel.Calibrate), all in seconds.
+const (
+	MetricStage      = "kvserve_stage_seconds"       // {stage=obs.Stage label}
+	MetricApply      = "kvserve_apply_seconds"       // owner service time per put
+	MetricGetLatency = "kvserve_get_latency_seconds" // read burst → its response written, per get
+	MetricPutLatency = "kvserve_put_latency_seconds" // {shard}; read burst → ack queued, per put
+)
+
 // Server is one kvserve instance. Build with New (which performs
 // preload or crash recovery), then Start to accept traffic, then
 // Close to drain gracefully. Contents is only safe while no put is in
@@ -76,14 +85,15 @@ type Server struct {
 	// hWriteFrames observes response frames per socket write syscall —
 	// the syscall-coalescing gauge of the vectored response path.
 	hWriteFrames *obs.Histogram
-	// Stage-latency attribution: kvserve_stage_seconds{stage=...}, one
-	// histogram per pipeline stage a put crosses. Always on (Observe is
-	// an atomic bucket increment); the per-put cost is bounded by the
-	// clocks the pipeline already reads.
-	stQueue *obs.Histogram // mailbox enqueue → owner dequeue
-	stFill  *obs.Histogram // batch open → seal (per batch)
-	stFlush *obs.Histogram // seal → write set durable (per batch)
-	stRepl  *obs.Histogram // local durable → follower tokens resolved (per job)
+	// Stage-latency attribution: MetricStage{stage=...}, one histogram
+	// per obs.Stage the server sees: queue per put, fill and flush per
+	// batch, repl per job. Always on (Observe is an atomic
+	// bucket increment); the per-put cost is bounded by the clocks the
+	// pipeline already reads. The other entries stay nil.
+	stage [obs.NumStages]*obs.Histogram
+	// applyLat is MetricApply: the owner's service time per put, booked
+	// once per run.
+	applyLat *obs.Histogram
 	// Tail sampling: tidBase+tidCtr mint server-side trace IDs for
 	// every cfg.TraceSample'th otherwise-untraced client put; slowNs is
 	// cfg.TraceSlow in nanoseconds (0 = off).
@@ -122,15 +132,12 @@ func New(cfg Config) (*Server, error) {
 	s.ctLeakLines = root.With("path", "leak").Counter("kvserve_persisted_lines_total")
 	s.ctSeqRetries = root.Counter("kvserve_seqlock_retries_total")
 	s.ctSeqRetried = root.Counter("kvserve_seqlock_retried_gets_total")
-	s.getLat = root.HistogramScaled("kvserve_get_latency_seconds", 1e-9)
+	s.getLat = root.HistogramScaled(MetricGetLatency, 1e-9)
 	s.hWriteFrames = root.Histogram("kvserve_writev_frames_per_syscall")
-	stage := func(name string) *obs.Histogram {
-		return root.With("stage", name).HistogramScaled("kvserve_stage_seconds", 1e-9)
+	for _, st := range []obs.Stage{obs.StageQueue, obs.StageFill, obs.StageFlush, obs.StageRepl} {
+		s.stage[st] = root.With("stage", st.String()).HistogramScaled(MetricStage, 1e-9)
 	}
-	s.stQueue = stage("queue")
-	s.stFill = stage("fill")
-	s.stFlush = stage("flush")
-	s.stRepl = stage("repl")
+	s.applyLat = root.HistogramScaled(MetricApply, 1e-9)
 	// High bits wall-derived so IDs from distinct server incarnations
 	// (and from clients, which mint small sequential IDs) don't collide.
 	s.tidBase = uint64(time.Now().UnixNano()) << 20

@@ -30,7 +30,7 @@ const (
 
 // stageServer builds an un-Started one-shard LP server whose journal
 // holds maxOps puts.
-func stageServer(b *testing.B, batchK, maxOps int) (*Server, *shardState) {
+func stageServer(b testing.TB, batchK, maxOps int) (*Server, *shardState) {
 	b.Helper()
 	s, err := New(Config{
 		Path: filepath.Join(b.TempDir(), "kv.img"), Mode: lpstore.ModeLP,
@@ -381,5 +381,47 @@ func BenchmarkBoot(b *testing.B) {
 				b.ReportMetric(float64(persisted)/float64(b.N), "persisted-B/boot")
 			})
 		}
+	}
+}
+
+// TestGetSeesUnsealedPut pins the get contract as it stands: gets are
+// read-uncommitted. A put applied but not sealed — not durable, not
+// acked — is what the get path returns for its key, even though a crash
+// erases it: the image restarted after Abort (New's load is the crash)
+// holds the old value, though every table line the put dirtied leaked.
+func TestGetSeesUnsealedPut(t *testing.T) {
+	s, sd := stageServer(t, 32, 1<<10)
+	key := stageKey(sd, 0)
+	old := sd.baseline[0][1] // stageKey(sd, 0) is baseline[0]'s key
+	get := func(s *Server) uint64 {
+		rb, hit, _ := s.appendGet(nil, 1, key)
+		_, status, v := DecodeResp((*[RespSize]byte)(rb))
+		if !hit || status != StatusOK {
+			t.Fatalf("get %#x: status %d", key, status)
+		}
+		return v
+	}
+
+	s.apply(sd, []request{{seq: 1, key: key, val: old + 1, enq: time.Now(), cn: absorbConn()}})
+	if len(sd.pending) != 1 || len(sd.commitCh) != 0 {
+		t.Fatalf("the put sealed: %d pending, %d sealed", len(sd.pending), len(sd.commitCh))
+	}
+	if got := get(s); got != old+1 {
+		t.Fatalf("get before the seal = %d, want the unsealed put's %d", got, old+1)
+	}
+	for leaked, _ := s.leakq.take(nil); leaked != nil; leaked, _ = s.leakq.take(nil) {
+		for i := range leaked {
+			s.mem.PersistLine(leaked[i].la, &leaked[i].buf)
+		}
+	}
+	s.Abort()
+
+	s, err := New(s.cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer s.Close()
+	if got := get(s); got != old {
+		t.Fatalf("get after the crash = %d, want the preloaded %d", got, old)
 	}
 }

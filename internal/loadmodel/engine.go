@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -273,12 +272,6 @@ type engine struct {
 	o     Options
 	base  string
 	start time.Time
-	// spin closes the last stretch before a due time with a yield loop:
-	// finer than the sleep granularity, and the spare cores absorb it.
-	// On a single CPU a spinning issuer would steal the core from the
-	// very server it is waiting on, so it sleeps the full gap and lets
-	// timer overshoot show up as dispatch lag instead.
-	spin bool
 
 	classes []classStats
 	sched   obs.Histogram // served-op latency from due time, ns
@@ -323,7 +316,7 @@ func Run(addr string, src Source, o Options) (*Report, error) {
 		return &Report{}, err
 	}
 	e := &engine{
-		o: o, base: addr, spin: runtime.NumCPU() > 1,
+		o: o, base: addr,
 		classes: make([]classStats, len(fd.classes)),
 		targets: make(map[string]*targetStats),
 		start:   time.Now(),
@@ -760,7 +753,13 @@ func (cn *conn) harvest() bool {
 
 // wait parks until the next event or, when until is set, that time —
 // whichever comes first. Responses are handled the moment they land
-// even mid-pause, so their latency never absorbs the pacing sleep.
+// even mid-pause, so their latency never absorbs the pacing sleep. It
+// sleeps the whole gap, and the host's timer overshoot shows up as
+// dispatch lag. It does not yield through the last stretch: issuers
+// that yield keep the global run queue non-empty, a P that finds work
+// there never polls the network, and responses then reach the readers
+// on sysmon's poll, up to 10 ms late — the client books milliseconds
+// no server spent (EXPERIMENTS.md E17).
 func (cn *conn) wait(until time.Time) bool {
 	if until.IsZero() {
 		return cn.handle(<-cn.events)
@@ -768,13 +767,6 @@ func (cn *conn) wait(until time.Time) bool {
 	d := time.Until(until)
 	if d <= 0 {
 		return true
-	}
-	if cn.e.spin {
-		if d <= 300*time.Microsecond {
-			runtime.Gosched()
-			return true
-		}
-		d -= 200 * time.Microsecond
 	}
 	if !cn.timer.Stop() {
 		select {

@@ -6,7 +6,8 @@
 // live server goes through (Run: window-paced for a kvgen mix,
 // schedule-paced for a trace — one issue rule, see engine.go), and a
 // capacity planner that runs the same stream through a discrete-event
-// model of the kvserve pipeline calibrated from live probes.
+// model of the kvserve pipeline, calibrated from a live server's own
+// stage histograms (Calibrate).
 //
 // The package contract is determinism end to end: the same Spec and
 // seed produce a byte-identical op stream on every machine, the trace

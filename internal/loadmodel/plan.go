@@ -2,7 +2,7 @@ package loadmodel
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 	"time"
 
 	"lazyp/internal/kvserve"
@@ -10,31 +10,29 @@ import (
 )
 
 // Calibration holds the service-time constants the planner's queueing
-// model runs on, in nanoseconds. They come from one of two sources:
-// DefaultCalibration (rough localhost numbers) or CalibrateLive
-// (window-paced probes against a real server on this machine — what
-// E17 and the CI smoke use).
+// model runs on, in nanoseconds: DefaultCalibration's rough localhost
+// numbers until Calibrate reads them off a real server's histograms
+// (what E17 and the CI smoke do).
 type Calibration struct {
 	// GetSvcNs is the per-get conn-reader service time: parse, seqlock
-	// read, response write, amortized across a pipelined stream.
-	// Capacity for a pure-get load is Conns/GetSvcNs.
+	// read, response write. Capacity for a pure-get load is
+	// Conns/GetSvcNs.
 	GetSvcNs float64 `json:"get_svc_ns"`
-	// PutSvcNs is the effective per-put service time at a shard owner
-	// (capacity-derived: Shards/PutSvcNs is the saturated put rate, so
-	// it folds in the reader's share of the put path too).
+	// PutSvcNs is the per-put service time at a shard owner: its
+	// apply, the seals and leak inside it included. Shards/PutSvcNs is
+	// the saturated put rate.
 	PutSvcNs float64 `json:"put_svc_ns"`
-	// FlushNs is the per-batch commit cost (checksum + journal write +
-	// table apply downstream of the owner), excluding fsync.
+	// FlushNs is the per-batch commit cost: the sealed write set
+	// persisted, excluding fsync.
 	FlushNs float64 `json:"flush_ns"`
 	// FsyncNs is the additional per-batch cost when Fsync is on.
 	FsyncNs float64 `json:"fsync_ns"`
 	// NetRTTNs is the fixed client<->server round-trip plus client
 	// overhead added to every op's latency.
 	NetRTTNs float64 `json:"net_rtt_ns"`
-	// SealLagNs is how far past the nominal BatchWait deadline the
-	// server's seal timer actually fires at the tail (host timer
-	// granularity; ~1ms on coarse-tick VMs, ~0 on bare metal). Probed
-	// as the p99−mean gap of the lone-put path; the model delays every
+	// SealLagNs is how far past the nominal BatchWait deadline an open
+	// batch seals at the tail (host timer granularity and owner wake-up;
+	// ~1ms on coarse-tick VMs, ~0 on bare metal). The model delays every
 	// timer-driven seal by it. Zero for the default calibration.
 	SealLagNs float64 `json:"seal_lag_ns"`
 	// ReplHopNs is the extra ack delay per batch when the server
@@ -58,144 +56,81 @@ func DefaultCalibration() Calibration {
 	}
 }
 
-// ProbeGeometry tells CalibrateLive the server's shape; Shards/BatchK/
-// BatchWait/Streams/Keys/Seed must match the probed server's Config.
-type ProbeGeometry struct {
-	Shards    int
-	BatchK    int
-	BatchWait time.Duration
-	Streams   int
-	Keys      int
-	Seed      uint64
-	Dur       time.Duration // per throughput probe; default 400ms
-	Conns     int           // probe connections; default 4
-}
-
-// CalibrateLive derives the constants from four short window-paced
-// probes against a running server:
+// Calibrate derives the constants from the server's own histograms
+// around one calibration run: before and after scrape its registry on
+// either side of the run, run is the client's report of it, and geo is
+// the server's geometry (its Shards and BatchWaitNs are read). Each
+// constant is read off the run's delta of the server's series:
 //
-//  1. mix c, pipelined  -> GetSvcNs  = Conns / get throughput
-//  2. mix a, pipelined  -> PutSvcNs  = Shards / put throughput
-//  3. mix c, window 1   -> NetRTTNs  = per-op latency − GetSvcNs
-//  4. mix a, window 1   -> FlushNs   = per-op latency − NetRTT − BatchWait
-//     (a lone put pads out the full BatchWait deadline, so the
-//     remainder after RTT and the deadline is the commit itself);
-//     SealLagNs = probe p99 − probe mean, the seal timer's firing
-//     slack at the tail on this host. Run three times, medians win.
+//	FlushNs   = flush-stage mean (seal → write set durable, per batch)
+//	ReplHopNs = repl-stage mean, when the server replicated
+//	GetSvcNs  = server get latency mean
+//	PutSvcNs  = owner apply time per put, mean
+//	SealLagNs = fill-stage p99 − BatchWaitNs, floored at 0 (0 when
+//	            batches fill by count)
+//	NetRTTNs  = client mean − server mean, over every op: the gets'
+//	            latency and each shard's put latency
 //
-// FsyncNs and ReplHopNs are not probed (the target is a plain
-// non-fsync server) and keep their incoming defaults.
-func CalibrateLive(addr string, g ProbeGeometry) (Calibration, error) {
+// RTT is a difference of means over every op, not of medians and not of
+// gets alone: the model adds it to every op, and a client's round trip
+// on a busy host is wide (p25 and p75 a factor of 4 apart), so only the
+// mean over all of them makes the modelled hops' mean the measured one.
+// A put's hops are longer than a get's by the handoff from the flusher
+// to the connection writer, which the server's put latency ends before.
+// A mean also carries no histogram bucket error.
+//
+// A constant whose series saw no samples keeps its default, and so does
+// FsyncNs: scraped from an fsync server, the flush stage already holds it.
+func Calibrate(before, after obs.Scrape, run *Report, geo PlanConfig) Calibration {
 	cal := DefaultCalibration()
-	if g.Dur <= 0 {
-		g.Dur = 400 * time.Millisecond
+	delta := func(name string, kv ...string) obs.HistSnapshot {
+		return after.Hist(name, 1e-9, kv...).Sub(before.Hist(name, 1e-9, kv...))
 	}
-	if g.Conns <= 0 {
-		g.Conns = 4
-	}
-	// Probes retry overloads like any window-paced client: they measure
-	// capacity, not admission control.
-	probe := func(mix string, conns, window, ops int) (*Report, error) {
-		m := MixLoad{Mix: mix, Dist: "zipfian", Streams: g.Streams, Keys: g.Keys, Seed: g.Seed, Ops: ops}
-		if ops == 0 {
-			m.Dur = g.Dur
+	stage := func(st obs.Stage) obs.HistSnapshot { return delta(kvserve.MetricStage, "stage", st.String()) }
+	set := func(dst *float64, h obs.HistSnapshot, v float64) {
+		if h.Count > 0 {
+			*dst = v
 		}
-		rep, err := Run(addr, m, Options{Conns: conns, Window: window, MaxRetries: 8})
-		if err == nil && rep.Throughput <= 0 {
-			err = fmt.Errorf("zero throughput")
-		}
-		if err != nil {
-			return rep, fmt.Errorf("loadmodel: calibration probe (mix %s, window %d): %w", mix, window, err)
-		}
-		return rep, nil
 	}
-
-	rep, err := probe("c", g.Conns, 64, 0)
-	if err != nil {
-		return cal, err
+	flush, repl, fill := stage(obs.StageFlush), stage(obs.StageRepl), stage(obs.StageFill)
+	get, apply := delta(kvserve.MetricGetLatency), delta(kvserve.MetricApply)
+	set(&cal.FlushNs, flush, flush.Mean())
+	set(&cal.ReplHopNs, repl, repl.Mean())
+	set(&cal.GetSvcNs, get, get.Mean())
+	set(&cal.PutSvcNs, apply, apply.Mean())
+	set(&cal.SealLagNs, fill, max(0, float64(fill.Quantile(0.99))-float64(geo.BatchWaitNs)))
+	n, sumNs := get.Count, float64(get.Sum)
+	for i := range geo.Shards {
+		put := delta(kvserve.MetricPutLatency, "shard", strconv.Itoa(i))
+		n, sumNs = n+put.Count, sumNs+float64(put.Sum)
 	}
-	cal.GetSvcNs = float64(g.Conns) / rep.Throughput * 1e9
-
-	rep, err = probe("a", g.Conns, 64, 0)
-	if err != nil {
-		return cal, err
+	if n > 0 && run.Total.MeanUs > 0 {
+		cal.NetRTTNs = max(0, run.Total.MeanUs*1e3-sumNs/float64(n))
 	}
-	if rep.Ops > 0 && rep.AckedPuts > 0 {
-		putThr := rep.Throughput * float64(rep.AckedPuts) / float64(rep.Ops)
-		cal.PutSvcNs = float64(g.Shards) / putThr * 1e9
-	}
-
-	rep, err = probe("c", 1, 1, 400)
-	if err != nil {
-		return cal, err
-	}
-	perOp := 1e9 / rep.Throughput
-	if rtt := perOp - cal.GetSvcNs; rtt > 5_000 {
-		cal.NetRTTNs = rtt
-	} else {
-		cal.NetRTTNs = 5_000
-	}
-
-	// Probe 4 is the fragile one — at 200 ops a single scheduler stall
-	// on a busy host pollutes both estimates — so it runs three times
-	// and the median of each constant wins.
-	var flushes, lags []float64
-	for i := 0; i < 3; i++ {
-		rep, err = probe("a", 1, 1, 200)
-		if err != nil {
-			return cal, err
-		}
-		// Only the puts pad out BatchWait; gets return at RTT+GetSvc.
-		// With mix a the average per-op time is the mean of the two
-		// paths.
-		perOp = 2*1e9/rep.Throughput - (cal.NetRTTNs + cal.GetSvcNs)
-		flushes = append(flushes, perOp-cal.NetRTTNs-float64(g.BatchWait.Nanoseconds()))
-		// The puts also own the top half of the mix-a latency
-		// distribution, so the probe's overall p99 is the lone-put
-		// tail; its gap over the throughput-derived mean is the seal
-		// timer firing late. (A 200-op probe's p99 is its 2nd-worst op
-		// — fragile alone, which is what the median across the three
-		// probe runs is for.)
-		lags = append(lags, rep.Total.P99us*1e3-perOp)
-	}
-	sort.Float64s(flushes)
-	sort.Float64s(lags)
-	switch flush := flushes[1]; {
-	case flush < 5_000:
-		cal.FlushNs = 5_000
-	case flush > 2_000_000:
-		cal.FlushNs = 2_000_000
-	default:
-		cal.FlushNs = flush
-	}
-	if lag := lags[1]; lag > 0 {
-		if lag > 2_000_000 {
-			lag = 2_000_000
-		}
-		cal.SealLagNs = lag
-	}
-	cal.Source = "live:" + addr
-	return cal, nil
+	cal.Source = "stages"
+	return cal
 }
 
-// SealLagFromRun refits SealLagNs from one live shakedown run: the gap
-// between the run's measured put p99 and the zero-lag deterministic
-// put path (BatchWait + flush + RTT + owner service) is the under-load
-// seal-timer slack. Idle window-1 probes systematically understate it
-// on a busy host — the timer goroutine competes with the serving load
-// for the CPU — so E17 probes the other constants idle, runs its
-// calibration workload once, refits the lag from that run, and only
-// then predicts the held-out specs. Clamped to [0, 5ms].
-func SealLagFromRun(cal Calibration, batchWaitNs int64, meas ClassPlan) float64 {
-	base := float64(batchWaitNs) + cal.FlushNs + cal.NetRTTNs + cal.PutSvcNs
-	lag := meas.PutP99us*1e3 - base
-	switch {
-	case lag < 0:
-		return 0
-	case lag > 5_000_000:
-		return 5_000_000
+// CalibrationRun replays src against the server at addr over geo.Conns
+// connections and calibrates from that server's registry, which scrape
+// reads before and after the run. A run that loses an op is an error.
+func CalibrationRun(addr string, src Source, geo PlanConfig, scrape func() (obs.Scrape, error)) (Calibration, *Report, error) {
+	before, err := scrape()
+	if err != nil {
+		return Calibration{}, nil, err
 	}
-	return lag
+	run, err := Run(addr, src, Options{Conns: geo.Conns, Window: 512})
+	if err == nil && (run.Partial || run.Errors > 0) {
+		err = fmt.Errorf("loadmodel: run lost %d ops", run.Errors)
+	}
+	var after obs.Scrape
+	if err == nil {
+		after, err = scrape()
+	}
+	if err != nil {
+		return Calibration{}, run, err
+	}
+	return Calibrate(before, after, run, geo), run, nil
 }
 
 // PlanConfig is the server geometry the planner models; mirror the
@@ -250,6 +185,7 @@ type ClassPlan struct {
 	P50us       float64 `json:"p50_us"`
 	P99us       float64 `json:"p99_us"`
 	PutP99us    float64 `json:"put_p99_us"`
+	MeanUs      float64 `json:"mean_us"`
 	MaxUs       float64 `json:"max_us"`
 	Overloads   uint64  `json:"overloads"`
 	Expired     uint64  `json:"expired"`
@@ -268,32 +204,23 @@ type PlanReport struct {
 	PutUtil   float64     `json:"put_util"`   // offered put load / put capacity
 	GetUtil   float64     `json:"get_util"`   // offered get load / get capacity
 	FlushUtil float64     `json:"flush_util"` // per-shard flusher occupancy
-	Stages    *StagePlan  `json:"stages,omitempty"`
+	Stages    StagePlan   `json:"stage_mean_us"`
 }
 
 // StagePlan is the DES's stage-level latency attribution for the put
-// path, mean microseconds per stage. It is the plan-side counterpart
-// of the server's kvserve_stage_seconds histograms: `lptrace -vs-plan`
-// diffs a measured trace breakdown against these to show where the
-// model and the machine disagree.
-type StagePlan struct {
-	// Puts is how many dispatched puts the queue mean averages over;
-	// Batches how many sealed batches back the fill/flush means.
-	Puts    int `json:"puts"`
-	Batches int `json:"batches"`
-	// QueueUs: mailbox enqueue → owner dequeue, per put.
-	QueueUs float64 `json:"queue_us"`
-	// FillUs: batch open (first put lands) → seal, per batch.
-	FillUs float64 `json:"fill_us"`
-	// FlushUs: seal → write set durable, per batch, including time
-	// queued behind earlier batches in the flush pipeline.
-	FlushUs float64 `json:"flush_us"`
-	// ReplUs: replication ack hop per batch (the model's constant;
-	// zero when not replicated).
-	ReplUs float64 `json:"repl_us"`
-	// RTTUs: fixed client<->server network round trip.
-	RTTUs float64 `json:"rtt_us"`
-}
+// path, mean µs per stage in the server's own stage taxonomy (indexed,
+// and in JSON ordered, by obs.Stage): `lptrace -vs-plan` diffs a
+// measured trace breakdown against it stage by stage to show where the
+// model and the machine disagree. It holds only the stages whose mean
+// the model predicts, 0 for the others: flush (seal → durable, queueing
+// behind earlier batches included) per batch, and repl, the model's
+// constant hop, when replicated. Queue and fill are left out:
+// the model's queue is the wait for a busy owner, with no mailbox
+// wake-up hop, so under light load it is zero whatever the server
+// measures; and every timer-sealed batch waits BatchWait plus the
+// *tail* seal lag, so the model's fill is a p99 by construction, not a
+// mean.
+type StagePlan [obs.NumStages]float64
 
 // classAcc accumulates per-class settle results through the DES.
 type classAcc struct {
@@ -360,7 +287,6 @@ func Plan(spec *Spec, ops []Op, cfg PlanConfig) *PlanReport {
 		busy     bool
 		stalled  bool // owner wants to seal; pipeline ring full
 		open     []int32
-		openAt   int64 // when the open batch got its first put (fill stage)
 		epoch    int64 // open-batch identity for seal timers
 		inflight int   // sealed, not yet flushed
 		flushQ   []simBatch
@@ -370,10 +296,8 @@ func Plan(spec *Spec, ops []Op, cfg PlanConfig) *PlanReport {
 	}
 
 	// Stage attribution accumulators (see StagePlan).
-	var (
-		queueSumNs, fillSumNs, flushSumNs int64
-		queuePuts, sealedBatches          int
-	)
+	var flushSumNs int64
+	var flushedBatches int
 
 	conns := make([]simConn, cfg.Conns)
 	shards := make([]simShard, cfg.Shards)
@@ -406,8 +330,6 @@ func Plan(spec *Spec, ops []Op, cfg PlanConfig) *PlanReport {
 	}
 	doSeal = func(now int64, si int32) {
 		sh := &shards[si]
-		fillSumNs += now - sh.openAt
-		sealedBatches++
 		sh.flushQ = append(sh.flushQ, simBatch{ops: sh.open, sealAt: now})
 		sh.journal += len(sh.open) // a sealed batch costs the records it holds
 		sh.open = nil
@@ -428,8 +350,6 @@ func Plan(spec *Spec, ops []Op, cfg PlanConfig) *PlanReport {
 				accs[ops[p.op].Class].exp++
 				continue
 			}
-			queueSumNs += now - p.enq
-			queuePuts++
 			sh.busy = true
 			push(now+putNs, evOwnerDone, si, int64(p.op))
 			return
@@ -483,7 +403,6 @@ func Plan(spec *Spec, ops []Op, cfg PlanConfig) *PlanReport {
 			sh.busy = false
 			sh.open = append(sh.open, int32(e.b))
 			if len(sh.open) == 1 {
-				sh.openAt = now
 				push(now+sealNs, evSeal, si, sh.epoch)
 			}
 			if len(sh.open) >= cfg.BatchK {
@@ -512,6 +431,7 @@ func Plan(spec *Spec, ops []Op, cfg PlanConfig) *PlanReport {
 			si := e.a
 			sh := &shards[si]
 			flushSumNs += now - sh.flushing.sealAt
+			flushedBatches++
 			for _, opi := range sh.flushing.ops {
 				settleOK(&ops[opi], now+replNs)
 			}
@@ -527,20 +447,12 @@ func Plan(spec *Spec, ops []Op, cfg PlanConfig) *PlanReport {
 	}
 
 	rep := buildReport(spec, ops, cfg, accs)
-	st := &StagePlan{
-		Puts:    queuePuts,
-		Batches: sealedBatches,
-		ReplUs:  float64(replNs) / 1e3,
-		RTTUs:   float64(rttNs) / 1e3,
+	if flushedBatches > 0 {
+		rep.Stages[obs.StageFlush] = float64(flushSumNs) / float64(flushedBatches) / 1e3
 	}
-	if queuePuts > 0 {
-		st.QueueUs = float64(queueSumNs) / float64(queuePuts) / 1e3
+	if cfg.Replicated {
+		rep.Stages[obs.StageRepl] = float64(replNs) / 1e3
 	}
-	if sealedBatches > 0 {
-		st.FillUs = float64(fillSumNs) / float64(sealedBatches) / 1e3
-		st.FlushUs = float64(flushSumNs) / float64(sealedBatches) / 1e3
-	}
-	rep.Stages = st
 	return rep
 }
 
@@ -601,6 +513,7 @@ func classPlanOf(name string, offered int, durS float64, hist, putHist *obs.Hist
 		P50us:       float64(s.Quantile(0.50)) / 1e3,
 		P99us:       float64(s.Quantile(0.99)) / 1e3,
 		PutP99us:    float64(ps.Quantile(0.99)) / 1e3,
+		MeanUs:      s.Mean() / 1e3,
 		MaxUs:       float64(s.Max) / 1e3,
 		Overloads:   over,
 		Expired:     exp,

@@ -2,8 +2,12 @@ package loadmodel
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"lazyp/internal/kvserve"
+	"lazyp/internal/obs"
 )
 
 // TestPlanDeterministic: the prediction is a pure function of
@@ -171,5 +175,104 @@ func TestPlanReplicatedSlower(t *testing.T) {
 	repl := Plan(spec, ops, PlanConfig{Replicated: true})
 	if repl.Total.PutP99us < plain.Total.PutP99us {
 		t.Fatalf("replicated put p99 %.1fµs < plain %.1fµs", repl.Total.PutP99us, plain.Total.PutP99us)
+	}
+	// The stage plan holds the stages whose mean the model predicts:
+	// flush, and repl only when there is a replication hop.
+	for _, c := range []struct {
+		rep  *PlanReport
+		want []obs.Stage
+	}{{plain, []obs.Stage{obs.StageFlush}}, {repl, []obs.Stage{obs.StageFlush, obs.StageRepl}}} {
+		st := c.rep.Stages
+		planned := 0
+		for _, us := range st {
+			if us != 0 {
+				planned++
+			}
+		}
+		if planned != len(c.want) {
+			t.Fatalf("replicated=%v: stage plan %v, want %v", c.rep.Cfg.Replicated, st, c.want)
+		}
+		for _, s := range c.want {
+			if st[s] <= 0 {
+				t.Fatalf("replicated=%v: %s planned at %.1fµs", c.rep.Cfg.Replicated, s, st[s])
+			}
+		}
+	}
+}
+
+// TestCalibrateFromStages: each constant is read off the delta of the
+// server's series between two scrapes — samples from before the run do
+// not count — and a series the run left empty keeps its default.
+func TestCalibrateFromStages(t *testing.T) {
+	const batchWait = 2 * time.Millisecond
+	reg := obs.NewRegistry()
+	stage := func(st obs.Stage) *obs.Histogram {
+		return reg.Scope("stage", st.String()).HistogramScaled(kvserve.MetricStage, 1e-9)
+	}
+	flush, fill, repl := stage(obs.StageFlush), stage(obs.StageFill), stage(obs.StageRepl)
+	get := reg.Scope().HistogramScaled(kvserve.MetricGetLatency, 1e-9)
+	apply := reg.Scope().HistogramScaled(kvserve.MetricApply, 1e-9)
+	put0 := reg.Scope("shard", "0").HistogramScaled(kvserve.MetricPutLatency, 1e-9)
+	put1 := reg.Scope("shard", "1").HistogramScaled(kvserve.MetricPutLatency, 1e-9)
+	geo := PlanConfig{Shards: 2, BatchWaitNs: int64(batchWait)}
+	scrape := func() obs.Scrape {
+		var b strings.Builder
+		if err := reg.WriteProm(&b); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := obs.ReadProm(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	// Before the run: samples far off every constant.
+	for _, h := range []*obs.Histogram{flush, fill, get, apply, put0, put1} {
+		h.ObserveN(50_000_000, 10)
+	}
+	before := scrape()
+
+	// Batches that fill by count seal well inside BatchWait.
+	flush.ObserveN(6_000, 100)
+	fill.ObserveN(300_000, 100)
+	get.ObserveN(3_000, 1000)
+	apply.ObserveN(2_000, 3200)
+	put0.ObserveN(500_000, 300)
+	put1.ObserveN(500_000, 100)
+	// The server's mean over the run's 1400 ops is 145 µs.
+	run := &Report{Total: ClassPlan{MeanUs: 220}}
+	cal := Calibrate(before, scrape(), run, geo)
+	def := DefaultCalibration()
+	near := func(name string, got, want float64) {
+		t.Helper()
+		if got < want*0.999 || got > want*1.13 { // a quantile is its bucket's upper edge
+			t.Errorf("%s = %.0f ns, want %.0f", name, got, want)
+		}
+	}
+	near("FlushNs", cal.FlushNs, 6_000)
+	near("GetSvcNs", cal.GetSvcNs, 3_000)
+	near("PutSvcNs", cal.PutSvcNs, 2_000)
+	near("NetRTTNs", cal.NetRTTNs, 220_000-145_000)
+	if cal.SealLagNs != 0 {
+		t.Errorf("SealLagNs = %.0f with every batch filled by count, want 0", cal.SealLagNs)
+	}
+	if cal.ReplHopNs != def.ReplHopNs || cal.FsyncNs != def.FsyncNs {
+		t.Errorf("repl hop %.0f, fsync %.0f: want the defaults with no repl samples", cal.ReplHopNs, cal.FsyncNs)
+	}
+
+	// A second run: timer seals whose tail overshoots BatchWait by
+	// 0.5 ms, and replication.
+	before = scrape()
+	fill.ObserveN(uint64(batchWait)+500_000, 100)
+	repl.ObserveN(400_000, 50)
+	cal = Calibrate(before, scrape(), run, geo)
+	near("SealLagNs", cal.SealLagNs+float64(batchWait), float64(batchWait)+500_000)
+	if cal.SealLagNs <= 0 {
+		t.Errorf("SealLagNs = %.0f, want the fill tail's overshoot", cal.SealLagNs)
+	}
+	near("ReplHopNs", cal.ReplHopNs, 400_000)
+	if cal.FlushNs != def.FlushNs || cal.PutSvcNs != def.PutSvcNs || cal.NetRTTNs != def.NetRTTNs {
+		t.Errorf("flush %.0f, put %.0f, rtt %.0f: want the defaults with no samples in the run",
+			cal.FlushNs, cal.PutSvcNs, cal.NetRTTNs)
 	}
 }

@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"bufio"
+	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -104,4 +107,75 @@ func writeHist(b *strings.Builder, name, labels string, scale float64, s HistSna
 
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// Scrape is a text exposition read back: the inverse of WriteProm, for
+// a client that reads a server's registry over /metrics. It keeps each
+// sample's value under the series text before it, and the accessors
+// rebuild that text the way WriteProm writes it, so a Scrape reads what
+// WriteProm writes and nothing more.
+type Scrape map[string]string
+
+// ReadProm parses a WriteProm exposition.
+func ReadProm(r io.Reader) (Scrape, error) {
+	s := Scrape{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20)
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Text()
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 {
+			return nil, fmt.Errorf("obs: metrics line %d: no value", n)
+		}
+		s[line[:sp]] = line[sp+1:]
+	}
+	return s, sc.Err()
+}
+
+// sample returns the value WriteProm wrote for a series (labels as
+// labelKey renders them, extra as writeSample takes it), "" if absent.
+func (s Scrape) sample(name, labels, extra string) string {
+	var b strings.Builder
+	writeSample(&b, name, labels, extra, "")
+	return s[strings.TrimSuffix(b.String(), " \n")]
+}
+
+// Counter returns a counter series' value (0 when absent).
+func (s Scrape) Counter(name string, kv ...string) uint64 {
+	v, _ := strconv.ParseUint(s.sample(name, Scope{pairs: kv}.labelKey(), ""), 10, 64)
+	return v
+}
+
+// Gauge returns a gauge series' value (0 when absent).
+func (s Scrape) Gauge(name string, kv ...string) int64 {
+	v, _ := strconv.ParseInt(s.sample(name, Scope{pairs: kv}.labelKey(), ""), 10, 64)
+	return v
+}
+
+// Hist rebuilds a histogram series' snapshot in its raw unit; scale is
+// the one the series was resolved with (0 = raw). The exposition
+// carries no max, so Max is the upper edge of the highest non-empty
+// bucket. An absent series is an empty snapshot.
+func (s Scrape) Hist(name string, scale float64, kv ...string) HistSnapshot {
+	if scale == 0 {
+		scale = 1
+	}
+	labels := Scope{pairs: kv}.labelKey()
+	var out HistSnapshot
+	var prev uint64
+	for b := range histBuckets {
+		v := s.sample(name+"_bucket", labels, `le="`+formatFloat(float64(bucketUB(b))*scale)+`"`)
+		if v == "" {
+			continue
+		}
+		cum, _ := strconv.ParseUint(v, 10, 64)
+		out.Counts[b], prev, out.Max = cum-prev, cum, bucketUB(b)
+	}
+	out.Count, _ = strconv.ParseUint(s.sample(name+"_count", labels, ""), 10, 64)
+	sum, _ := strconv.ParseFloat(s.sample(name+"_sum", labels, ""), 64)
+	out.Sum = uint64(math.Round(sum / scale))
+	return out
 }

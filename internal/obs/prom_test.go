@@ -65,6 +65,69 @@ func TestWritePromScaled(t *testing.T) {
 	}
 }
 
+// TestReadPromRoundTrip: ReadProm(WriteProm(r)) gives back every
+// counter, gauge and histogram snapshot — raw and scaled, unlabelled and
+// labelled, label values that need escaping included. The exposition
+// carries no max, so a histogram's comes back as its top bucket's edge.
+func TestReadPromRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("acks_total").Add(1<<60 + 3)
+	r.Scope("cause", "overload", "shard", "0").Counter("rejects_total").Add(3)
+	r.Scope("path", "a\"b\\c\nd,e=\"f}").Counter("rejects_total").Inc()
+	r.Scope("shard", "1").Gauge("depth").Set(-7)
+	raw := r.Histogram("fill")
+	scaled := r.Scope("stage", "flush", "shard", "2").HistogramScaled("stage_seconds", 1e-9)
+	x := uint64(1)
+	for i := 0; i < 2000; i++ {
+		raw.Observe(splitmix64(&x) % 64)
+		scaled.Observe(splitmix64(&x) % 5_000_000)
+	}
+	scaled.ObserveN(0, 4)
+	r.Histogram("empty")
+
+	var out strings.Builder
+	if err := r.WriteProm(&out); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := ReadProm(strings.NewReader(out.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sc.Counter("acks_total"); got != 1<<60+3 {
+		t.Errorf("acks_total = %d", got)
+	}
+	if got := sc.Counter("rejects_total", "shard", "0", "cause", "overload"); got != 3 {
+		t.Errorf("rejects_total{overload} = %d", got)
+	}
+	if got := sc.Counter("rejects_total", "path", "a\"b\\c\nd,e=\"f}"); got != 1 {
+		t.Errorf("rejects_total with an escaped label = %d", got)
+	}
+	if got := sc.Gauge("depth", "shard", "1"); got != -7 {
+		t.Errorf("depth = %d", got)
+	}
+	for _, c := range []struct {
+		h     *Histogram
+		got   HistSnapshot
+		scale string
+	}{
+		{raw, sc.Hist("fill", 0), "raw"},
+		{scaled, sc.Hist("stage_seconds", 1e-9, "shard", "2", "stage", "flush"), "scaled"},
+		{r.Histogram("empty"), sc.Hist("empty", 0), "empty"},
+	} {
+		want := c.h.Snapshot()
+		if c.got.Counts != want.Counts || c.got.Count != want.Count || c.got.Sum != want.Sum {
+			t.Errorf("%s histogram: count %d sum %d, want %d and %d (or the buckets differ)",
+				c.scale, c.got.Count, c.got.Sum, want.Count, want.Sum)
+		}
+		if want.Count > 0 && c.got.Max != bucketUB(bucketOf(want.Max)) {
+			t.Errorf("%s histogram: max %d, want the edge of %d's bucket", c.scale, c.got.Max, want.Max)
+		}
+	}
+	if got := sc.Hist("stage_seconds", 1e-9, "stage", "flush"); got.Count != 0 {
+		t.Errorf("a series with fewer labels matched: count %d", got.Count)
+	}
+}
+
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Scope("path", `a"b\c`).Counter("x_total").Inc()

@@ -2,8 +2,9 @@
 # plan_smoke.sh — the loadmodel pipeline exercised end to end with the
 # real binaries: the bursty builtin spec generated twice to a JSONL
 # trace (byte-identical or fail — determinism is the spec's contract),
-# lpplan predicting throughput for the planned geometry with live-probe
-# calibration through the CLI, lpserve booted on that geometry, lpload
+# lpserve booted on the planned geometry, lpplan predicting for it with
+# constants read off that server's own stage histograms (-probe runs the
+# steady builtin against it and scrapes /metrics around the run), lpload
 # replaying the recorded trace open-loop against it, and the measured
 # run compared to the prediction.
 #
@@ -54,9 +55,11 @@ for _ in $(seq 1 150); do
 done
 curl -sf "http://$CTRL/healthz" | grep -q '"serving"'
 
-echo "== predict (live-probe calibration through the CLI)"
+echo "== predict (calibrated from the server's stage histograms)"
+curl -sf "http://$CTRL/healthz" | grep -q "\"addr\":\"$ADDR\""
 "$BIN/lpplan" "${SPEC[@]}" "${GEO[@]}" -batchwait "$BW" -conns 4 \
-    -probe "$ADDR" -json >"$DIR/plan.json"
+    -probe "$CTRL" -json >"$DIR/plan.json"
+grep -q '"source": "stages:'"$CTRL"'"' "$DIR/plan.json"
 
 echo "== replay the recorded trace open-loop"
 "$BIN/lpload" -addr "$ADDR" -trace-in "$DIR/t1.jsonl" -conns 4 \
