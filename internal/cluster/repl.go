@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -29,9 +28,10 @@ import (
 // slot ring per session (the same discipline as kvserve's commitItem
 // ring): ForwardBatch takes a free slot per destination peer (window
 // backpressure), a sender goroutine gathers pending frames into one
-// writev, a reader goroutine matches acks back to slots, and the
-// shard's replication waiter returns the slot after the last of the
-// run's Waits. The steady-state forward path allocates nothing.
+// writev, a reader goroutine matches acks back to slots, and the slot
+// is itself the run's kvserve.ReplRun: the shard's replication waiter
+// waits it once, which settles the run and returns the slot. The
+// steady-state forward path allocates nothing.
 //
 // When a peer is unreachable (dead, lease revoked, or the connection
 // just broke), forwards for its slots divert into the peer's delta
@@ -50,8 +50,8 @@ import (
 // follower then holds the newer value), and a later drain replaying
 // the stale entry would roll the follower back over an acknowledged
 // put. The hazard is real — a forward resolved degraded is re-buffered
-// by wait(), which can run long after a redial published a new session
-// and newer forwards for the same key went (and acked) over it. So
+// by its run's Wait, which can run long after a redial published a new
+// session and newer forwards for the same key went (and acked) over it. So
 // every forward registers in peerState.sent — per key, the highest
 // stamp handed to any session, refcounted by unresolved forwards —
 // atomically (under ps.mu) with its wire enqueue; registering also
@@ -61,23 +61,22 @@ import (
 // replStatus values resolved into a forward slot.
 const (
 	replAcked    = byte(0)    // follower acked (StatusOK)
-	replDegraded = byte(0xFF) // abandoned: conn died / lease revoked / follower full
+	replDegraded = byte(0xFF) // abandoned: conn died / lease revoked / follower refused
 )
 
-// noAckTok is the token ForwardBatch returns when the put was buffered
-// for a peer the topology still calls alive (session down mid-redial).
-// Wait resolves it false immediately: the put must not be acked at
-// RF=1 while the follower's lease stands — the server surfaces
-// backpressure to the client instead. Real tokens carry a 1-based
-// session index in their high 32 bits, so the all-ones pattern can
-// never collide.
-const noAckTok = ^uint64(0)
+// noAck is the run ForwardBatch hands out for puts buffered for a peer
+// the topology still calls alive (session down mid-redial). Its Wait
+// reports false at once: the puts must not be acked at RF=1 while the
+// follower's lease stands — the server surfaces backpressure to the
+// clients instead.
+type noAck struct{}
 
-// tokUnset marks a ForwardBatch output slot not yet claimed by any
-// peer group while the batch is being partitioned. Never escapes
-// ForwardBatch; distinct from noAckTok and from any real token (which
-// would need 2^32-2 sessions to collide).
-const tokUnset = ^uint64(0) - 1
+func (noAck) Wait() bool { return false }
+
+// unclaimed marks a put not yet claimed by any peer group while
+// ForwardBatch partitions the batch. Never escapes ForwardBatch: a run
+// index is at most the number of pair peers.
+const unclaimed = ^uint16(0)
 
 // ReplConfig configures a node's Replicator.
 type ReplConfig struct {
@@ -179,7 +178,7 @@ func (ps *peerState) bufferDeltaLocked(key, val, stamp uint64) {
 // noteSentLocked registers a forward handed to a session: bumps the
 // key's unresolved count, raises its stamp high-water, and evicts any
 // older buffered delta for the key — the send supersedes it (if the
-// send later degrades, wait() re-buffers it; if it acks, the older
+// send later degrades, its Wait re-buffers it; if it acks, the older
 // value must never be replayed). Caller holds ps.mu.
 func (ps *peerState) noteSentLocked(key, stamp uint64) {
 	if ps.sent == nil {
@@ -234,20 +233,13 @@ type Replicator struct {
 	cfg  ReplConfig
 	view atomic.Pointer[slotView]
 
-	mu     sync.Mutex // guards peers, topology application, closed
+	mu     sync.Mutex // guards peers, topology application, session creation, closed
 	peers  map[string]*peerState
 	closed bool
-
-	// sessions is append-only under its own lock so Wait (called by
-	// shard flushers) never contends with a topology apply or a
-	// catch-up drain holding r.mu; tok = (idx+1)<<32 | slot.
-	sessMu   sync.Mutex
-	sessions []*peerSession
 
 	ctForwards *obs.Counter   // cluster_repl_forwards_total
 	ctAcks     *obs.Counter   // cluster_repl_acks_total
 	ctDegraded *obs.Counter   // cluster_repl_degraded_total
-	ctRetries  *obs.Counter   // cluster_repl_retries_total
 	ctBuffered *obs.Counter   // cluster_repl_delta_buffered_total
 	ctCatchup  *obs.Counter   // cluster_repl_catchup_keys_total
 	ctSessions *obs.Counter   // cluster_repl_sessions_total
@@ -257,7 +249,7 @@ type Replicator struct {
 }
 
 // NewReplicator builds a Replicator with no topology: every
-// ForwardBatch fills zero tokens until the router pushes one.
+// ForwardBatch forwards nothing until the router pushes one.
 func NewReplicator(cfg ReplConfig) *Replicator {
 	cfg = cfg.withDefaults()
 	root := cfg.Registry.Scope()
@@ -267,7 +259,6 @@ func NewReplicator(cfg ReplConfig) *Replicator {
 		ctForwards: root.Counter("cluster_repl_forwards_total"),
 		ctAcks:     root.Counter("cluster_repl_acks_total"),
 		ctDegraded: root.Counter("cluster_repl_degraded_total"),
-		ctRetries:  root.Counter("cluster_repl_retries_total"),
 		ctBuffered: root.Counter("cluster_repl_delta_buffered_total"),
 		ctCatchup:  root.Counter("cluster_repl_catchup_keys_total"),
 		ctSessions: root.Counter("cluster_repl_sessions_total"),
@@ -303,46 +294,46 @@ func (r *Replicator) Admit(key uint64) byte {
 // ForwardBatch implements kvserve.Replicator: called by a shard owner
 // once per sealed group-commit batch with every put the batch journals.
 // The batch is partitioned by destination peer; each peer's run ships
-// as one OpReplBatch frame holding one window slot, and every put in
-// the run receives the same shared token. toks[i] = 0 when put i has
-// no forward in flight. tids[i] is put i's trace ID (0 = untraced);
-// traced puts travel in the frame's trace extension and emit
-// stage_fwd_* span events here.
-func (r *Replicator) ForwardBatch(keys, vals, tids, toks []uint64) {
+// as one OpReplBatch frame holding one window slot, and is one entry of
+// runs that every put of the run indexes through in. in[i] = 0 when put
+// i has no forward in flight. tids[i] is put i's trace ID (0 =
+// untraced); traced puts travel in the frame's trace extension and
+// emit stage_fwd_* span events here.
+func (r *Replicator) ForwardBatch(keys, vals, tids []uint64, in []uint16, runs []kvserve.ReplRun) []kvserve.ReplRun {
 	v := r.view.Load()
 	if v == nil {
-		for i := range toks {
-			toks[i] = 0
-		}
-		return
+		clear(in)
+		return runs
 	}
-	for i := range toks {
-		toks[i] = tokUnset
+	for i := range in {
+		in[i] = unclaimed
 	}
 	for i := range keys {
-		if toks[i] != tokUnset {
+		if in[i] != unclaimed {
 			continue
 		}
 		ps := v.peers[SlotOf(keys[i])]
 		if ps == nil {
-			toks[i] = 0
+			in[i] = 0
 			continue
 		}
-		r.forwardGroup(v, ps, keys, vals, tids, toks, i)
+		runs = r.forwardGroup(v, ps, keys, vals, tids, in, runs, i)
 	}
+	return runs
 }
 
-// forwardGroup forwards every not-yet-claimed put at index ≥ from
-// bound for ps as one run: through the live session when there is one
-// (a single slot claim, a single frame, a shared token), otherwise
-// into the peer's delta buffer. Stamps are taken under ps.mu at
-// enqueue/buffer time, so per key — each key has exactly one shard
-// owner issuing its forwards in order — stamp order is value order.
-func (r *Replicator) forwardGroup(v *slotView, ps *peerState, keys, vals, tids, toks []uint64, from int) {
+// forwardGroup forwards every unclaimed put at index ≥ from bound for
+// ps as one run: through the live session when there is one (a single
+// slot claim, a single frame, one run appended), otherwise into the
+// peer's delta buffer. Stamps are taken under ps.mu at enqueue/buffer
+// time, so per key — each key has exactly one shard owner issuing its
+// forwards in order — stamp order is value order.
+func (r *Replicator) forwardGroup(v *slotView, ps *peerState, keys, vals, tids []uint64, in []uint16, runs []kvserve.ReplRun, from int) []kvserve.ReplRun {
+	mark := uint16(len(runs) + 1)
 	if sess := ps.live.Load(); sess != nil {
-		if n, ok := sess.forwardRun(v, keys, vals, tids, toks, from); ok {
-			r.ctForwards.Add(uint64(n))
-			return
+		if sl := sess.forwardRun(v, keys, vals, tids, in, mark, from); sl != nil {
+			r.ctForwards.Add(uint64(len(sl.puts)))
+			return append(runs, sl)
 		}
 	}
 	// Degraded path: the peer is down (or its session died under us).
@@ -351,56 +342,36 @@ func (r *Replicator) forwardGroup(v *slotView, ps *peerState, keys, vals, tids, 
 	ps.mu.Lock()
 	if sess := ps.live.Load(); sess != nil {
 		ps.mu.Unlock()
-		if n, ok := sess.forwardRun(v, keys, vals, tids, toks, from); ok {
-			r.ctForwards.Add(uint64(n))
-			return
+		if sl := sess.forwardRun(v, keys, vals, tids, in, mark, from); sl != nil {
+			r.ctForwards.Add(uint64(len(sl.puts)))
+			return append(runs, sl)
 		}
 		ps.mu.Lock()
 	}
-	alive := ps.alive.Load()
 	// While the peer's lease stands this is a transient session gap
 	// (redial in progress), not an adjudicated death: the puts may not
-	// be acked at RF=1, so they carry noAckTok — the delta will drain
+	// be acked at RF=1, so they wait on noAck — the delta will drain
 	// within the redial backoff, and until then clients get
-	// backpressure.
-	tok := uint64(0)
-	if alive {
-		tok = noAckTok
+	// backpressure. After a revoked lease they wait on nothing.
+	alive := ps.alive.Load()
+	if !alive {
+		mark = 0
 	}
 	n := 0
 	for j := from; j < len(keys); j++ {
-		if toks[j] != tokUnset || v.peers[SlotOf(keys[j])] != ps {
+		if in[j] != unclaimed || v.peers[SlotOf(keys[j])] != ps {
 			continue
 		}
 		ps.bufferDeltaLocked(keys[j], vals[j], ps.stamp.Add(1))
-		toks[j] = tok
+		in[j] = mark
 		n++
 	}
 	ps.mu.Unlock()
 	r.ctBuffered.Add(uint64(n))
-}
-
-// Wait implements kvserve.Replicator: blocks until the token's forward
-// run resolved. A token is shared by every put of one forwarded run
-// and must be waited exactly once per put (each wait consumes one of
-// the run's slot references; the last one recycles the slot). Reports
-// whether the put may be acked at the contracted durability: true
-// when the follower acked its own group commit, or
-// when the forward degraded *after the router revoked the follower's
-// lease* (the designed RF=1 fallback — the put is in the peer's delta
-// buffer and rejoin catch-up will close the gap). False when the
-// forward failed while the follower is still alive per the topology
-// (follower full, or a connection blip not yet adjudicated): acking
-// then would be a silent, unscheduled drop to RF=1, so the server
-// replies backpressure instead.
-func (r *Replicator) Wait(tok uint64) bool {
-	if tok == noAckTok {
-		return false
+	if alive {
+		runs = append(runs, noAck{})
 	}
-	r.sessMu.Lock()
-	sess := r.sessions[(tok>>32)-1]
-	r.sessMu.Unlock()
-	return sess.wait(uint32(tok))
+	return runs
 }
 
 // ApplyTopology installs a pushed topology: connects sessions to live
@@ -442,9 +413,8 @@ func (r *Replicator) ApplyTopology(t *Topology) error {
 		if i == self || t.Nodes[i].State == StateAlive {
 			continue
 		}
-		ps := r.peers[t.Nodes[i].ID]
-		if sess := ps.live.Load(); sess != nil {
-			sess.teardown(fmt.Errorf("cluster: peer %s declared %s at epoch %d", ps.id, t.Nodes[i].State, t.Epoch))
+		if sess := r.peers[t.Nodes[i].ID].live.Load(); sess != nil {
+			sess.teardown()
 		}
 	}
 	// Connect (and delta-drain) live pair peers we forward to. The
@@ -459,7 +429,7 @@ func (r *Replicator) ApplyTopology(t *Topology) error {
 	// primary role this node's view assigns: role views converge per
 	// node, and a put routed on a stale (or newer) epoch can land on
 	// the member that doesn't currently think it is the primary. If
-	// that member acked token-free, the put would exist on one node
+	// that member acked without a forward, the put would exist on one node
 	// only — and a later orphan reclaim can hand the slot to the other
 	// member, losing an acked key. Pair membership is static, so
 	// forwarding to the other member is correct under any role skew,
@@ -555,13 +525,9 @@ func (r *Replicator) ensureSessionLocked(ps *peerState) (int, error) {
 		conn.Close()
 		return 0, fmt.Errorf("cluster: replication hello to peer %s (%s): %w", ps.id, ps.addr, err)
 	}
-	r.sessMu.Lock()
-	sess := newPeerSession(r, ps, conn, len(r.sessions)+1)
-	r.sessions = append(r.sessions, sess)
-	r.sessMu.Unlock()
 	r.ctSessions.Inc()
-	n := r.drainDeltaLocked(ps, sess)
-	return n, nil
+	sess := newPeerSession(r, ps, conn, int32(r.ctSessions.Load()))
+	return r.drainDeltaLocked(ps, sess), nil
 }
 
 // helloRepl negotiates FeatRepl on a freshly dialed connection, before
@@ -591,43 +557,48 @@ func helloRepl(conn net.Conn, timeout time.Duration) error {
 // session as live. Caller holds r.mu (serializing drains); ps.mu is
 // held across each chunk's slot claim and enqueue (drainRunLocked
 // claims non-blockingly, so holding the lock cannot deadlock against
-// wait, which needs it to retire send registrations) and released
+// Wait, which needs it to retire send registrations) and released
 // between chunks. Each chunk packs up to drainChunk puts into ONE
 // OpReplBatch run — one slot, one frame, one ack — so a delta bigger
 // than a frame drains in waited installments rather than wedging on
 // its own backpressure. The final chunk is enqueued under ps.mu and
 // the live publish happens before the lock drops, so every concurrent
 // ForwardBatch that raced into the degraded path lands on the wire
-// after the whole drain.
+// after the whole drain. A fresh session returns from here published
+// or down: its window is this drain's alone, so a claim fails only
+// once the session died — and a session that dies around its publish
+// is unpublished again, by its teardown or by the re-check below.
 func (r *Replicator) drainDeltaLocked(ps *peerState, sess *peerSession) int {
 	total := 0
 	for {
 		ps.mu.Lock()
 		final := len(ps.delta) <= drainChunk
-		tok, n, ok := sess.drainRunLocked(drainChunk)
+		sl, ok := sess.drainRunLocked(drainChunk)
 		if final && ok {
 			ps.live.Store(sess)
+			// down is stored before teardown's unpublish: either that
+			// unpublish follows this publish, or we see down here.
+			if sess.down.Load() {
+				ps.live.CompareAndSwap(sess, nil)
+			}
 		}
 		ps.mu.Unlock()
-		total += n
-		if n > 0 {
-			r.ctCatchup.Add(uint64(n))
-		}
-		// The run's token is waited once per put — including after a
-		// give-up: an unwaited token would leak its window slot
-		// forever, and its puts (re-buffered by wait only while still
-		// each key's newest send) would silently vanish from the
-		// delta. Failures re-buffer by stamp, so they never clobber
-		// newer live forwards' values.
-		for i := 0; i < n; i++ {
-			sess.wait(uint32(tok))
+		if sl != nil {
+			total += len(sl.puts)
+			r.ctCatchup.Add(uint64(len(sl.puts)))
+			// Waited even if the session dies meanwhile: an unwaited run
+			// would leak its window slot forever, and its puts
+			// (re-buffered by Wait only while still each key's newest
+			// send) would silently vanish from the delta. Failures
+			// re-buffer by stamp, so they never clobber newer live
+			// forwards' values.
+			sl.Wait()
 		}
 		if !ok || final {
 			// !ok: the session died (or its window is contended — only
-			// possible when it was already live) mid-drain; the chunk's
-			// entries were re-buffered under the same lock hold, and
-			// the router's next catch-up round dials a fresh session or
-			// retries this one.
+			// possible when it was already live) before the chunk left
+			// the delta; the router's next catch-up round dials a fresh
+			// session or retries this one.
 			return total
 		}
 	}
@@ -685,13 +656,21 @@ func (r *Replicator) DeltaLen(peerID string) int {
 }
 
 // Close tears down every session; in-flight Waits resolve degraded.
+// The published sessions are all of them: sessions are made under r.mu,
+// which Close takes, and one that drainDeltaLocked left unpublished is
+// already down.
 func (r *Replicator) Close() {
 	r.mu.Lock()
 	r.closed = true
-	sessions := append([]*peerSession(nil), r.sessions...)
+	var live []*peerSession
+	for _, ps := range r.peers {
+		if s := ps.live.Load(); s != nil {
+			live = append(live, s)
+		}
+	}
 	r.mu.Unlock()
-	for _, s := range sessions {
-		s.teardown(fmt.Errorf("cluster: replicator closed"))
+	for _, s := range live {
+		s.teardown()
 	}
 }
 
@@ -705,27 +684,23 @@ func (r *Replicator) Close() {
 type replPut struct{ key, val, stamp, tid uint64 }
 
 // fwdSlot holds one in-flight OpReplBatch run: its puts, the encoded
-// wire frame (both backings reused across occupancies), and the shared
-// resolution every holder of the run's token waits on. waiters counts
-// the token references still outstanding; each wait consumes one and
-// re-publishes the resolution for the next, so the cap-1 done channel
-// serves the whole run. settled needs no atomicity: the done-channel
-// handoff orders the waits, and the first one runs the settlement.
+// wire frame (both backings reused across occupancies), and the
+// resolution its single Wait receives. A slot is the run's
+// kvserve.ReplRun, so a run reaches its session without any lookup.
 type fwdSlot struct {
+	s        *peerSession
+	idx      uint32 // position in s.slots, the frame's seq
 	puts     []replPut
 	frame    []byte
-	attempt  int32
-	t0       int64 // enqueue ns, for the lag histogram
-	waiters  int
-	settled  bool
+	t0       int64       // enqueue ns, for the lag histogram
 	inflight atomic.Bool // set at enqueue, cleared by exactly one resolver
 	done     chan byte   // cap 1, reused across occupancies
 }
 
 type peerSession struct {
-	r   *Replicator
-	ps  *peerState
-	idx int // 1-based index in r.sessions, encoded into tokens
+	r  *Replicator
+	ps *peerState
+	id int32 // cluster_repl_sessions_total at dial: the src of stage_fwd_* events
 
 	conn  net.Conn
 	slots []fwdSlot
@@ -736,18 +711,18 @@ type peerSession struct {
 	once  sync.Once
 }
 
-func newPeerSession(r *Replicator, ps *peerState, conn net.Conn, idx int) *peerSession {
+func newPeerSession(r *Replicator, ps *peerState, conn net.Conn, id int32) *peerSession {
 	w := r.cfg.Window
 	s := &peerSession{
-		r: r, ps: ps, idx: idx,
+		r: r, ps: ps, id: id,
 		conn:  conn,
 		slots: make([]fwdSlot, w),
 		freeq: make(chan uint32, w),
 		sendq: make(chan uint32, w),
 		quit:  make(chan struct{}),
 	}
-	for i := 0; i < w; i++ {
-		s.slots[i].done = make(chan byte, 1)
+	for i := range s.slots {
+		s.slots[i] = fwdSlot{s: s, idx: uint32(i), done: make(chan byte, 1)}
 		s.freeq <- uint32(i)
 	}
 	go s.sender()
@@ -756,74 +731,59 @@ func newPeerSession(r *Replicator, ps *peerState, conn net.Conn, idx int) *peerS
 }
 
 // forwardRun claims a slot (blocking — window backpressure), packs
-// every not-yet-claimed put at index ≥ from that routes to this
-// session's peer into it, and enqueues the frame, filling each
-// claimed put's toks entry with the run's shared token. Reports the
-// run size and false when the session is down — the caller then
-// buffers the same puts instead (toks entries are left untouched on
-// failure).
-func (s *peerSession) forwardRun(v *slotView, keys, vals, tids, toks []uint64, from int) (int, bool) {
+// every unclaimed put at index ≥ from that routes to this session's
+// peer into it, and enqueues the frame, setting each claimed put's in
+// entry to mark. Returns the run's slot, or nil when the session is
+// down — the caller then buffers the same puts instead.
+func (s *peerSession) forwardRun(v *slotView, keys, vals, tids []uint64, in []uint16, mark uint16, from int) *fwdSlot {
 	if s.down.Load() {
-		return 0, false
+		return nil
 	}
 	idx := <-s.freeq
 	s.ps.mu.Lock()
 	defer s.ps.mu.Unlock()
 	if s.down.Load() {
 		s.freeq <- idx
-		return 0, false
+		return nil
 	}
 	sl := &s.slots[idx]
-	tok := uint64(s.idx)<<32 | uint64(idx)
 	sl.puts = sl.puts[:0]
 	for j := from; j < len(keys); j++ {
-		if toks[j] != tokUnset || v.peers[SlotOf(keys[j])] != s.ps {
+		if in[j] != unclaimed || v.peers[SlotOf(keys[j])] != s.ps {
 			continue
 		}
 		stamp := s.ps.stamp.Add(1)
 		sl.puts = append(sl.puts, replPut{key: keys[j], val: vals[j], stamp: stamp, tid: tids[j]})
 		s.ps.noteSentLocked(keys[j], stamp)
-		toks[j] = tok
+		in[j] = mark
 	}
-	if s.commitRunLocked(idx) {
-		return len(sl.puts), true
-	}
-	// Quit race: the run never reached the sender. Undo the toks marks
-	// so the caller's degraded path re-claims these puts (the send
-	// registrations were already retired by commitRunLocked).
-	for j := from; j < len(keys); j++ {
-		if toks[j] == tok {
-			toks[j] = tokUnset
-		}
-	}
-	return 0, false
+	s.commitRunLocked(sl)
+	return sl
 }
 
 // drainRunLocked packs up to max delta entries into one run and
-// enqueues it, returning the shared token and the run size. The slot
-// claim is non-blocking: a blocking claim under ps.mu would deadlock
-// against wait(), which needs the lock to retire registrations and
-// free slots. A contended window reads as failure — the caller gives
-// up and the router's next round retries. On failure the popped
-// entries are re-buffered under the same lock hold (by their original
-// stamps, so they never clobber newer live forwards' values). Caller
-// holds ps.mu. ok=false means the session is unusable; n=0, ok=true
-// means the delta was already empty.
-func (s *peerSession) drainRunLocked(max int) (tok uint64, n int, ok bool) {
+// enqueues it, returning the run's slot (nil when nothing was sent).
+// The slot claim is non-blocking: a blocking claim under ps.mu would
+// deadlock against Wait, which needs the lock to retire registrations
+// before it frees the slot. A contended window reads as failure — the
+// caller gives up and the router's next round retries. Caller holds
+// ps.mu. ok=false means the session is unusable; a nil slot with
+// ok=true means the delta was already empty.
+func (s *peerSession) drainRunLocked(max int) (sl *fwdSlot, ok bool) {
 	ps := s.ps
 	if len(ps.delta) == 0 {
-		return 0, 0, !s.down.Load()
+		return nil, !s.down.Load()
 	}
 	if s.down.Load() {
-		return 0, 0, false
+		return nil, false
 	}
 	var idx uint32
 	select {
 	case idx = <-s.freeq:
 	default:
-		return 0, 0, false
+		return nil, false
 	}
-	sl := &s.slots[idx]
+	sl = &s.slots[idx]
 	sl.puts = sl.puts[:0]
 	for k, e := range ps.delta {
 		if len(sl.puts) == max {
@@ -834,102 +794,60 @@ func (s *peerSession) drainRunLocked(max int) (tok uint64, n int, ok bool) {
 		ps.noteSentLocked(k, e.stamp)
 	}
 	ps.gDelta.Set(int64(len(ps.delta)))
-	tok = uint64(s.idx)<<32 | uint64(idx)
-	if s.commitRunLocked(idx) {
-		return tok, len(sl.puts), true
-	}
-	// Quit race: re-buffer what we popped (registrations already
-	// retired, so bufferDeltaLocked accepts the original stamps unless
-	// a newer send owns the key).
-	for _, p := range sl.puts {
-		ps.bufferDeltaLocked(p.key, p.val, p.stamp)
-	}
-	return 0, 0, false
+	s.commitRunLocked(sl)
+	return sl, true
 }
 
-// commitRunLocked hands a filled slot to the sender and arms its
-// shared resolution. Registration (already done by the caller) and
-// enqueue happen under one continuous ps.mu hold — the invariant that
-// lets wait() trust the sent map: no resolution can observe a send
-// that isn't registered, and the only unregistration (the quit race
-// below) happens before the claim is ever exposed as a token. On the
-// quit race it retires the run's registrations and frees the slot;
-// the caller undoes its own bookkeeping. Caller holds ps.mu.
-func (s *peerSession) commitRunLocked(idx uint32) bool {
-	sl := &s.slots[idx]
-	sl.attempt = 0
+// commitRunLocked arms a filled slot's resolution and hands it to the
+// sender. Registration (already done by the caller) and enqueue happen
+// under one continuous ps.mu hold — the invariant that lets Wait trust
+// the sent map: no resolution can observe a send that isn't
+// registered. The enqueue never blocks: sendq holds the whole window,
+// and a slot is queued at most once per occupancy. Caller holds ps.mu.
+func (s *peerSession) commitRunLocked(sl *fwdSlot) {
 	sl.t0 = time.Now().UnixNano()
-	sl.waiters = len(sl.puts)
-	sl.settled = false
 	sl.inflight.Store(true)
 	s.r.hBatch.Observe(uint64(len(sl.puts)))
 	if s.r.cfg.Tracer.Enabled() {
 		s.traceRun(obs.EvStageFwdEnq, sl, uint64(len(sl.puts)))
 	}
-	select {
-	case s.sendq <- idx:
-		// The buffered enqueue can win this select even after teardown
-		// closed quit: if teardown's resolve sweep ran between the down
-		// check above and the inflight store, it skipped this slot and
-		// the sender is gone — nothing would ever resolve it. down is
-		// stored before the sweep, so (seq-cst atomics) either the
-		// sweep saw our inflight store, or we see down here and must
-		// resolve ourselves. resolve is exactly-once, a double no-ops.
-		if s.down.Load() {
-			s.resolve(idx, replDegraded)
-		}
-		return true
-	case <-s.quit:
-		if sl.inflight.CompareAndSwap(true, false) {
-			// Never sent, never a token: undo the registrations under
-			// the same lock hold so the caller's re-buffer (same keys,
-			// same stamps) isn't refused by its own ghost sends.
-			for _, p := range sl.puts {
-				s.ps.resolvedLocked(p.key, p.stamp)
-			}
-			s.freeq <- idx
-			return false
-		}
-		// teardown resolved it first; hand the token out so the done
-		// value is consumed normally (the waits retire the
-		// registrations).
-		return true
+	s.sendq <- sl.idx
+	// The session may have died since the caller's down check: if
+	// teardown's resolve sweep ran before the inflight store, it skipped
+	// this slot and the sender is gone — nothing would ever resolve it.
+	// down is stored before the sweep, so (seq-cst atomics) either the
+	// sweep saw our inflight store, or we see down here and resolve the
+	// run ourselves; its Wait then re-buffers the puts. resolve is
+	// exactly-once, a double no-ops.
+	if s.down.Load() {
+		s.resolve(sl.idx, replDegraded)
 	}
 }
 
-// wait consumes one token reference of a run: blocks for the run's
-// resolution, settles the whole run's delta bookkeeping on the first
-// wakeup, re-publishes the resolution for the run's remaining waits,
-// and recycles the slot after the last. A degraded put re-enters the
-// delta buffer only if its stamp is still the key's newest ever sent
-// (resolvedLocked): a newer forward for the key — possibly on a
-// successor session published by a redial before this wait ran — owns
-// the key's delta fate, and re-buffering the older value here would
-// let a later drain roll the follower back over an acked newer put.
-// The return value is ack eligibility, not transport success: a
-// degraded run is still ackable iff the peer's lease has been revoked
-// (RF=1 by design); while the lease stands, degradation means the
-// follower refused the run (full) or the session died transiently —
-// not ackable.
-func (s *peerSession) wait(tok uint32) bool {
-	sl := &s.slots[tok]
+// Wait implements kvserve.ReplRun, once per run: blocks for the run's
+// resolution, settles its delta bookkeeping and returns the slot to the
+// window. A degraded put re-enters the delta buffer only if its stamp
+// is still the key's newest ever sent (resolvedLocked): a newer forward
+// for the key — possibly on a successor session published by a redial
+// before this Wait ran — owns the key's delta fate, and re-buffering
+// the older value here would let a later drain roll the follower back
+// over an acked newer put. The return value is ack eligibility, not
+// transport success: a degraded run is still ackable iff the peer's
+// lease has been revoked (RF=1 by design); while the lease stands,
+// degradation means the follower refused the run or the session died
+// transiently — not ackable.
+func (sl *fwdSlot) Wait() bool {
+	s := sl.s
 	st := <-sl.done
-	if !sl.settled {
-		sl.settled = true
-		s.settle(sl, st)
-	}
+	s.settle(sl, st)
 	ok := st == replAcked || !s.ps.alive.Load()
-	if sl.waiters--; sl.waiters > 0 {
-		sl.done <- st
-	} else {
-		s.freeq <- tok
-	}
+	s.freeq <- sl.idx
 	return ok
 }
 
 // settle retires a resolved run's send registrations and, on
 // degradation, re-buffers each put still holding its key's newest
-// stamp. Runs exactly once per occupancy, on the run's first wait.
+// stamp.
 func (s *peerSession) settle(sl *fwdSlot, st byte) {
 	n := uint64(len(sl.puts))
 	s.ps.mu.Lock()
@@ -960,7 +878,7 @@ func (s *peerSession) traceRun(typ obs.EventType, sl *fwdSlot, b uint64) {
 	ts := time.Now().UnixNano()
 	for i := range sl.puts {
 		if tid := sl.puts[i].tid; tid != 0 {
-			tr.Record(typ, int32(s.idx), ts, tid, b)
+			tr.Record(typ, s.id, ts, tid, b)
 		}
 	}
 }
@@ -1013,68 +931,40 @@ func (s *peerSession) sender() {
 				iov = append(iov, s.encodeFrame(<-s.sendq))
 			}
 			if _, err := iov.WriteTo(s.conn); err != nil {
-				s.teardown(err)
+				s.teardown()
 				return
 			}
 		}
 	}
 }
 
+// reader matches the follower's acks back to slots. Anything but OK —
+// Full, BadRequest, Shutdown — degrades the run into the delta buffer;
+// while the follower's lease stands, Wait then reports its puts
+// unackable, so the clients see backpressure rather than a silent RF=1
+// ack the delta would have to make good on. There is nothing to
+// resend: a follower never answers a run Overload or Expired, since its
+// members block on a full mailbox and never expire (kvserve's
+// pushStages and apply) — the session's TCP window is the run's
+// backpressure.
 func (s *peerSession) reader() {
 	br := bufio.NewReaderSize(s.conn, 1<<16)
 	var buf [kvserve.RespSize]byte
 	for {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			s.teardown(err)
+			s.teardown()
 			return
 		}
 		seq, status, _ := kvserve.DecodeResp(&buf)
 		if int(seq) >= len(s.slots) {
-			s.teardown(fmt.Errorf("cluster: replication ack seq %d outside window", seq))
+			s.teardown() // an ack outside the window: framing is lost
 			return
 		}
-		sl := &s.slots[seq]
-		switch status {
-		case kvserve.StatusOK:
-			s.resolve(seq, replAcked)
-		case kvserve.StatusOverload, kvserve.StatusExpired:
-			// Retry the whole run with capped backoff for as long as
-			// the session lives — replicated puts are idempotent
-			// (latest value per key, and the follower re-applies the
-			// run through its own admission), so resending every pair
-			// is safe. An overloaded follower is backpressure, not a
-			// failure: degrading here would ack the clients at RF=1
-			// with the puts parked in a delta buffer nothing drains
-			// while the peer stays alive. Teardown resolves the slot
-			// degraded if the session dies mid-backoff.
-			sl.attempt++
-			s.r.ctRetries.Inc()
-			idx := seq
-			backoff := replBackoff(int(sl.attempt) - 1)
-			time.AfterFunc(backoff, func() {
-				if s.down.Load() {
-					s.resolve(idx, replDegraded)
-					return
-				}
-				select {
-				case s.sendq <- idx:
-					// Same post-enqueue handshake as commitRunLocked:
-					// the buffered send can succeed after teardown.
-					if s.down.Load() {
-						s.resolve(idx, replDegraded)
-					}
-				case <-s.quit:
-					s.resolve(idx, replDegraded)
-				}
-			})
-		default:
-			// Full / BadRequest / Shutdown: the follower cannot take
-			// this run now; degrade it into the delta buffer. While
-			// the follower's lease stands, wait() reports the puts
-			// unackable, so the clients see backpressure rather than
-			// a silent RF=1 ack the delta would have to make good on.
-			s.resolve(seq, replDegraded)
+		st := replAcked
+		if status != kvserve.StatusOK {
+			st = replDegraded
 		}
+		s.resolve(seq, st)
 	}
 }
 
@@ -1083,27 +973,15 @@ func (s *peerSession) reader() {
 // flusher stays blocked in Wait. A teardown while the peer is still
 // alive per the last topology is a transient failure — kick off the
 // redial loop so replication heals without waiting for an epoch bump.
-func (s *peerSession) teardown(err error) {
+func (s *peerSession) teardown() {
 	s.once.Do(func() {
 		s.down.Store(true)
 		s.ps.live.CompareAndSwap(s, nil)
 		close(s.quit)
 		s.conn.Close()
-		_ = err
 		for i := range s.slots {
 			s.resolve(uint32(i), replDegraded)
 		}
 		s.r.redial(s.ps)
 	})
-}
-
-// replBackoff mirrors lpload's jittered exponential overload backoff.
-// The shift saturates (retries are unbounded, so attempt grows without
-// limit): past attempt 6 the delay pins at the 10ms cap.
-func replBackoff(attempt int) time.Duration {
-	base := 10 * time.Millisecond
-	if attempt >= 0 && attempt < 6 {
-		base = 200 * time.Microsecond << uint(attempt)
-	}
-	return base/2 + time.Duration(rand.Int64N(int64(base)))
 }

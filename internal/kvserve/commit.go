@@ -8,8 +8,8 @@ import (
 )
 
 // commit.go is the commit stage: a sealed batch persisted by the shard's
-// flusher and completed — acked at once, or after its replication tokens
-// resolve in the shard's completion goroutine.
+// flusher and completed — acked at once, or after its forwarded
+// replication runs resolve in the shard's completion goroutine.
 
 // commitItem is one sealed LP batch in flight through a shard's commit
 // pipeline: the batch's durable write set captured as line snapshots at
@@ -30,15 +30,18 @@ type commitItem struct {
 	seq     int       // journal put seq after this batch (trace)
 	sealed  time.Time // commit latency epoch
 	pending []request
+	runs    []ReplRun // the batch's forwarded runs (clustered LP only)
 	lines   []memsim.Addr
 	bufs    [][memsim.LineSize]byte
 }
 
 // replJob is one flushed batch's reply work, handed from the flusher
-// to the shard's replication completer: the batch's tokened puts, to be
-// acked (or failed) once their follower tokens resolve.
+// to the shard's replication completer: the batch's forwarded runs and
+// the puts that wait on them, to be acked (or failed) once the runs
+// resolve.
 type replJob struct {
 	pending []request
+	runs    []ReplRun
 	err     error
 	flushed time.Time // local write set durable (repl stage epoch)
 }
@@ -58,14 +61,14 @@ func (s *Server) flusher(sd *shardState) {
 
 // flushItem persists one sealed batch and completes it — the one path
 // every flushed batch takes, clustered or not. Batch accounting and
-// every token-free reply happen right here, at local-commit time; only
-// puts with a replication token in flight (clustered servers) defer to
-// the shard's completion goroutine. The split is a deadlock invariant,
-// not an optimization: a token-free put is usually the *peer's*
-// replicated forward, and its reply is what unblocks the peer's own
-// token waits. Two nodes forwarding to each other would wedge
-// permanently if those replies ever queued behind this node's token
-// waits (or, worse, if the flusher itself blocked on a remote ack — the
+// every reply that waits on no run happen right here, at local-commit
+// time; only puts with a forwarded run in flight (clustered servers)
+// defer to the shard's completion goroutine. The split is a deadlock
+// invariant, not an optimization: a put that waits on no run is usually
+// the *peer's* replicated forward, and its reply is what unblocks the
+// peer's own run waits. Two nodes forwarding to each other would wedge
+// permanently if those replies ever queued behind this node's run waits
+// (or, worse, if the flusher itself blocked on a remote ack — the
 // peer's forwards flow through this very flusher).
 func (s *Server) flushItem(sd *shardState, it *commitItem) {
 	var err error
@@ -98,14 +101,17 @@ func (s *Server) flushItem(sd *shardState, it *commitItem) {
 			}
 		}
 	}
-	var toks []request // stays nil — no allocation — unless a put carries a token
+	var waiting []request // stays nil — no allocation — unless a put was forwarded
 	// Consecutive acks to one connection leave as one run: one lock, one
 	// poke, and a writer that finds the batch's acks whole.
 	acks, to := sd.ackRun[:0], (*srvConn)(nil)
 	for i := range it.pending {
 		r := &it.pending[i]
-		if r.rtok != 0 {
-			toks = append(toks, *r)
+		if r.rrun != 0 {
+			if waiting == nil {
+				waiting = make([]request, 0, len(it.pending)-i)
+			}
+			waiting = append(waiting, *r)
 			continue
 		}
 		status := s.settle(sd, r, err, now)
@@ -126,44 +132,44 @@ func (s *Server) flushItem(sd *shardState, it *commitItem) {
 	sd.ackRun = acks
 	it.pending = it.pending[:0]
 	sd.obs.pipeInflight.Add(-1)
-	if len(toks) > 0 {
+	if len(it.runs) > 0 {
 		// Non-blocking by construction (replq is unbounded); a send
 		// that could block here would reintroduce the cross-node
 		// flusher deadlock this split exists to prevent.
-		sd.replq.push([]replJob{{pending: toks, err: err, flushed: now}})
+		sd.replq.push([]replJob{{pending: waiting, runs: append([]ReplRun(nil), it.runs...), err: err, flushed: now}})
+		clear(it.runs)
 	}
 }
 
 // replWaiter drains one shard's replication completion queue: for each
-// locally flushed batch's tokened puts it waits out the follower
-// group-commit acks, then replies. The replication ack rule lives here
-// — a put is acked only after the follower reported its own LP group
-// commit, or after the cluster revoked the follower's lease (Wait
-// returns true for that designed RF=1 fallback). When Wait reports the
-// put unackable — the forward failed while the follower is still
-// alive, e.g. the follower's table is full or its connection blipped —
-// the client gets StatusOverload instead: the put is durable locally
-// and idempotent to retry, and backpressure is honest where a silent
-// RF=1 ack would not be. The waits run after the local write set is
-// durable, so an acked client sees max(local commit, follower commit),
-// not their sum. Every nonzero token must be waited exactly once (it
-// owns a replication window slot), so the waits run on the failure
-// path too.
+// locally flushed batch it waits out the batch's forwarded runs — each
+// exactly once, since each owns a replication window slot, and on the
+// failure path too — then replies to the puts that waited on them. The
+// replication ack rule lives here — a put is acked only after the
+// follower reported its own LP group commit, or after the cluster
+// revoked the follower's lease (Wait returns true for that designed
+// RF=1 fallback). When its run's Wait reports the put unackable — the
+// forward failed while the follower is still alive, e.g. the follower's
+// table is full or its connection blipped — the client gets
+// StatusOverload instead: the put is durable locally and idempotent to
+// retry, and backpressure is honest where a silent RF=1 ack would not
+// be. The waits run after the local write set is durable, so an acked
+// client sees max(local commit, follower commit), not their sum.
 func (s *Server) replWaiter(sd *shardState) {
 	defer s.wgRepl.Done()
 	var jobs []replJob
+	var acked []bool // per run of the job at hand
 	for ok := true; ok; {
 		jobs, ok = sd.replq.takeWait(jobs)
 		for _, job := range jobs {
-			// One clock read per token, not per put: puts forwarded to one
-			// peer share a token, and only the first Wait on it can block.
-			var now time.Time
-			var tok uint64
-			for _, r := range job.pending {
-				ok := s.cfg.Repl.Wait(r.rtok)
-				if r.rtok != tok {
-					tok, now = r.rtok, time.Now()
-				}
+			acked = acked[:0]
+			for _, run := range job.runs {
+				acked = append(acked, run.Wait())
+			}
+			now := time.Now()
+			for i := range job.pending {
+				r := &job.pending[i]
+				ok := acked[r.rrun-1]
 				if r.tid != 0 {
 					var b uint64
 					if ok {
@@ -176,15 +182,15 @@ func (s *Server) replWaiter(sd *shardState) {
 					r.reply(StatusOverload, 0)
 					continue
 				}
-				r.reply(s.settle(sd, &r, job.err, now), 0)
+				r.reply(s.settle(sd, r, job.err, now), 0)
 			}
-			if job.err == nil && !job.flushed.IsZero() {
+			if job.err == nil {
 				// Per-job repl stage: local write set durable → every
-				// follower token of the batch resolved.
+				// forwarded run of the batch resolved.
 				s.stage[obs.StageRepl].Observe(uint64(now.Sub(job.flushed).Nanoseconds()))
 			}
 		}
-		clear(jobs) // drop the pending slice references
+		clear(jobs) // drop the pending and run references
 	}
 }
 

@@ -37,11 +37,11 @@ type request struct {
 	// ignores it while more work is queued (back-to-back runs coalesce
 	// into fuller batches), and the deadline stays as the safety net.
 	sealHint bool
-	// rtok is the replication token from Replicator.ForwardBatch (0 =
-	// no forward in flight); the flusher waits on it after the local
-	// write set is durable and before acking the client. Puts of one
-	// batch forwarded to the same peer share a token.
-	rtok uint64
+	// rrun is the put's 1-based index in its commitItem's runs, as
+	// Replicator.ForwardBatch set it (0 = no forward in flight): the
+	// completion goroutine acks the put once that run resolved. Puts of
+	// one batch forwarded to the same peer share a run.
+	rrun uint16
 	// tid is the request's trace ID (0 = untraced): client-minted via
 	// the OpTraceCtx wire extension, server-minted by TraceSample, or
 	// carried over an OpReplBatch trace entry from the forwarding
@@ -64,10 +64,11 @@ func (r *request) reply(status byte, val uint64) {
 // replBatch aggregates one OpReplBatch run's member outcomes into the
 // single response the forwarding primary waits on. Members may settle
 // from different shards' flushers concurrently; the worst status wins
-// (the codes order by severity: OK < ... < Overload < Expired < Full <
-// BadRequest < Shutdown), so the primary retries or degrades the whole
-// run on any member failure — safe, because replicated puts are
-// idempotent re-applications of values the primary already journaled.
+// (the codes order by severity: OK < ... < Full < BadRequest <
+// Shutdown), so the primary degrades the whole run on any member
+// failure. A member never answers Overload or Expired (see pushStages
+// and apply): the session's TCP window is the run's backpressure, so
+// the primary has nothing to resend.
 type replBatch struct {
 	cn        *srvConn
 	seq       uint32

@@ -102,8 +102,10 @@ type Config struct {
 	// BatchWait bounds how long an open LP batch waits for more puts
 	// before it is sealed short of BatchK and committed.
 	BatchWait time.Duration
-	// MaxQueueDelay expires requests that waited longer than this in
-	// the mailbox (0 disables the deadline).
+	// MaxQueueDelay expires client puts that waited longer than this in
+	// the mailbox (0 disables the deadline). Replicated OpReplBatch
+	// members never expire, as they never bounce on a full mailbox: a
+	// replication session's flow control is its TCP window.
 	MaxQueueDelay time.Duration
 	// Fsync fsyncs the backing file on every commit write set. Off by
 	// default: the contract defended by the crash tests is process
@@ -145,10 +147,11 @@ type Config struct {
 
 	// Repl, when non-nil, is the cluster replication hook (LP only):
 	// the shard owner calls ForwardBatch with each sealed group-commit
-	// batch's client puts, and the commit flusher calls Wait after the
-	// batch's local write set is durable — so a put is acked to the
-	// client only once both the local group commit and the follower's
-	// own group commit have completed. See internal/cluster.Replicator.
+	// batch's client puts, and the shard's completion goroutine waits
+	// each forwarded run once after the batch's local write set is
+	// durable — so a put is acked to the client only once both the
+	// local group commit and the follower's own group commit have
+	// completed. See internal/cluster.Replicator.
 	Repl Replicator
 }
 
@@ -165,32 +168,17 @@ type Config struct {
 // tids[i] is put i's trace ID (0 = untraced) — a traced
 // put's ID rides the replication frame so the follower's span events
 // join the same timeline. It groups the puts by destination peer,
-// ships each group as one frame sharing one ack, and fills toks[i]
-// with each put's wait token: all
-// puts of a group carry the same token, and a token of 0 means the
-// put needs no forward (this node is not the key's primary, the
-// key's slot has no live follower — the put is then buffered for
-// delta catch-up — or replication is not configured for the key). It
-// must not block beyond replication-window backpressure, and it is
-// called by the owner — never the flusher — because window
-// backpressure may block until a *remote* ack frees a slot, and a
-// flusher blocked on remote progress deadlocks two nodes that
-// forward to each other (each node's follower acks are produced by
-// its flusher).
-//
-// Wait is called on the commit completion path after the local write
-// set (and fsync, if priced) completed, once per nonzero token — a
-// group's shared token is waited once per put carrying it, all from
-// the shard's single completion goroutine, in seal order. It blocks
-// until the forward resolved and reports whether the put may be
-// acked to the client: true when the follower acked the group inside
-// its own group commit, or when the forward degraded after the
-// cluster revoked the follower's lease (the designed RF=1 fallback —
-// the put is buffered for rejoin catch-up). False when the forward
-// failed while the follower is still considered alive (follower
-// full, transient connection loss): the server then answers the
-// client with backpressure instead of an ack, because an ack would
-// silently drop to RF=1 with no catch-up adjudicated.
+// ships each group as one frame sharing one ack, appends one ReplRun
+// per group to runs and returns it, and sets in[i] to put i's 1-based
+// index in the returned slice. in[i] = 0 means the put needs no
+// forward (this node is not the key's primary, the key's slot has no
+// pair peer, or the peer's lease is revoked — the put is then
+// buffered for delta catch-up and acked at RF=1). It must not block
+// beyond replication-window backpressure, and it is called by the
+// owner — never the flusher — because window backpressure may block
+// until a *remote* ack frees a slot, and a flusher blocked on remote
+// progress deadlocks two nodes that forward to each other (each
+// node's follower acks are produced by its flusher).
 //
 // Admit is called by every connection reader for each client put
 // (OpPut only — gets and forwarded OpReplBatch copies are unaffected;
@@ -206,9 +194,26 @@ type Config struct {
 // instead of having membership-based forwarding paper over it. Must be
 // safe for concurrent use.
 type Replicator interface {
-	ForwardBatch(keys, vals, tids []uint64, toks []uint64)
-	Wait(tok uint64) bool
+	ForwardBatch(keys, vals, tids []uint64, in []uint16, runs []ReplRun) []ReplRun
 	Admit(key uint64) byte
+}
+
+// ReplRun is one forwarded run: the puts of a sealed batch bound for one
+// pair peer, shipped as one frame that the peer acks once. Wait is called
+// exactly once per run, after the batch's local write set (and fsync, if
+// priced) completed, from the shard's single completion goroutine in seal
+// order; it releases the run's window slot. It blocks until the run
+// resolved and reports whether its puts may be acked to the client: true
+// when the follower acked the run inside its own group commit, or when
+// the forward degraded after the cluster revoked the follower's lease
+// (the designed RF=1 fallback — the puts are buffered for rejoin
+// catch-up). False when the forward failed while the follower is still
+// considered alive (follower full, transient connection loss): the
+// server then answers the run's clients with backpressure instead of an
+// ack, because an ack would silently drop to RF=1 with no catch-up
+// adjudicated.
+type ReplRun interface {
+	Wait() bool
 }
 
 func (c Config) withDefaults() Config {

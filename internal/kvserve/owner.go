@@ -52,8 +52,8 @@ type shardState struct {
 
 	// replq (clustered LP only) decouples the replication ack rule
 	// from the flush path: the flusher hands each batch's client acks
-	// to a per-shard completion goroutine that waits out the follower
-	// tokens and only then replies. The flusher itself must never
+	// to a per-shard completion goroutine that waits out the forwarded
+	// runs and only then replies. The flusher itself must never
 	// block on a remote ack — even transitively through this handoff,
 	// which is why it is an unbounded queue (next paragraph): the
 	// peer's replicated puts flow through this shard's own pipeline,
@@ -61,21 +61,22 @@ type shardState struct {
 	// block anywhere on remote progress would deadlock cluster-wide.
 	//
 	// The queue is the flusher→replWaiter handoff: an unbounded FIFO the
-	// flusher pushes flushed batches' tokened acks into without ever
+	// flusher pushes flushed batches' forwarded acks into without ever
 	// blocking. Unboundedness is a deadlock invariant, not a convenience:
 	// a bounded handoff would park the flusher once the waiter lagged by
 	// its capacity, and a parked flusher stops replying the *peer's*
-	// token-free replicated puts — two nodes forwarding to each other
+	// replicated puts — two nodes forwarding to each other
 	// would wedge permanently, each waiter stuck on acks only the other
 	// node's parked flusher could produce. Memory stays bounded anyway:
-	// every queued put holds a replication-window slot until waited, so
-	// the queue never holds more than Window tokens per peer.
+	// every queued run holds a replication-window slot until waited, so
+	// the queue never holds more than Window runs per peer.
 	replq *runQueue[replJob]
 
-	// repKeys/repVals/repTids/repToks are the owner's seal-time
+	// repKeys/repVals/repTids/repIn are the owner's seal-time
 	// ForwardBatch scratch (clustered LP only): the sealed batch's
 	// client puts as parallel slices, cap BatchK, reused every seal.
-	repKeys, repVals, repTids, repToks []uint64
+	repKeys, repVals, repTids []uint64
+	repIn                     []uint16
 
 	// tabLo/tabHi bound the table's line addresses: only table lines
 	// may leak through the write-back queue (a stale journal-line
@@ -189,7 +190,7 @@ func (s *Server) apply(sd *shardState, run []request) {
 		if r.tid != 0 {
 			s.trace(obs.EvStageDeq, int32(sd.id), r.tid, uint64(wait.Nanoseconds()))
 		}
-		if d := s.cfg.MaxQueueDelay; d > 0 && wait > d {
+		if d := s.cfg.MaxQueueDelay; d > 0 && wait > d && r.rb == nil {
 			sd.obs.rejExp.Inc()
 			s.trace(obs.EvRejectExpired, int32(sd.id), r.key, 0)
 			r.reply(StatusExpired, 0)
@@ -325,15 +326,16 @@ func (s *Server) forwardBatch(sd *shardState, it *commitItem) {
 			tids = append(tids, it.pending[i].tid)
 		}
 	}
+	it.runs = it.runs[:0]
 	if len(keys) == 0 {
 		return
 	}
-	toks := sd.repToks[:len(keys)]
-	s.cfg.Repl.ForwardBatch(keys, vals, tids, toks)
+	in := sd.repIn[:len(keys)]
+	it.runs = s.cfg.Repl.ForwardBatch(keys, vals, tids, in, it.runs)
 	j := 0
 	for i := range it.pending {
 		if it.pending[i].rb == nil {
-			it.pending[i].rtok = toks[j]
+			it.pending[i].rrun = in[j]
 			j++
 		}
 	}

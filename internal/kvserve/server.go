@@ -212,7 +212,7 @@ func New(cfg Config) (*Server, error) {
 				sd.repKeys = make([]uint64, 0, cfg.BatchK)
 				sd.repVals = make([]uint64, 0, cfg.BatchK)
 				sd.repTids = make([]uint64, 0, cfg.BatchK)
-				sd.repToks = make([]uint64, cfg.BatchK)
+				sd.repIn = make([]uint16, cfg.BatchK)
 			}
 		} else {
 			sd.sh = lpstore.NewShard(s.mem, name, id, cfg.Capacity)

@@ -139,6 +139,46 @@ func TestServeExpired(t *testing.T) {
 	}
 }
 
+// TestReplBatchNeverExpires: under the same always-exceeded deadline a
+// replicated run is applied and acked, not expired — its members block
+// on a full mailbox instead of bouncing, and likewise never expire, so
+// a forwarding primary only ever sees OK or a failure it degrades (it
+// has no resend path).
+func TestReplBatchNeverExpires(t *testing.T) {
+	cfg := testCfg(t, lpstore.ModeLP)
+	cfg.MaxQueueDelay = time.Nanosecond
+	s := startServer(t, cfg)
+	defer s.Close()
+	pairs := [][2]uint64{{workloads.KVKey(9, 1), 11}, {workloads.KVKey(9, 2), 12}, {workloads.KVKey(9, 3), 13}}
+	c, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	var resp [RespSize]byte
+	c.Write(reqFrame(OpHello, 1, FeatRepl, 0))
+	if _, err := io.ReadFull(c, resp[:]); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	c.Write(replFrame(5, pairs, nil))
+	if _, err := io.ReadFull(c, resp[:]); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if seq, st, _ := DecodeResp(&resp); seq != 5 || st != StatusOK {
+		t.Fatalf("run answered seq %d %s, want 5 ok", seq, StatusName(st))
+	}
+	if n := s.Stats().Expired; n != 0 {
+		t.Fatalf("%d replicated members expired", n)
+	}
+	cl := dial(t, s.Addr())
+	for _, p := range pairs {
+		if v, st, err := cl.Get(p[0]); err != nil || st != StatusOK || v != p[1] {
+			t.Fatalf("Get(%#x) = %d,%s,%v want %d,ok", p[0], v, StatusName(st), err, p[1])
+		}
+	}
+}
+
 // TestServeOverload: a full mailbox answers StatusOverload immediately
 // instead of queueing. White-box: the owner is never started, so the
 // mailbox stays full deterministically.
