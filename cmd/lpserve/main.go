@@ -85,7 +85,7 @@ func main() {
 		keys      = flag.Int("keys", 2048, "preloaded keys per stream")
 		seed      = flag.Uint64("seed", 1, "preload value seed")
 		mailbox   = flag.Int("mailbox", 256, "per-shard request queue depth")
-		batchWait = flag.Duration("batchwait", 500*time.Microsecond, "max time an open batch waits for its K-th put before it is sealed short")
+		batchWait = flag.Duration("batchwait", 500*time.Microsecond, "age (from its first put) at which an open batch is sealed short of -batch puts")
 		maxDelay  = flag.Duration("maxdelay", 0, "per-request mailbox deadline (0 = none)")
 		fsync     = flag.Bool("fsync", false, "fsync the backing file on every commit")
 		pipeline  = flag.Int("pipeline", 4, "LP commit pipeline depth (1 = synchronous group commit)")

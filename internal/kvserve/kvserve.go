@@ -99,8 +99,11 @@ type Config struct {
 	// Mailbox is the per-shard request queue depth; a full mailbox
 	// answers StatusOverload immediately (backpressure, not buffering).
 	Mailbox int
-	// BatchWait bounds how long an open LP batch waits for more puts
-	// before it is sealed short of BatchK and committed.
+	// BatchWait is the age, counted from its first put, at which an open
+	// LP batch is sealed short of BatchK and committed. On Linux the
+	// shard's seal clock (a timerfd) fires within tens of µs of it;
+	// elsewhere it is a runtime timer, which an idle process may fire up
+	// to a millisecond late. 0 means 500 µs.
 	BatchWait time.Duration
 	// MaxQueueDelay expires client puts that waited longer than this in
 	// the mailbox (0 disables the deadline). Replicated OpReplBatch

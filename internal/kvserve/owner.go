@@ -37,6 +37,8 @@ type shardState struct {
 	pending   []request          // LP: puts awaiting their batch's seal
 	deadline  time.Time          // LP: when the open batch force-seals
 	openAt    time.Time          // LP: when the open batch's first put arrived (fill stage epoch)
+	clock     *sealClock         // LP: fires at deadline once armed; nil under EP/WAL/Base
+	armed     bool               // LP: clock set for this or an earlier batch's deadline, its fire not yet taken
 	occupied  int                // architectural slot occupancy (watermark)
 	highWater int
 	baseline  [][2]uint64 // preloaded pairs, recovery's replay base
@@ -131,14 +133,36 @@ func (sd *shardState) basePair(i int) (uint64, uint64) {
 	return sd.baseline[i][0], sd.baseline[i][1]
 }
 
+// sealCause is why an LP batch sealed: kvserve_seals_total's label.
+type sealCause uint8
+
+const (
+	sealCount    sealCause = iota // BatchK puts
+	sealDeadline                  // BatchWait since the batch opened
+	sealHint                      // a put's seal hint, its run the last queued
+	sealDrain                     // graceful shutdown
+	numSealCauses
+)
+
+func (c sealCause) String() string {
+	return [numSealCauses]string{"count", "deadline", "hint", "drain"}[c]
+}
+
 // owner is a shard's single mutator. It takes everything queued in its
 // mailbox as one run and applies it; idle with a batch open it sleeps at
 // most until the batch deadline, otherwise until the mailbox wakes it. A
 // closed mailbox (graceful drain) seals the open batch and exits.
+//
+// The deadline is the shard's seal clock, armed at most once per batch:
+// when the owner idles with a batch open and the clock is not already
+// set, never again on later idles, and never disarmed (each arm or disarm
+// is a syscall, and a busy shard idles between most runs). A batch that
+// seals early by count leaves the clock set for its own deadline, which
+// is earlier than any later batch's, so the clock still fires in time for
+// the next one: it fires early, and the owner re-arms it then. A fire
+// therefore seals only a batch whose own deadline has passed.
 func (s *Server) owner(sd *shardState) {
 	defer s.wgOwners.Done()
-	t := time.NewTimer(time.Hour)
-	t.Stop() // armed only while the owner idles with a batch open
 	spare := make([]request, 0, s.cfg.Mailbox)
 	for {
 		run, closed := sd.mb.take(spare)
@@ -150,7 +174,7 @@ func (s *Server) owner(sd *shardState) {
 			spare = run
 		case closed:
 			if len(sd.pending) > 0 && !s.aborting.Load() {
-				s.seal(sd)
+				s.seal(sd, sealDrain)
 			}
 			if sd.commitCh != nil {
 				close(sd.commitCh)
@@ -159,14 +183,18 @@ func (s *Server) owner(sd *shardState) {
 		case len(sd.pending) == 0:
 			<-sd.mb.wake
 		default:
-			t.Reset(time.Until(sd.deadline)) // already past: fires at once
+			if !sd.armed {
+				sd.clock.arm(time.Until(sd.deadline)) // already past: fires at once
+				sd.armed = true
+				s.ctClockArms.Inc()
+			}
 			select {
 			case <-sd.mb.wake:
-				if !t.Stop() {
-					<-t.C
+			case <-sd.clock.C:
+				sd.armed = false
+				if len(sd.pending) > 0 && !time.Now().Before(sd.deadline) {
+					s.seal(sd, sealDeadline)
 				}
-			case <-t.C:
-				s.seal(sd)
 			}
 		}
 	}
@@ -176,9 +204,9 @@ func (s *Server) owner(sd *shardState) {
 // every member's dequeue time (queue stage, MaxQueueDelay) and the epoch
 // of a batch a member opens. The BatchWait deadline is checked once per
 // run, so an open batch kept company by a trickle — the owner never
-// idles long enough for its timer to fire — still seals on time; it is
-// checked after the run, so puts that arrive while a due timer is still
-// overshooting join the batch they found open instead of waiting out a
+// idles long enough for its clock to fire — still seals on time; it is
+// checked after the run, so puts that arrive in the same wakeup as the
+// due fire join the batch they found open instead of waiting out a
 // second one.
 func (s *Server) apply(sd *shardState, run []request) {
 	now := time.Now()
@@ -217,9 +245,10 @@ func (s *Server) apply(sd *shardState, run []request) {
 				sd.openAt = now // fill-stage epoch, whatever seals the batch
 				sd.deadline = now.Add(s.cfg.BatchWait)
 			}
-			if len(sd.pending) == s.cfg.BatchK ||
-				(r.sealHint && i == len(run)-1 && sd.mb.depth() == 0) {
-				s.seal(sd)
+			if len(sd.pending) == s.cfg.BatchK {
+				s.seal(sd, sealCount)
+			} else if r.sealHint && i == len(run)-1 && sd.mb.depth() == 0 {
+				s.seal(sd, sealHint)
 			}
 			continue
 		case lpstore.ModeEP, lpstore.ModeWAL:
@@ -237,7 +266,7 @@ func (s *Server) apply(sd *shardState, run []request) {
 		r.reply(StatusOK, 0)
 	}
 	if len(sd.pending) > 0 && !now.Before(sd.deadline) {
-		s.seal(sd)
+		s.seal(sd, sealDeadline)
 	}
 	s.leak(sd)
 	// The run's owner time, seals and leak included (and a seal's wait for
@@ -261,9 +290,11 @@ func (s *Server) apply(sd *shardState, run []request) {
 // batch's clients are acked by the flusher once the write set (and fsync,
 // if priced) completes — the pipelined group-commit durability point. An
 // exhausted item ring (PipelineDepth sealed batches already in flight)
-// blocks here: flush-side backpressure.
-func (s *Server) seal(sd *shardState) {
+// blocks here: flush-side backpressure. cause is booked in
+// kvserve_seals_total. The seal clock is left as it is (see owner).
+func (s *Server) seal(sd *shardState, cause sealCause) {
 	t0 := time.Now()
+	s.ctSeals[cause].Inc()
 	sd.w.Seal(sd.ctx)
 	it := <-sd.freeCh
 	it.seq = sd.w.Seq()

@@ -152,7 +152,7 @@ func (p *pmemFile) commit(header []byte) error {
 func (p *pmemFile) sync() error { return p.f.Sync() }
 
 // close unmaps what is mapped and closes the file. The Memory must have
-// been detached from the images first (see Server.closeFile).
+// been detached from the images first (see Server.release).
 func (p *pmemFile) close() error {
 	err := p.f.Close()
 	for _, m := range [][]byte{p.img, p.heap} {

@@ -101,7 +101,7 @@ func TestRestartResumesMidWindow(t *testing.T) {
 				}
 				run := puts(1 + rng.Intn(2*k))
 				if len(sd.pending) > 0 {
-					s.seal(sd)
+					s.seal(sd, sealDeadline)
 				}
 				flush(false)
 				for _, r := range run {
@@ -111,7 +111,7 @@ func TestRestartResumesMidWindow(t *testing.T) {
 
 				puts(rng.Intn(k)) // the tail: fewer than K, so apply seals none of it
 				if rng.Intn(2) == 0 && len(sd.pending) > 0 {
-					s.seal(sd)
+					s.seal(sd, sealDeadline)
 					flush(true)
 				}
 				// Every table line the lap dirtied leaks.

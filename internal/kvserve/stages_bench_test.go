@@ -195,7 +195,7 @@ func stageBatches(b *testing.B, skew, fill int, cn *srvConn, stage func(s *Serve
 			s, sd = stageServer(b, batchK, maxOps)
 			if skew > 0 {
 				fillBatch(s, sd, cn, puts, skew)
-				s.seal(sd)
+				s.seal(sd, sealCount)
 				recycle(sd)
 			}
 		}
@@ -235,7 +235,7 @@ func BenchmarkStageSeal(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			stageBatches(b, c.skew, c.fill, absorbConn(), func(s *Server, sd *shardState) (time.Duration, int) {
 				t0 := time.Now()
-				s.seal(sd)
+				s.seal(sd, sealCount)
 				d := time.Since(t0)
 				return d, recycle(sd)
 			})
@@ -250,7 +250,7 @@ func BenchmarkStageFlush(b *testing.B) {
 	cn := newSrvConn(&burstConn{})
 	var acks []byte
 	stageBatches(b, 0, 32, cn, func(s *Server, sd *shardState) (time.Duration, int) {
-		s.seal(sd)
+		s.seal(sd, sealCount)
 		it := <-sd.commitCh
 		t0 := time.Now()
 		s.flushItem(sd, it)
