@@ -313,9 +313,9 @@ func printReport(rep *loadmodel.Report) {
 		if i == 0 {
 			name = "TOTAL"
 		}
-		fmt.Printf("  %-12s %7d ops  ok %8.0f/s  p50 %7.0fµs  p99 %7.0fµs  put-p99 %7.0fµs  max %7.0fµs  rej %.3f (ov/exp/full %d/%d/%d)\n",
+		fmt.Printf("  %-12s %7d ops  ok %8.0f/s  p50 %7.0fµs  p99 %7.0fµs  put-p99 %7.0fµs  max %7.0fµs  rej %.3f (ov/full %d/%d)\n",
 			name, cp.Ops, cp.OKOpsS, cp.P50us, cp.P99us, cp.PutP99us, cp.MaxUs,
-			cp.RejectRate, cp.Overloads, cp.Expired, cp.Full)
+			cp.RejectRate, cp.Overloads, cp.Full)
 	}
 	fmt.Printf("  retries %d  moved %d  errors %d  stalls %d  lag-max %.0fµs (>1ms on %d ops)  sched p50/p99 %.0f/%.0fµs\n",
 		rep.Retries, rep.Moved, rep.Errors, rep.Stalls, rep.LagMaxUs, rep.LagOps, rep.SchedP50us, rep.SchedP99us)

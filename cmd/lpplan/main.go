@@ -54,7 +54,6 @@ func main() {
 		mailbox   = flag.Int("mailbox", 256, "per-shard mailbox depth")
 		pipeline  = flag.Int("pipeline", 4, "commit pipeline depth")
 		batchwait = flag.Duration("batchwait", 500*time.Microsecond, "max wait before a partial batch seals")
-		maxdelay  = flag.Duration("maxdelay", 0, "per-request queue deadline (0 = none)")
 		maxops    = flag.Int("maxops", 0, "per-shard journal budget in puts (0 = unlimited)")
 		conns     = flag.Int("conns", 4, "client connections the run will use")
 		fsync     = flag.Bool("fsync", false, "model fsync-per-commit")
@@ -89,8 +88,8 @@ func main() {
 
 	cfg := loadmodel.PlanConfig{
 		Shards: *shards, BatchK: *batch, Mailbox: *mailbox,
-		PipelineDepth: *pipeline,
-		BatchWaitNs:   batchwait.Nanoseconds(), MaxDelayNs: maxdelay.Nanoseconds(),
+		PipelineDepth:  *pipeline,
+		BatchWaitNs:    batchwait.Nanoseconds(),
 		MaxOpsPerShard: *maxops, Conns: *conns,
 		Fsync: *fsync, Replicated: *repl,
 		Cal: loadmodel.DefaultCalibration(),
@@ -165,9 +164,9 @@ func printPlan(rep *loadmodel.PlanReport) {
 		if i == 0 {
 			name = "TOTAL"
 		}
-		fmt.Printf("  %-12s %7d ops  offered %8.0f/s  ok %8.0f/s  p50 %7.0fµs  p99 %7.0fµs  put-p99 %7.0fµs  rej %.3f (ov/exp/full %d/%d/%d)\n",
+		fmt.Printf("  %-12s %7d ops  offered %8.0f/s  ok %8.0f/s  p50 %7.0fµs  p99 %7.0fµs  put-p99 %7.0fµs  rej %.3f (ov/full %d/%d)\n",
 			name, cp.Ops, cp.OfferedOpsS, cp.OKOpsS, cp.P50us, cp.P99us, cp.PutP99us,
-			cp.RejectRate, cp.Overloads, cp.Expired, cp.Full)
+			cp.RejectRate, cp.Overloads, cp.Full)
 	}
 }
 

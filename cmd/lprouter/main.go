@@ -51,12 +51,10 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7400", "client-facing data listen address")
 		ctrl      = flag.String("ctrl", "127.0.0.1:7500", "control-plane HTTP listen address")
-		vnodes    = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per member on the hash ring")
-		loadFac   = flag.Float64("load-factor", cluster.DefaultLoadFactor, "bounded-load cap: max slot share per node relative to fair share")
 		heartbeat = flag.Duration("heartbeat", cluster.DefaultHeartbeat, "node health probe period")
 		leaseMiss = flag.Int("lease-miss", cluster.DefaultLeaseMiss, "consecutive missed heartbeats before a node's lease expires")
 		trace     = flag.Bool("trace", false, "record router_route span events for traced frames (drain via ctrl /debug/trace)")
-		traceCap  = flag.Int("tracecap", 4096, "router span tracer ring-buffer capacity")
+		traceCap  = flag.Int("tracecap", obs.DefaultTraceCap, "router span tracer ring-buffer capacity")
 	)
 	flag.Var(&nodes, "node", "cluster member as id=data-addr=ctrl-url (repeatable)")
 	flag.Parse()
@@ -67,7 +65,6 @@ func main() {
 	}
 	r, err := cluster.StartRouter(cluster.RouterConfig{
 		Addr: *addr, CtrlAddr: *ctrl, Nodes: nodes,
-		VNodes: *vnodes, LoadFactor: *loadFac,
 		Heartbeat: *heartbeat, LeaseMiss: *leaseMiss,
 		Tracer: obs.NewTracer(*traceCap),
 		Logf: func(format string, args ...any) {

@@ -86,14 +86,13 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "preload value seed")
 		mailbox   = flag.Int("mailbox", 256, "per-shard request queue depth")
 		batchWait = flag.Duration("batchwait", 500*time.Microsecond, "age (from its first put) at which an open batch is sealed short of -batch puts")
-		maxDelay  = flag.Duration("maxdelay", 0, "per-request mailbox deadline (0 = none)")
 		fsync     = flag.Bool("fsync", false, "fsync the backing file on every commit")
 		pipeline  = flag.Int("pipeline", 4, "LP commit pipeline depth (1 = synchronous group commit)")
 		dump      = flag.Bool("dump", false, "print restore/recovery summary as JSON and exit")
 		verify    = flag.Bool("recover-verify", false, "recover, re-verify every shard, and exit")
 		metrics   = flag.String("metrics", "", "serve /healthz, Prometheus /metrics, and /debug/trace on this address (empty = off; required with -node-id)")
 		trace     = flag.Bool("trace", false, "enable the in-memory persistency event tracer (drain via /debug/trace?n=K)")
-		traceCap  = flag.Int("tracecap", 4096, "event tracer ring-buffer capacity")
+		traceCap  = flag.Int("tracecap", obs.DefaultTraceCap, "event tracer ring-buffer capacity")
 		traceN    = flag.Int("trace-sample", 0, "tail-sample every Nth untraced client put as a full span (0 = off; implies -trace)")
 		traceSlow = flag.Duration("trace-slow", 0, "record a slow_put event for puts acked later than this (0 = off; implies -trace)")
 		nodeID    = flag.String("node-id", "", "cluster member identity; joins a cluster, making -metrics the control plane")
@@ -109,8 +108,8 @@ func main() {
 		Addr: *addr, Path: *path, Mode: m,
 		Shards: *shards, Capacity: *capacity, MaxOps: *maxops, BatchK: *batch,
 		Streams: *streams, Keys: *keys, Seed: *seed,
-		Mailbox: *mailbox, BatchWait: *batchWait, MaxQueueDelay: *maxDelay,
-		Fsync: *fsync, PipelineDepth: *pipeline, TraceCap: *traceCap,
+		Mailbox: *mailbox, BatchWait: *batchWait,
+		Fsync: *fsync, PipelineDepth: *pipeline,
 		TraceSample: *traceN, TraceSlow: *traceSlow,
 	}
 	if *trace || *traceN > 0 || *traceSlow > 0 {

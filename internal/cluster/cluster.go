@@ -141,12 +141,18 @@ func (t *Topology) PrimaryAddr(key uint64) string {
 	return t.Nodes[sa.Primary].Addr
 }
 
+// The ring's shape (BuildPairs) and the dial bounds.
+const (
+	ringVNodes        = 64              // virtual points per node on the hash ring
+	ringLoadFactor    = 1.25            // bounded-load cap: a node's slot share relative to fair share
+	routerDialTimeout = time.Second     // a proxy dial to a backend
+	replDialTimeout   = 2 * time.Second // a replication session's dial, and its hello
+)
+
 // Defaults shared by the router and node wrappers.
 const (
-	DefaultVNodes     = 64
-	DefaultLoadFactor = 1.25
-	DefaultHeartbeat  = 50 * time.Millisecond
-	DefaultLeaseMiss  = 6
+	DefaultHeartbeat = 50 * time.Millisecond
+	DefaultLeaseMiss = 6
 	// DefaultReplWindow is counted in replication batches (OpReplBatch
 	// frames), not puts: one sealed group-commit batch consumes at
 	// most one slot per destination peer.

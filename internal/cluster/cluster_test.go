@@ -141,7 +141,7 @@ func reopenContents(t *testing.T, paths map[string]string) map[string]map[uint64
 func assertPairDurability(t *testing.T, ids []string, contents map[string]map[uint64]uint64,
 	acked, sent map[uint64]uint64) {
 	t.Helper()
-	pairs, err := BuildPairs(ids, DefaultVNodes, DefaultLoadFactor)
+	pairs, err := BuildPairs(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestNodeHealthzLifecycle(t *testing.T) {
 	}
 
 	// Topology application is visible through the reported epoch.
-	pairs, _ := BuildPairs([]string{"solo"}, 8, 1.25)
+	pairs, _ := BuildPairs([]string{"solo"})
 	topo := &Topology{
 		Epoch: 7,
 		Nodes: []NodeInfo{{ID: "solo", Addr: n.Server().Addr(), State: StateAlive}},

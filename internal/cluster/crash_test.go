@@ -265,7 +265,7 @@ func TestClusterCrashKillFailover(t *testing.T) {
 	// every key acked after the kill (RF=1 dead-window acks included)
 	// must by now be present on BOTH pair members' running stores —
 	// read each member directly, not through the router.
-	pairs, err := BuildPairs(ids, DefaultVNodes, DefaultLoadFactor)
+	pairs, err := BuildPairs(ids)
 	if err != nil {
 		t.Fatal(err)
 	}

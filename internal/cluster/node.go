@@ -71,11 +71,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	// ring, so one /debug/trace drain yields the node's complete view
 	// of any traced put.
 	if cfg.Server.Tracer == nil {
-		cap := cfg.Server.TraceCap
-		if cap == 0 {
-			cap = 4096
-		}
-		cfg.Server.Tracer = obs.NewTracer(cap)
+		cfg.Server.Tracer = obs.NewTracer(obs.DefaultTraceCap)
 	}
 	cfg.Repl.Tracer = cfg.Server.Tracer
 	// The forward window must strictly exceed the commit pipelines'
@@ -85,11 +81,8 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	// can exhaust deadlocks the shard owners against their own
 	// flushers. Checked here, with defaults applied on both sides, so
 	// a small -repl-window fails loudly instead of wedging.
-	win := cfg.Repl.Window
-	if win <= 0 {
-		win = DefaultReplWindow
-	}
-	if batches := cfg.Server.PipelineBatches(); win <= batches {
+	cfg.Repl = cfg.Repl.withDefaults()
+	if win, batches := cfg.Repl.Window, cfg.Server.PipelineBatches(); win <= batches {
 		return nil, fmt.Errorf(
 			"cluster: ReplConfig.Window %d must exceed the commit pipelines' unacked-batch capacity %d (Shards × (PipelineDepth+1)): raise the window or shrink the pipeline",
 			win, batches)

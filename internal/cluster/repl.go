@@ -95,8 +95,6 @@ type ReplConfig struct {
 	// their own flushers. StartNode validates this against the
 	// server's effective geometry and refuses to start on a violation.
 	Window int
-	// DialTimeout bounds session dials (default 2s).
-	DialTimeout time.Duration
 	// Registry receives the replication metrics (cluster_repl_*).
 	Registry *obs.Registry
 	// Tracer receives forward-path span events (stage_fwd_*) for puts
@@ -109,9 +107,6 @@ type ReplConfig struct {
 func (c ReplConfig) withDefaults() ReplConfig {
 	if c.Window <= 0 {
 		c.Window = DefaultReplWindow
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -517,11 +512,11 @@ func (r *Replicator) ensureSessionLocked(ps *peerState) (int, error) {
 		// racing in; drain those too, through the live session).
 		return r.drainDeltaLocked(ps, sess), nil
 	}
-	conn, err := net.DialTimeout("tcp", ps.addr, r.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", ps.addr, replDialTimeout)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: dial peer %s (%s): %w", ps.id, ps.addr, err)
 	}
-	if err := helloRepl(conn, r.cfg.DialTimeout); err != nil {
+	if err := helloRepl(conn, replDialTimeout); err != nil {
 		conn.Close()
 		return 0, fmt.Errorf("cluster: replication hello to peer %s (%s): %w", ps.id, ps.addr, err)
 	}
@@ -943,10 +938,9 @@ func (s *peerSession) sender() {
 // while the follower's lease stands, Wait then reports its puts
 // unackable, so the clients see backpressure rather than a silent RF=1
 // ack the delta would have to make good on. There is nothing to
-// resend: a follower never answers a run Overload or Expired, since its
-// members block on a full mailbox and never expire (kvserve's
-// pushStages and apply) — the session's TCP window is the run's
-// backpressure.
+// resend: a follower never answers a run Overload, since its members
+// block on a full mailbox (kvserve's pushStages) — the session's TCP
+// window is the run's backpressure.
 func (s *peerSession) reader() {
 	br := bufio.NewReaderSize(s.conn, 1<<16)
 	var buf [kvserve.RespSize]byte

@@ -180,17 +180,17 @@ func TestForwardedRunWaitedOnce(t *testing.T) {
 }
 
 // TestRefusedRunDegradesWithoutResend: whatever a follower refuses a
-// run with — Overload and Expired included, which a kvserve follower
-// never sends — the run degrades at once: not ackable while the
-// follower's lease stands, its puts in the delta at their newest
-// values, no second frame on the wire, and the session still serves
+// run with — Overload included, which a kvserve follower never sends —
+// the run degrades at once: not ackable while the follower's lease
+// stands, its puts in the delta at their newest values, no second
+// frame on the wire, and the session still serves
 // the next run.
 func TestRefusedRunDegradesWithoutResend(t *testing.T) {
 	f := startFakeFollower(t)
 	r := forwardLive(t, f, 4)
 	const n = 4
 	in := make([]uint16, n)
-	refusals := []byte{kvserve.StatusOverload, kvserve.StatusExpired, kvserve.StatusFull}
+	refusals := []byte{kvserve.StatusOverload, kvserve.StatusFull}
 	for round, st := range refusals {
 		keys, vals, tids := batch(n, round)
 		runs := r.ForwardBatch(keys, vals, tids, in, nil)

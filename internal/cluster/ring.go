@@ -38,22 +38,16 @@ type vnode struct {
 }
 
 // BuildPairs assigns each of NumSlots slots a (first, second) replica
-// pair over the given node IDs: vnodes virtual points per node on a
-// 64-bit ring, bounded-load capacity ceil(loadFactor*NumSlots/len(ids))
+// pair over the given node IDs: ringVNodes virtual points per node on a
+// 64-bit ring, bounded-load capacity ringLoadFactor*NumSlots/len(ids)+1
 // per node per role. With one node, second is -1 everywhere. The
 // returned indices refer to ids sorted ascending (sort them first or
 // use the returned order from SortedIDs); BuildPairs sorts internally
 // and maps back, so the caller's id order is respected.
-func BuildPairs(ids []string, vnodes int, loadFactor float64) ([][2]int, error) {
+func BuildPairs(ids []string) ([][2]int, error) {
 	n := len(ids)
 	if n == 0 {
 		return nil, fmt.Errorf("cluster: BuildPairs needs at least one node")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	if loadFactor < 1 {
-		loadFactor = DefaultLoadFactor
 	}
 	for i, a := range ids {
 		for _, b := range ids[i+1:] {
@@ -70,9 +64,9 @@ func BuildPairs(ids []string, vnodes int, loadFactor float64) ([][2]int, error) 
 	}
 	sort.Slice(order, func(a, b int) bool { return ids[order[a]] < ids[order[b]] })
 
-	ring := make([]vnode, 0, n*vnodes)
+	ring := make([]vnode, 0, n*ringVNodes)
 	for _, orig := range order {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < ringVNodes; v++ {
 			h := fnv1a64(fmt.Sprintf("%s#%d", ids[orig], v))
 			// One extra avalanche round: FNV clusters on short suffixes.
 			h ^= h >> 33
@@ -88,7 +82,7 @@ func BuildPairs(ids []string, vnodes int, loadFactor float64) ([][2]int, error) 
 		return ids[ring[a].node] < ids[ring[b].node]
 	})
 
-	cap1 := int(loadFactor*float64(NumSlots)/float64(n)) + 1
+	cap1 := int(ringLoadFactor*float64(NumSlots)/float64(n)) + 1
 	load1 := make([]int, n) // slots held as first replica
 	load2 := make([]int, n) // slots held as second replica
 	pairs := make([][2]int, NumSlots)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
 )
@@ -27,7 +28,7 @@ func TestBuildPairsProperties(t *testing.T) {
 		for i := range ids {
 			ids[i] = fmt.Sprintf("node-%d", i)
 		}
-		pairs, err := BuildPairs(ids, DefaultVNodes, DefaultLoadFactor)
+		pairs, err := BuildPairs(ids)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -44,7 +45,7 @@ func TestBuildPairsProperties(t *testing.T) {
 		}
 		// Bounded load: no node may own more than loadFactor × fair
 		// share (+1 for rounding) in either role.
-		cap1 := int(DefaultLoadFactor*float64(NumSlots)/float64(n)) + 1
+		cap1 := int(ringLoadFactor*float64(NumSlots)/float64(n)) + 1
 		first, second := PairLoads(pairs, n)
 		sum1, sum2 := 0, 0
 		for i := 0; i < n; i++ {
@@ -64,12 +65,12 @@ func TestBuildPairsProperties(t *testing.T) {
 }
 
 func TestBuildPairsOrderIndependent(t *testing.T) {
-	a, err := BuildPairs([]string{"alpha", "beta", "gamma"}, 32, 1.25)
+	a, err := BuildPairs([]string{"alpha", "beta", "gamma"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same ids permuted: slot s must map to the same *identities*.
-	b, err := BuildPairs([]string{"gamma", "alpha", "beta"}, 32, 1.25)
+	b, err := BuildPairs([]string{"gamma", "alpha", "beta"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestBuildPairsOrderIndependent(t *testing.T) {
 }
 
 func TestBuildPairsSingleNode(t *testing.T) {
-	pairs, err := BuildPairs([]string{"solo"}, 16, 1.25)
+	pairs, err := BuildPairs([]string{"solo"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,30 @@ func TestBuildPairsSingleNode(t *testing.T) {
 }
 
 func TestBuildPairsDuplicateID(t *testing.T) {
-	if _, err := BuildPairs([]string{"a", "b", "a"}, 16, 1.25); err == nil {
+	if _, err := BuildPairs([]string{"a", "b", "a"}); err == nil {
 		t.Fatal("duplicate id accepted")
+	}
+}
+
+// TestBuildPairsGolden pins the slot table of a few memberships: the
+// ring's shape is a constant, and a change to it moves every slot a
+// running cluster has placed.
+func TestBuildPairsGolden(t *testing.T) {
+	for _, c := range []struct {
+		ids  []string
+		want string
+	}{
+		{[]string{"n0"}, "f35d304fda9dd51f5a41956fcbdb623b8b0d63bcde3a068d0ffe948c0ba0977b"},
+		{[]string{"n0", "n1"}, "bd8d2fc5e801b5ab45f19d3d5e036227a390dc8d3af5b9e85f9582d448fc9114"},
+		{[]string{"n0", "n1", "n2"}, "7a4fa0f3fc991a14fb21dff4ee8606adfba61a0ae2fae3e28ad5fad49e352fab"},
+		{[]string{"a", "b", "c", "d", "e"}, "fa1691fd9f369b18681f040424fc41e445cab212598599f442e4a0703cc6902b"},
+	} {
+		pairs, err := BuildPairs(c.ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(pairs)))); got != c.want {
+			t.Errorf("BuildPairs(%v) hashes to %s, want %s", c.ids, got, c.want)
+		}
 	}
 }

@@ -60,23 +60,17 @@ type RouterConfig struct {
 	// rejoin from the node's own /healthz report.
 	Nodes []NodeInfo
 
-	// VNodes and LoadFactor shape the ring (defaults DefaultVNodes,
-	// DefaultLoadFactor).
-	VNodes     int
-	LoadFactor float64
 	// Heartbeat is the probe period (default DefaultHeartbeat);
 	// LeaseMiss consecutive failures expire a node's lease (default
 	// DefaultLeaseMiss).
 	Heartbeat time.Duration
 	LeaseMiss int
-	// DialTimeout bounds proxy dials to backends (default 1s).
-	DialTimeout time.Duration
 	// Registry receives the router's metrics (cluster_* series).
 	Registry *obs.Registry
 	// Tracer receives router_route span events for trace-carrying
 	// frames and serves the router's /debug/trace drain. Nil gets a
-	// private disabled tracer of 4096 events; enable it (obs.Tracer.
-	// Enable) to record.
+	// private disabled tracer of obs.DefaultTraceCap events; enable it
+	// (obs.Tracer.Enable) to record.
 	Tracer *obs.Tracer
 	// Logf, when non-nil, receives control-loop events (failovers,
 	// rejoins, pushes).
@@ -147,26 +141,17 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.CtrlAddr == "" {
 		c.CtrlAddr = "127.0.0.1:0"
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
-	if c.LoadFactor < 1 {
-		c.LoadFactor = DefaultLoadFactor
-	}
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = DefaultHeartbeat
 	}
 	if c.LeaseMiss <= 0 {
 		c.LeaseMiss = DefaultLeaseMiss
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = time.Second
-	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
 	}
 	if c.Tracer == nil {
-		c.Tracer = obs.NewTracer(4096)
+		c.Tracer = obs.NewTracer(obs.DefaultTraceCap)
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -186,7 +171,7 @@ func StartRouter(cfg RouterConfig) (*Router, error) {
 	for i := range cfg.Nodes {
 		ids[i] = cfg.Nodes[i].ID
 	}
-	pairs, err := BuildPairs(ids, cfg.VNodes, cfg.LoadFactor)
+	pairs, err := BuildPairs(ids)
 	if err != nil {
 		return nil, err
 	}
@@ -875,7 +860,7 @@ func (r *Router) serveClient(c net.Conn) {
 			}
 			delete(backends, addr)
 		}
-		conn, err := net.DialTimeout("tcp", addr, r.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", addr, routerDialTimeout)
 		if err != nil {
 			return nil
 		}
@@ -969,7 +954,7 @@ func (r *Router) serveClient(c net.Conn) {
 				continue
 			}
 			for off := sg.off; off < sg.end; off += kvserve.ReqSize {
-				op, seq, feats, _ := frameAt(buf, off)
+				op, seq, _, _ := frameAt(buf, off)
 				if op == kvserve.OpTraceCtx {
 					// A prefix whose successor answered locally: drop it
 					// silently — forwarding it anywhere would arm a trace
@@ -978,11 +963,9 @@ func (r *Router) serveClient(c net.Conn) {
 				}
 				if op == kvserve.OpHello && t != nil {
 					// The router is the client's protocol peer, so it
-					// answers the handshake itself: it speaks the trace
-					// extension (prefix fusion above), so it grants
-					// FeatTrace regardless of backend vintage — backends
-					// accept OpTraceCtx unconditionally. Never FeatRepl.
-					ans = kvserve.AppendResp(ans, seq, kvserve.StatusOK, feats&kvserve.FeatTrace)
+					// answers the handshake itself, and grants nothing:
+					// never FeatRepl.
+					ans = kvserve.AppendResp(ans, seq, kvserve.StatusOK, 0)
 					continue
 				}
 				st := kvserve.StatusOverload

@@ -115,7 +115,7 @@ func FuzzPlanChunk(f *testing.F) {
 		mix = kvserve.AppendReq(mix, kvserve.OpPut, uint32(i), key, 0)
 	}
 	mix = kvserve.AppendReq(mix, kvserve.OpPing, 5, 0, 0)
-	mix = kvserve.AppendReq(mix, kvserve.OpHello, 6, kvserve.FeatTrace|kvserve.FeatRepl, 0)
+	mix = kvserve.AppendReq(mix, kvserve.OpHello, 6, 1|kvserve.FeatRepl, 0)
 	f.Add(mix)
 	f.Add(mix[:len(mix)-4]) // a partial last frame
 	traced := kvserve.AppendReq(nil, kvserve.OpTraceCtx, 1, 0xabc, 0)
@@ -214,12 +214,12 @@ func TestRouterRefusesReplBatch(t *testing.T) {
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(10 * time.Second))
 	var resp [kvserve.RespSize]byte
-	c.Write(kvserve.AppendReq(nil, kvserve.OpHello, 1, kvserve.FeatTrace|kvserve.FeatRepl, 0))
+	c.Write(kvserve.AppendReq(nil, kvserve.OpHello, 1, 1|kvserve.FeatRepl, 0))
 	if _, err := io.ReadFull(c, resp[:]); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
-	if _, st, granted := kvserve.DecodeResp(&resp); st != kvserve.StatusOK || granted != kvserve.FeatTrace {
-		t.Fatalf("router hello answered %s, granted %#x; want ok and FeatTrace alone", kvserve.StatusName(st), granted)
+	if _, st, granted := kvserve.DecodeResp(&resp); st != kvserve.StatusOK || granted != 0 {
+		t.Fatalf("router hello answered %s, granted %#x; want ok and nothing", kvserve.StatusName(st), granted)
 	}
 	key := workloads.KVKey(9, 1) // not preloaded
 	c.Write(kvserve.AppendReplBatch(nil, 3, 1, func(int) (uint64, uint64, uint64) { return key, 77, 0 }))

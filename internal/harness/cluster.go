@@ -148,7 +148,7 @@ func expCluster(w io.Writer, o Options) error {
 	// static primary — i.e. traffic that *had* to wait for promotion)
 	// and the rejoin (restart → router reports the node alive again,
 	// which includes journal-replay recovery and delta catch-up).
-	pairs, err := cluster.BuildPairs(ids, cluster.DefaultVNodes, cluster.DefaultLoadFactor)
+	pairs, err := cluster.BuildPairs(ids)
 	if err != nil {
 		return err
 	}

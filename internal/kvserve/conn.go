@@ -66,9 +66,9 @@ func (r *request) reply(status byte, val uint64) {
 // from different shards' flushers concurrently; the worst status wins
 // (the codes order by severity: OK < ... < Full < BadRequest <
 // Shutdown), so the primary degrades the whole run on any member
-// failure. A member never answers Overload or Expired (see pushStages
-// and apply): the session's TCP window is the run's backpressure, so
-// the primary has nothing to resend.
+// failure. A member never answers Overload (see pushStages): the
+// session's TCP window is the run's backpressure, so the primary has
+// nothing to resend.
 type replBatch struct {
 	cn        *srvConn
 	seq       uint32
@@ -260,14 +260,13 @@ func (s *Server) connReader(cn *srvConn) {
 			}
 		case op == OpTraceCtx:
 			// Silent prefix: arm the trace ID for the next frame. No
-			// response, so pre-handshake senders would desync their
-			// sequence space — which is why clients only send it after
-			// OpHello grants FeatTrace.
+			// response, so the sequence space of every other frame is
+			// untouched.
 			nextTid = key
 		case op == OpHello:
 			// Capability handshake: grant the intersection of what the
 			// client asked for and what we speak.
-			granted = key & (FeatTrace | FeatRepl)
+			granted = key & FeatRepl
 			rb = AppendResp(rb, seq, StatusOK, granted)
 		case op == OpPing:
 			rb = AppendResp(rb, seq, StatusOK, 0)

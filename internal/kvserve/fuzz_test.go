@@ -94,13 +94,13 @@ func FuzzConnReader(f *testing.F) {
 	f.Add(append(reqFrame(OpGet, 8, k(1), 0), replFrame(6, pairs, nil)[:ReqSize+20]...)) // cut payload
 	// The seeds above send OpReplBatch on a plain connection, which ends
 	// it; these ask for FeatRepl first.
-	hello := reqFrame(OpHello, 1, FeatRepl|FeatTrace, 0)
+	hello := reqFrame(OpHello, 1, FeatRepl|1, 0)
 	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
 	f.Add(cat(hello, replFrame(3, pairs, nil)))
 	f.Add(cat(hello, reqFrame(OpPut, 2, k(9), 1), replFrame(3, pairs, []uint64{0, 0xbeef, 0, 0xcafe})))
-	f.Add(cat(hello, reqFrame(OpReplBatch, 5, 2, 3)))                               // refused: more trace entries than pairs
-	f.Add(cat(hello, replFrame(6, pairs, nil)[:ReqSize+20]))                        // cut payload
-	f.Add(cat(hello, reqFrame(OpHello, 2, FeatTrace, 0), replFrame(7, pairs, nil))) // the grant given back
+	f.Add(cat(hello, reqFrame(OpReplBatch, 5, 2, 3)))                       // refused: more trace entries than pairs
+	f.Add(cat(hello, replFrame(6, pairs, nil)[:ReqSize+20]))                // cut payload
+	f.Add(cat(hello, reqFrame(OpHello, 2, 1, 0), replFrame(7, pairs, nil))) // the grant given back
 	// The all-ones key was the pad records' until ISSUE 24; it is a key.
 	f.Add(cat(reqFrame(OpPut, 7, ^uint64(0), 9), reqFrame(OpGet, 8, ^uint64(0), 0)))
 	f.Add(cat(hello, replFrame(8, [][2]uint64{{^uint64(0), 1}, {k(4), 2}}, nil)))

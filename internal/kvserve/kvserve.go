@@ -39,9 +39,8 @@
 //     that leaks unacknowledged inserts and makes restart recovery's
 //     ghost-wipe path real;
 //   - admission control: a full mailbox rejects instead of queueing
-//     (StatusOverload), queued requests past MaxQueueDelay expire
-//     unprocessed (StatusExpired), and near-full tables or an
-//     exhausted journal reject puts (StatusFull);
+//     (StatusOverload), and near-full tables or an exhausted journal
+//     reject puts (StatusFull);
 //   - graceful drain: Close stops the listener, lets owners drain
 //     their mailboxes, seals and commits open batches, and syncs the
 //     file, so a SIGTERM'd server restarts with zero repair;
@@ -55,7 +54,6 @@ import (
 	"fmt"
 	"time"
 
-	"lazyp/internal/checksum"
 	"lazyp/internal/lpstore"
 	"lazyp/internal/obs"
 )
@@ -85,8 +83,6 @@ type Config struct {
 	// BatchK is the LP group-commit size: the most puts a batch holds,
 	// and the journal records per checksum region (window).
 	BatchK int
-	// Kind is the checksum code for LP batches.
-	Kind checksum.Kind
 	// Streams and Keys describe the preloaded dataset: Keys keys for
 	// each of Streams kvgen client streams (workloads.KVKey(stream, i)),
 	// hash-routed to shards. Load generators that issue reads must use
@@ -105,11 +101,6 @@ type Config struct {
 	// elsewhere it is a runtime timer, which an idle process may fire up
 	// to a millisecond late. 0 means 500 µs.
 	BatchWait time.Duration
-	// MaxQueueDelay expires client puts that waited longer than this in
-	// the mailbox (0 disables the deadline). Replicated OpReplBatch
-	// members never expire, as they never bounce on a full mailbox: a
-	// replication session's flow control is its TCP window.
-	MaxQueueDelay time.Duration
 	// Fsync fsyncs the backing file on every commit write set. Off by
 	// default: the contract defended by the crash tests is process
 	// death (page cache survives), not power loss.
@@ -129,12 +120,9 @@ type Config struct {
 	Registry *obs.Registry
 	// Tracer receives persistency events (batch commits, rejects,
 	// recovery repairs, leaks). Nil means a private, disabled tracer
-	// of TraceCap capacity, reachable through Server.Tracer; recording
-	// starts only when some caller enables it.
+	// of obs.DefaultTraceCap events, reachable through Server.Tracer;
+	// recording starts only when some caller enables it.
 	Tracer *obs.Tracer
-	// TraceCap sizes the private tracer when Tracer is nil (default
-	// 4096 events ≈ 160 KiB).
-	TraceCap int
 	// TraceSample, when positive, makes the server mint a trace ID for
 	// every TraceSample-th client put that arrives without one (the
 	// OpTraceCtx wire extension), so its span events land in the tracer
@@ -252,9 +240,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PipelineDepth == 0 {
 		c.PipelineDepth = 4
-	}
-	if c.TraceCap == 0 {
-		c.TraceCap = 4096
 	}
 	return c
 }

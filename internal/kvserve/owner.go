@@ -104,7 +104,6 @@ type shardObs struct {
 	putLat       *obs.Histogram // kvserve_put_latency_seconds: enqueue → ack, end to end
 	recovery     *obs.Histogram // kvserve_recovery_seconds: restart recovery per shard
 	rejOver      *obs.Counter   // kvserve_rejects_total{cause="overload"}
-	rejExp       *obs.Counter   // kvserve_rejects_total{cause="expired"}
 	rejFull      *obs.Counter   // kvserve_rejects_total{cause="full"}
 	rejMoved     *obs.Counter   // kvserve_rejects_total{cause="moved"}
 }
@@ -123,7 +122,6 @@ func newShardObs(sc obs.Scope) shardObs {
 		putLat:       sc.HistogramScaled(MetricPutLatency, 1e-9),
 		recovery:     sc.HistogramScaled("kvserve_recovery_seconds", 1e-9),
 		rejOver:      rej("overload"),
-		rejExp:       rej("expired"),
 		rejFull:      rej("full"),
 		rejMoved:     rej("moved"),
 	}
@@ -201,13 +199,12 @@ func (s *Server) owner(sd *shardState) {
 }
 
 // apply executes one run of puts under a single clock read: now is
-// every member's dequeue time (queue stage, MaxQueueDelay) and the epoch
-// of a batch a member opens. The BatchWait deadline is checked once per
-// run, so an open batch kept company by a trickle — the owner never
-// idles long enough for its clock to fire — still seals on time; it is
-// checked after the run, so puts that arrive in the same wakeup as the
-// due fire join the batch they found open instead of waiting out a
-// second one.
+// every member's dequeue time (queue stage) and the epoch of a batch a
+// member opens. The BatchWait deadline is checked once per run, so an
+// open batch kept company by a trickle — the owner never idles long
+// enough for its clock to fire — still seals on time; it is checked
+// after the run, so puts that arrive in the same wakeup as the due fire
+// join the batch they found open instead of waiting out a second one.
 func (s *Server) apply(sd *shardState, run []request) {
 	now := time.Now()
 	c := sd.ctx
@@ -217,12 +214,6 @@ func (s *Server) apply(sd *shardState, run []request) {
 		s.stage[obs.StageQueue].Observe(uint64(wait.Nanoseconds()))
 		if r.tid != 0 {
 			s.trace(obs.EvStageDeq, int32(sd.id), r.tid, uint64(wait.Nanoseconds()))
-		}
-		if d := s.cfg.MaxQueueDelay; d > 0 && wait > d && r.rb == nil {
-			sd.obs.rejExp.Inc()
-			s.trace(obs.EvRejectExpired, int32(sd.id), r.key, 0)
-			r.reply(StatusExpired, 0)
-			continue
 		}
 		// Admission: reject near-full tables (an insert may be an update,
 		// but distinguishing would cost the probe we are trying to avoid)

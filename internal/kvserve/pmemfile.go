@@ -8,6 +8,8 @@ import (
 	"io"
 	"os"
 	"syscall"
+
+	"lazyp/internal/checksum"
 )
 
 const (
@@ -20,6 +22,9 @@ const (
 	// headerSize is the byte offset of the memory image in the file;
 	// the header occupies one page regardless of how little it uses.
 	headerSize = 4096
+	// batchKind is the checksum code of every LP batch. The header
+	// records it, so an image written under another code is refused.
+	batchKind = checksum.Modular
 )
 
 // headerBytes renders the geometry header for a config and image size.
@@ -32,7 +37,7 @@ func headerBytes(cfg Config, imageSize int) []byte {
 	copy(h, pmemMagic)
 	fields := []uint64{
 		uint64(cfg.Mode), uint64(cfg.Shards), uint64(cfg.Capacity),
-		uint64(cfg.MaxOps), uint64(cfg.BatchK), uint64(cfg.Kind),
+		uint64(cfg.MaxOps), uint64(cfg.BatchK), uint64(batchKind),
 		uint64(cfg.Streams), uint64(cfg.Keys), cfg.Seed,
 		uint64(imageSize),
 	}

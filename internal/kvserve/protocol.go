@@ -56,29 +56,25 @@ const (
 	OpReplBatch = 'B'
 	// OpHello is the per-connection capability handshake: the key field
 	// carries the feature bits the client wants, the response's val the
-	// bits the server grants. A client that never sends it gets exactly
-	// the pre-hello protocol — old clients stay wire-compatible byte
-	// for byte — and a new client talking to an implementation that
-	// predates the opcode reads StatusBadRequest and simply keeps its
-	// optional features off.
+	// bits the server grants. Its one feature is FeatRepl, which only a
+	// replication session asks for; every other opcode needs no hello.
 	OpHello = 'H'
-	// OpTraceCtx is the trace-context extension negotiated by OpHello's
-	// FeatTrace bit: a standard request frame whose key field carries a
-	// trace ID, attached to the NEXT frame on the same connection. It is
-	// a silent prefix — the server consumes it without answering, so
-	// framing, sequence-number flow, and response counts are untouched
-	// for every other frame. The router forwards a prefix fused to its
-	// successor so the pair lands on the same backend.
+	// OpTraceCtx is the trace-context extension: a standard request
+	// frame whose key field carries a trace ID, attached to the NEXT
+	// frame on the same connection. It is a silent prefix — the server
+	// consumes it without answering, so framing, sequence-number flow,
+	// and response counts are untouched for every other frame. The
+	// router forwards a prefix fused to its successor so the pair lands
+	// on the same backend.
 	OpTraceCtx = 'T'
 
-	// FeatTrace is the OpHello feature bit for OpTraceCtx support.
-	FeatTrace = uint64(1)
 	// FeatRepl is the OpHello feature bit that opens a connection to
 	// OpReplBatch frames: a replication session asks for it at dial, and
 	// a connection that sends OpReplBatch without the grant is ended
 	// (past a payload the server will not read, framing is lost). The
-	// router answers hellos itself and never grants it, so nothing behind
-	// a router can replicate into a member.
+	// router answers hellos itself and grants nothing, so nothing behind
+	// a router can replicate into a member. Bit value 1 stays unassigned:
+	// older load clients ask for it and must keep reading no grant.
 	FeatRepl = uint64(2)
 
 	ReqSize  = 1 + 4 + 8 + 8
@@ -107,9 +103,9 @@ const (
 	StatusNotFound
 	// StatusOverload means the shard's mailbox was full; retry later.
 	StatusOverload
-	// StatusExpired means the request waited in the mailbox past
-	// MaxQueueDelay and was not executed.
-	StatusExpired
+	// Byte 3 is reserved: it was a queue-deadline rejection, and the
+	// codes after it keep their values and their severity order.
+	_
 	// StatusFull rejects a put: the shard's table is at its admission
 	// watermark or its LP journal is exhausted.
 	StatusFull
@@ -138,8 +134,6 @@ func StatusName(st byte) string {
 		return "not_found"
 	case StatusOverload:
 		return "overload"
-	case StatusExpired:
-		return "expired"
 	case StatusFull:
 		return "full"
 	case StatusBadRequest:
@@ -405,20 +399,7 @@ func (cl *Client) Put(key, val uint64) (byte, error) {
 	return r.Status, r.Err
 }
 
-// Hello negotiates optional protocol features for this connection and
-// returns the granted bits. A server (or proxy) that predates OpHello
-// answers StatusBadRequest, which comes back as granted == 0 — the
-// caller keeps its optional features off and proceeds.
-func (cl *Client) Hello(features uint64) (uint64, error) {
-	r := cl.do(OpHello, features, 0, 0)
-	if r.Err != nil || r.Status != StatusOK {
-		return 0, r.Err
-	}
-	return r.Val & features, nil
-}
-
-// PutTraced writes key=val carrying trace ID tid (nonzero). Call only
-// after Hello granted FeatTrace.
+// PutTraced writes key=val carrying trace ID tid (nonzero).
 func (cl *Client) PutTraced(tid, key, val uint64) (byte, error) {
 	r := cl.do(OpPut, key, val, tid)
 	return r.Status, r.Err

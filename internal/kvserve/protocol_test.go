@@ -142,7 +142,7 @@ func TestReplBatchNeedsGrant(t *testing.T) {
 	key := workloads.KVKey(9, 1) // not preloaded
 	frame := replFrame(3, [][2]uint64{{key, 77}}, nil)
 
-	for _, hello := range []uint64{0, FeatTrace} { // never asked; asked for something else
+	for _, hello := range []uint64{0, 1} { // never asked; asked for an unassigned bit
 		c, err := net.Dial("tcp", s.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +155,7 @@ func TestReplBatchNeedsGrant(t *testing.T) {
 			if _, err := io.ReadFull(c, resp[:]); err != nil {
 				t.Fatalf("hello: %v", err)
 			}
-			if _, st, granted := DecodeResp(&resp); st != StatusOK || granted != hello {
+			if _, st, granted := DecodeResp(&resp); st != StatusOK || granted != 0 {
 				t.Fatalf("hello(%#x) answered %s, granted %#x", hello, StatusName(st), granted)
 			}
 		}

@@ -1,6 +1,8 @@
 package kvserve
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"os"
@@ -151,5 +153,24 @@ func TestOldImageRefused(t *testing.T) {
 	_, err = New(cfg)
 	if want := `has image format "LPKVPM01", this build reads only "LPKVPM02"`; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("New over a v1 image = %v, want an error saying it %s", err, want)
+	}
+}
+
+// TestHeaderBytesUnchanged pins the geometry header of one config to the
+// bytes an LPKVPM02 build has always written: reopen compares the whole
+// page, so any drift in it refuses every existing image.
+func TestHeaderBytesUnchanged(t *testing.T) {
+	cfg := Config{Mode: lpstore.ModeLP, Shards: 4, Capacity: 1 << 14, MaxOps: 1 << 16, BatchK: 32, Streams: 4, Keys: 2048, Seed: 7}
+	const want = "4c504b56504d3032" + // "LPKVPM02"
+		"0100000000000000" + "0400000000000000" + "0040000000000000" + // mode, shards, capacity
+		"0000010000000000" + "2000000000000000" + "0000000000000000" + // maxops, batchK, checksum (modular)
+		"0400000000000000" + "0008000000000000" + "0700000000000000" + // streams, keys, seed
+		"0000500000000000" // image bytes
+	h := headerBytes(cfg, 5<<20)
+	if got := hex.EncodeToString(h[:len(want)/2]); got != want {
+		t.Fatalf("header\n got %s\nwant %s", got, want)
+	}
+	if len(h) != headerSize || bytes.Count(h[len(want)/2:], []byte{0}) != headerSize-len(want)/2 {
+		t.Fatalf("header is %d bytes with nonzero bytes past the fields", len(h))
 	}
 }

@@ -26,7 +26,7 @@ type Stats struct {
 	Batches     uint64 `json:"batches"`
 	Pads        uint64 `json:"pads"` // always 0 since ISSUE 24 (no pad records); kept for bench/, which reads it
 	Overloads   uint64 `json:"overloads"`
-	Expired     uint64 `json:"expired"`
+	Expired     uint64 `json:"expired"` // always 0 (there is no queue deadline); kept for bench/, which reads it
 	Full        uint64 `json:"full"`
 	Moved       uint64 `json:"moved"`
 	LeakedLines uint64 `json:"leaked_lines"`
@@ -120,7 +120,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.tr = cfg.Tracer
 	if s.tr == nil {
-		s.tr = obs.NewTracer(cfg.TraceCap)
+		s.tr = obs.NewTracer(obs.DefaultTraceCap)
 	}
 	root := s.reg.Scope()
 	s.ctGets = root.Counter("kvserve_gets_total")
@@ -215,7 +215,7 @@ func New(cfg Config) (*Server, error) {
 				s.release()
 				return nil, err
 			}
-			sd.sh = lpstore.LayoutShardLP(s.mem, name, id, cfg.Capacity, cfg.MaxOps, cfg.BatchK, cfg.Kind)
+			sd.sh = lpstore.LayoutShardLP(s.mem, name, id, cfg.Capacity, cfg.MaxOps, cfg.BatchK, batchKind)
 			sd.w = sd.sh.NewLPWriter()
 			sd.commitCh = make(chan *commitItem, cfg.PipelineDepth)
 			sd.freeCh = make(chan *commitItem, cfg.PipelineDepth)
@@ -433,7 +433,6 @@ func (s *Server) Stats() Stats {
 	}
 	for _, sd := range s.shards {
 		st.Overloads += sd.obs.rejOver.Load()
-		st.Expired += sd.obs.rejExp.Load()
 		st.Full += sd.obs.rejFull.Load()
 		st.Moved += sd.obs.rejMoved.Load()
 	}

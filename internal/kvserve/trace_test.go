@@ -20,8 +20,8 @@ func promLine(scrape, prefix string) string {
 	return ""
 }
 
-// TestTracedPutSpans pins the single-node span pipeline: a client that
-// negotiated FeatTrace sends a put behind an OpTraceCtx prefix, and
+// TestTracedPutSpans pins the single-node span pipeline: a client
+// sends a put behind an OpTraceCtx prefix, with no handshake, and
 // the server's tracer must hold the full stage ladder for that trace
 // ID — enq, deq, seal, flush, reply — while the per-stage histograms
 // accumulate observations for the scrape.
@@ -33,13 +33,6 @@ func TestTracedPutSpans(t *testing.T) {
 	s.Tracer().Enable(true)
 
 	cl := dial(t, s.Addr())
-	granted, err := cl.Hello(FeatTrace)
-	if err != nil {
-		t.Fatalf("Hello: %v", err)
-	}
-	if granted&FeatTrace == 0 {
-		t.Fatalf("Hello granted %#x, want FeatTrace", granted)
-	}
 
 	const tid = 0xBEEF0001
 	key := uint64(0x1234)

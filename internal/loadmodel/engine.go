@@ -54,11 +54,9 @@ type Options struct {
 
 	// TraceEvery, when positive, mints a client-side trace ID for every
 	// TraceEvery-th op a connection issues (1 = every op) and ships it
-	// ahead of the op as an OpTraceCtx prefix on connections whose
-	// OpHello handshake granted FeatTrace; against a pre-trace server
-	// the ID stays client-local. Traced ops record client_send and
-	// client_ack span events into Tracer when it is non-nil and
-	// enabled.
+	// ahead of the op as an OpTraceCtx prefix. Traced ops record
+	// client_send and client_ack span events into Tracer when it is
+	// non-nil and enabled.
 	TraceEvery int
 	Tracer     *obs.Tracer
 
@@ -252,13 +250,13 @@ type Report struct {
 
 // classStats accumulates one class's outcomes across all connections.
 type classStats struct {
-	hist, putHist                    obs.Histogram // served-op latency, ns
-	offered, served, over, exp, full atomic.Uint64
+	hist, putHist               obs.Histogram // served-op latency, ns
+	offered, served, over, full atomic.Uint64
 }
 
 func (a *classStats) plan(name string, durS float64) ClassPlan {
 	return classPlanOf(name, int(a.offered.Load()), durS, &a.hist, &a.putHist,
-		a.served.Load(), a.over.Load(), a.exp.Load(), a.full.Load())
+		a.served.Load(), a.over.Load(), a.full.Load())
 }
 
 // targetStats aggregates one backend address across all connections.
@@ -371,24 +369,23 @@ func (e *engine) progress(stop <-chan struct{}) {
 		case <-tick.C:
 		}
 		var merged obs.Histogram
-		var over, exp, full uint64
+		var over, full uint64
 		for i := range e.classes {
 			a := &e.classes[i]
 			merged.Merge(&a.hist)
 			over += a.over.Load()
-			exp += a.exp.Load()
 			full += a.full.Load()
 		}
 		cur := merged.Snapshot()
 		win := cur.Sub(prev)
 		ops := e.settled.Load()
 		fmt.Fprintf(e.o.Progress,
-			"lpload: t=%.1fs ops=%d (%.0f ops/s) p50 %.0fµs p99 %.0fµs p999 %.0fµs max %.0fµs rej ov/exp/full=%d/%d/%d\n",
+			"lpload: t=%.1fs ops=%d (%.0f ops/s) p50 %.0fµs p99 %.0fµs p999 %.0fµs max %.0fµs rej ov/full=%d/%d\n",
 			time.Since(e.start).Seconds(), ops,
 			float64(ops-prevOps)/e.o.Interval.Seconds(),
 			float64(win.Quantile(0.50))/1e3, float64(win.Quantile(0.99))/1e3,
 			float64(win.Quantile(0.999))/1e3, float64(win.Max)/1e3,
-			over, exp, full)
+			over, full)
 		prev, prevOps = cur, ops
 	}
 }
@@ -418,7 +415,6 @@ func (e *engine) report(fd feed, elapsed time.Duration) *Report {
 		total.offered.Add(a.offered.Load())
 		total.served.Add(a.served.Load())
 		total.over.Add(a.over.Load())
-		total.exp.Add(a.exp.Load())
 		total.full.Add(a.full.Load())
 	}
 	rep.Total = total.plan("total", durS)
@@ -461,35 +457,25 @@ type slot struct {
 }
 
 // event is a reader→main-loop message for (tgt, gen): a response for
-// slot ≥ 0, the reader's exit (evDown, exactly one per dial), or a
-// hello answer (evHello, granted feature bits in val).
+// slot ≥ 0, or the reader's exit (evDown, exactly one per dial).
 type event struct {
 	slot   int
 	status byte
-	val    uint64
 	at     time.Time // when the reader saw it
 	tgt    *target
 	gen    uint32
 }
 
-const (
-	evDown  = -1
-	evHello = -2
-	// helloSeq is the sequence number of the per-connection OpHello
-	// frame — outside the slot space, so the reader routes its answer
-	// to the handshake instead of a slot.
-	helloSeq = ^uint32(0)
-)
+const evDown = -1
 
 // target is one conn's TCP connection to one backend address.
 type target struct {
-	addr    string
-	c       net.Conn
-	bw      *bufio.Writer
-	gen     uint32 // bumped per dial; stamps slots and events
-	up      bool
-	dirty   bool // has unflushed frames
-	traceOK bool // this connection's hello granted FeatTrace
+	addr  string
+	c     net.Conn
+	bw    *bufio.Writer
+	gen   uint32 // bumped per dial; stamps slots and events
+	up    bool
+	dirty bool // has unflushed frames
 
 	dialAttempt int
 	notBefore   time.Time // redial backoff deadline
@@ -565,18 +551,8 @@ func (cn *conn) dial(addr string, now time.Time) (*target, time.Time) {
 	t.bw = bufio.NewWriterSize(c, 1<<15)
 	t.gen++
 	t.up = true
-	t.traceOK = false
 	t.dialAttempt = 0
 	t.st.dials.Add(1)
-	if cn.e.o.TraceEvery > 0 {
-		// Negotiate the trace extension before any op leaves on this
-		// connection. Ops issued before the grant arrives simply go
-		// unprefixed — their trace IDs stay client-local.
-		var hf [kvserve.ReqSize]byte
-		kvserve.EncodeReq(&hf, kvserve.OpHello, helloSeq, kvserve.FeatTrace, 0)
-		_, _ = t.bw.Write(hf[:]) // a dead connection surfaces at the flush
-		t.dirty = true
-	}
 	gen := t.gen
 	cn.readers++
 	go func() {
@@ -586,14 +562,11 @@ func (cn *conn) dial(addr string, now time.Time) (*target, time.Time) {
 			if _, err := io.ReadFull(br, rbuf[:]); err != nil {
 				break
 			}
-			seq, status, val := kvserve.DecodeResp(&rbuf)
-			ev := event{slot: int(seq), status: status, val: val, at: time.Now(), tgt: t, gen: gen}
-			if seq == helloSeq {
-				ev.slot = evHello
-			} else if int(seq) >= len(cn.slots) {
+			seq, status, _ := kvserve.DecodeResp(&rbuf)
+			if int(seq) >= len(cn.slots) {
 				break // not a sequence number this conn ever sent
 			}
-			cn.events <- ev
+			cn.events <- event{slot: int(seq), status: status, at: time.Now(), tgt: t, gen: gen}
 		}
 		cn.events <- event{slot: evDown, at: time.Now(), tgt: t, gen: gen}
 	}()
@@ -679,7 +652,7 @@ func (cn *conn) settle(id int, status byte, now time.Time) {
 				e.o.OnAck(cn.id, sl.op.Key, sl.op.Val)
 			}
 		}
-	case kvserve.StatusOverload, kvserve.StatusMoved, kvserve.StatusExpired, kvserve.StatusFull:
+	case kvserve.StatusOverload, kvserve.StatusMoved, kvserve.StatusFull:
 		// Counted by cause in handle.
 	default:
 		e.errs.Add(1)
@@ -692,16 +665,7 @@ func (cn *conn) settle(id int, status byte, now time.Time) {
 
 // handle processes one event. Reports false when the conn must stop.
 func (cn *conn) handle(ev event) bool {
-	switch ev.slot {
-	case evHello:
-		// A grant enables the trace prefix for frames sent on this
-		// connection generation from here on. A StatusBadRequest
-		// (pre-hello server) leaves the extension off.
-		if ev.tgt.up && ev.tgt.gen == ev.gen && ev.status == kvserve.StatusOK {
-			ev.tgt.traceOK = ev.val&kvserve.FeatTrace != 0
-		}
-		return true
-	case evDown:
+	if ev.slot == evDown {
 		cn.readers--
 		return cn.fail(ev.tgt, ev.gen, ev.at)
 	}
@@ -722,8 +686,6 @@ func (cn *conn) handle(ev event) bool {
 		}
 	case kvserve.StatusOverload:
 		a.over.Add(1)
-	case kvserve.StatusExpired:
-		a.exp.Add(1)
 	case kvserve.StatusFull:
 		a.full.Add(1)
 	}
@@ -815,10 +777,9 @@ func (cn *conn) send(id int, now time.Time) bool {
 	sl.gen = t.gen
 	// A traced slot goes out as [OpTraceCtx prefix][op frame], written
 	// in one call so the pair crosses the router as a contiguous unit.
-	// Skipped when the target never granted FeatTrace (old server).
 	var buf [2 * kvserve.ReqSize]byte
 	f := buf[:0]
-	if sl.tid != 0 && t.traceOK {
+	if sl.tid != 0 {
 		f = kvserve.AppendReq(f, kvserve.OpTraceCtx, uint32(id), sl.tid, 0)
 	}
 	opc := byte(kvserve.OpGet)
@@ -840,7 +801,7 @@ func (cn *conn) run() bool {
 	e, o := cn.e, cn.e.o
 	cn.targets = make(map[string]*target)
 	// Events never block the readers: at most Window responses can be
-	// in flight, plus a hello answer and an exit event per dial.
+	// in flight, plus an exit event per dial.
 	cn.events = make(chan event, o.Window+64)
 	cn.timer = time.NewTimer(time.Hour)
 	defer cn.timer.Stop()

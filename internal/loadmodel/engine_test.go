@@ -72,9 +72,9 @@ func TestRunReplay(t *testing.T) {
 	if rep.Total.Ops != len(ops) || rep.Ops != uint64(len(ops)) {
 		t.Fatalf("issued %d, settled %d, want %d", rep.Total.Ops, rep.Ops, len(ops))
 	}
-	rej := rep.Total.Overloads + rep.Total.Expired + rep.Total.Full
+	rej := rep.Total.Overloads + rep.Total.Full
 	if rej != 0 || rep.Moved != 0 || rep.Errors != 0 || rep.Retries != 0 {
-		t.Fatalf("unexpected rejects/errors: ov/exp/full=%d moved=%d errs=%d retries=%d",
+		t.Fatalf("unexpected rejects/errors: ov/full=%d moved=%d errs=%d retries=%d",
 			rej, rep.Moved, rep.Errors, rep.Retries)
 	}
 	// Reads target preloaded keys and updates overwrite them; inserts
@@ -324,4 +324,43 @@ func TestProgressReporterJoined(t *testing.T) {
 		t.Fatalf("no progress line in %d ms of 1ms ticks: %q", 60, buf.String())
 	}
 	buf.Reset()
+}
+
+// TestTraceEveryPrefixesFirstWindow: with TraceEvery 1 every op goes out
+// behind its trace prefix from a connection's first frame on, so a run
+// that is one window of puts per connection leaves every client trace ID
+// in a server stage_enq event.
+func TestTraceEveryPrefixesFirstWindow(t *testing.T) {
+	const conns, window = 2, 16
+	s := startKVCfg(t, kvserve.Config{Streams: 2, Keys: 128})
+	s.Tracer().Enable(true)
+	clientTr := obs.NewTracer(1 << 12)
+	clientTr.Enable(true)
+	rep, err := Run(s.Addr(), MixLoad{InsertOnly: true, Ops: window, Streams: 2, Keys: 128},
+		Options{Conns: conns, Window: window, TraceEvery: 1, Tracer: clientTr})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.AckedPuts != conns*window || rep.Errors != 0 {
+		t.Fatalf("acked %d of %d puts, %d errors", rep.AckedPuts, conns*window, rep.Errors)
+	}
+	enq := map[uint64]bool{}
+	for _, ev := range s.Tracer().Drain(0) {
+		if ev.Type == obs.EvStageEnq {
+			enq[ev.A] = true
+		}
+	}
+	sent, missing := 0, 0
+	for _, ev := range clientTr.Drain(0) {
+		if ev.Type != obs.EvClientSend {
+			continue
+		}
+		sent++
+		if !enq[ev.A] {
+			missing++
+		}
+	}
+	if sent != conns*window || missing != 0 {
+		t.Fatalf("%d client trace IDs sent (want %d), %d without a server stage_enq event", sent, conns*window, missing)
+	}
 }

@@ -141,7 +141,6 @@ type PlanConfig struct {
 	Mailbox        int   `json:"mailbox"`
 	PipelineDepth  int   `json:"pipeline_depth"`
 	BatchWaitNs    int64 `json:"batch_wait_ns"`
-	MaxDelayNs     int64 `json:"max_delay_ns"`     // 0 = no per-request deadline
 	MaxOpsPerShard int   `json:"maxops_per_shard"` // journal budget; 0 = unlimited
 	Conns          int   `json:"conns"`            // client connections the runner will use
 	Fsync          bool  `json:"fsync"`
@@ -188,7 +187,6 @@ type ClassPlan struct {
 	MeanUs      float64 `json:"mean_us"`
 	MaxUs       float64 `json:"max_us"`
 	Overloads   uint64  `json:"overloads"`
-	Expired     uint64  `json:"expired"`
 	Full        uint64  `json:"full"`
 	RejectRate  float64 `json:"reject_rate"` // rejected / offered
 }
@@ -228,7 +226,6 @@ type classAcc struct {
 	putHist obs.Histogram
 	served  uint64
 	over    uint64
-	exp     uint64
 	full    uint64
 }
 
@@ -246,11 +243,10 @@ func (a *classAcc) settle(latNs int64, isPut bool) {
 
 // Plan runs the op stream through a discrete-event model of the
 // kvserve pipeline: per-connection get service, per-shard owner queues
-// with mailbox admission (Overload) and optional dequeue deadlines
-// (Expired), group-commit batches sealed at BatchK or the BatchWait
-// deadline, a flush pipeline of depth PipelineDepth with owner
-// backpressure, a per-shard journal budget (Full), and fixed network
-// RTT — all on the Calibration constants. The result is deterministic:
+// with mailbox admission (Overload), group-commit batches sealed at
+// BatchK or the BatchWait deadline, a flush pipeline of depth
+// PipelineDepth with owner backpressure, a per-shard journal budget
+// (Full), and fixed network RTT — all on the Calibration constants. The result is deterministic:
 // a pure function of (ops, cfg).
 func Plan(spec *Spec, ops []Op, cfg PlanConfig) *PlanReport {
 	cfg = cfg.withDefaults()
@@ -270,10 +266,6 @@ func Plan(spec *Spec, ops []Op, cfg PlanConfig) *PlanReport {
 
 	accs := make([]classAcc, len(spec.Classes))
 
-	type qput struct {
-		op  int32
-		enq int64
-	}
 	type simConn struct {
 		q    []int32
 		busy bool
@@ -283,7 +275,7 @@ func Plan(spec *Spec, ops []Op, cfg PlanConfig) *PlanReport {
 		sealAt int64 // flush-stage epoch: queueing behind the ring counts
 	}
 	type simShard struct {
-		q        []qput
+		q        []int32
 		busy     bool
 		stalled  bool // owner wants to seal; pipeline ring full
 		open     []int32
@@ -340,20 +332,13 @@ func Plan(spec *Spec, ops []Op, cfg PlanConfig) *PlanReport {
 	}
 	ownerNext := func(now int64, si int32) {
 		sh := &shards[si]
-		if sh.busy || sh.stalled {
+		if sh.busy || sh.stalled || len(sh.q) == 0 {
 			return
 		}
-		for len(sh.q) > 0 {
-			p := sh.q[0]
-			sh.q = sh.q[1:]
-			if cfg.MaxDelayNs > 0 && now-p.enq > cfg.MaxDelayNs {
-				accs[ops[p.op].Class].exp++
-				continue
-			}
-			sh.busy = true
-			push(now+putNs, evOwnerDone, si, int64(p.op))
-			return
-		}
+		op := sh.q[0]
+		sh.q = sh.q[1:]
+		sh.busy = true
+		push(now+putNs, evOwnerDone, si, int64(op))
 	}
 	connNext := func(now int64, ci int32) {
 		c := &conns[ci]
@@ -388,7 +373,7 @@ func Plan(spec *Spec, ops []Op, cfg PlanConfig) *PlanReport {
 				accs[op.Class].over++
 				break
 			}
-			sh.q = append(sh.q, qput{op: e.a, enq: now})
+			sh.q = append(sh.q, e.a)
 			ownerNext(now, si)
 
 		case evGetDone:
@@ -474,17 +459,16 @@ func buildReport(spec *Spec, ops []Op, cfg PlanConfig, accs []classAcc) *PlanRep
 	for ci := range accs {
 		a := &accs[ci]
 		rep.Classes = append(rep.Classes, classPlanOf(spec.Classes[ci].Name, counts[ci], durS,
-			&a.hist, &a.putHist, a.served, a.over, a.exp, a.full))
+			&a.hist, &a.putHist, a.served, a.over, a.full))
 		totalOps += counts[ci]
 		total.served += a.served
 		total.over += a.over
-		total.exp += a.exp
 		total.full += a.full
 		total.hist.Merge(&a.hist)
 		total.putHist.Merge(&a.putHist)
 	}
 	rep.Total = classPlanOf("total", totalOps, durS,
-		&total.hist, &total.putHist, total.served, total.over, total.exp, total.full)
+		&total.hist, &total.putHist, total.served, total.over, total.full)
 
 	cal := cfg.Cal
 	putRate := float64(puts) / durS
@@ -502,7 +486,7 @@ func buildReport(spec *Spec, ops []Op, cfg PlanConfig, accs []classAcc) *PlanRep
 // classPlanOf renders one class row from its accumulated outcomes; the
 // planner and the engine share it so their rows compare field by field.
 func classPlanOf(name string, offered int, durS float64, hist, putHist *obs.Histogram,
-	served, over, exp, full uint64) ClassPlan {
+	served, over, full uint64) ClassPlan {
 	s := hist.Snapshot()
 	ps := putHist.Snapshot()
 	cp := ClassPlan{
@@ -516,11 +500,10 @@ func classPlanOf(name string, offered int, durS float64, hist, putHist *obs.Hist
 		MeanUs:      s.Mean() / 1e3,
 		MaxUs:       float64(s.Max) / 1e3,
 		Overloads:   over,
-		Expired:     exp,
 		Full:        full,
 	}
 	if offered > 0 {
-		cp.RejectRate = float64(over+exp+full) / float64(offered)
+		cp.RejectRate = float64(over+full) / float64(offered)
 	}
 	return cp
 }

@@ -96,24 +96,6 @@ func TestPlanOverload(t *testing.T) {
 	}
 }
 
-// TestPlanExpired: a dequeue deadline shorter than the queueing delay
-// under pressure must surface Expired rejections.
-func TestPlanExpired(t *testing.T) {
-	spec := mustSpec(t, `{
-  "name": "exp",
-  "duration": "500ms",
-  "classes": [
-    {"name": "w", "clients": 8, "rate_ops": 400000, "mix": {"read_pct": 0, "update_pct": 100, "insert_pct": 0}}
-  ]
-}`)
-	ops := mustGen(t, spec)
-	cfg := PlanConfig{Shards: 2, Mailbox: 4096, MaxDelayNs: int64(200 * time.Microsecond)}
-	rep := Plan(spec, ops, cfg)
-	if rep.Total.Expired == 0 {
-		t.Fatal("no expiries with a 200µs dequeue deadline under overload")
-	}
-}
-
 // TestPlanFull: a small per-shard journal budget must convert the tail
 // of a long run into Full rejections.
 func TestPlanFull(t *testing.T) {

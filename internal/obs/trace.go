@@ -11,7 +11,9 @@ import (
 
 // EventType names a persistency event. The set spans all three
 // instrumented layers: the kvserve service, the lpstore recovery
-// machinery, and the simulator's memory system.
+// machinery, and the simulator's memory system. A drain names each
+// event by its type's string (WriteJSONL), so the numeric values never
+// leave the process.
 type EventType uint8
 
 const (
@@ -22,7 +24,6 @@ const (
 	EvJournalAppend  // one journal record written; a=journal seq, b=key
 	EvAckAdvance     // durably-acked put prefix advanced; a=new acked count
 	EvRejectOverload // put rejected: mailbox full; a=shard
-	EvRejectExpired  // put rejected: queue-delay deadline; a=shard
 	EvRejectFull     // put rejected: occupancy/journal budget; a=shard
 	EvRecoveryRepair // recovery wiped+rebuilt a shard; a=slots deviated, b=acked puts
 	EvRegionMismatch // a checksum region failed verification; a=region/batch index
@@ -35,15 +36,11 @@ const (
 	EvFence    // persist fence drained; a=cycles stalled
 	EvROBStall // ROB head blocked on an outstanding miss; a=cycles stalled
 
-	// EvRejectMoved is appended after the simulator events so every
-	// pre-existing EventType keeps its numeric value.
 	EvRejectMoved // put rejected: key not owned at this member's epoch; a=shard
 
 	// Request-scoped span events. Every span event carries the
 	// request's trace ID in A, so a drain from any process can be
-	// merged with drains from its peers by trace ID alone. New types
-	// append here, after everything older, for the same reason
-	// EvRejectMoved sits where it does.
+	// merged with drains from its peers by trace ID alone.
 	EvClientSend    // client issued a traced op; a=traceID, b=key
 	EvClientAck     // client saw the final response; a=traceID, b=latency ns
 	EvRouterRoute   // router routed a traced frame; a=traceID, b=backend index
@@ -67,7 +64,6 @@ var evNames = [...]string{
 	EvJournalAppend:  "journal_append",
 	EvAckAdvance:     "ack_advance",
 	EvRejectOverload: "reject_overload",
-	EvRejectExpired:  "reject_expired",
 	EvRejectFull:     "reject_full",
 	EvRecoveryRepair: "recovery_repair",
 	EvRegionMismatch: "region_mismatch",
@@ -136,6 +132,10 @@ type Tracer struct {
 	n       int    // retained count
 	dropped uint64 // events overwritten before being drained
 }
+
+// DefaultTraceCap is the ring size of a tracer its owner did not size:
+// 4096 events ≈ 160 KiB.
+const DefaultTraceCap = 4096
 
 // NewTracer returns a disabled tracer retaining at most cap events
 // (minimum 1).
