@@ -230,8 +230,9 @@ func logRecovery(s *kvserve.Server, path, nodeTag string, preload int) {
 		kind = "restored"
 	}
 	took := reg.Scope("kind", kind).HistogramScaled("kvserve_boot_seconds", 1e-9).Snapshot().Sum
-	fmt.Fprintf(os.Stderr, "lpserve:%s boot kind=%s boot_seconds=%.6f image_bytes=%d persisted_bytes=%d\n", tag, kind,
-		float64(took)/1e9, reg.Gauge("kvserve_image_bytes").Load(), reg.Gauge("kvserve_boot_persisted_bytes").Load())
+	fmt.Fprintf(os.Stderr, "lpserve:%s boot kind=%s boot_seconds=%.6f image_bytes=%d persisted_bytes=%d loaded_bytes=%d\n", tag, kind,
+		float64(took)/1e9, reg.Gauge("kvserve_image_bytes").Load(), reg.Gauge("kvserve_boot_persisted_bytes").Load(),
+		reg.Gauge("kvserve_boot_loaded_bytes").Load())
 }
 
 // runClusterNode boots the process as a cluster member and blocks

@@ -166,15 +166,58 @@ func TestUseAfterCloseIsAnError(t *testing.T) {
 	}
 }
 
+// TestVerifyRecoveredRefusedAfterStart: a second recovery pass needs a
+// journal nobody is appending to or releasing — replayed over released
+// (zero) pages it would find an empty acked prefix and rebuild the table
+// to the preload — so once Start has run it is an error, and the acked
+// puts stay.
+func TestVerifyRecoveredRefusedAfterStart(t *testing.T) {
+	s := startServer(t, testCfg(t, lpstore.ModeLP))
+	defer s.Close()
+	cl := dial(t, s.Addr())
+	k := workloads.KVKey(9, 1)
+	if st, err := cl.Put(k, 77); err != nil || st != StatusOK {
+		t.Fatalf("Put = %s, %v", StatusName(st), err)
+	}
+	if err := s.VerifyRecovered(); err == nil || !strings.Contains(err.Error(), "VerifyRecovered after Start") {
+		t.Fatalf("VerifyRecovered on a started server = %v, want an error naming Start", err)
+	}
+	if v, st, err := cl.Get(k); err != nil || st != StatusOK || v != 77 {
+		t.Fatalf("Get after the refused pass = %d, %s, %v; want 77, ok", v, StatusName(st), err)
+	}
+}
+
+// writtenBytes is the size of the pages of image that hold a non-zero
+// byte: what a restored boot's load copies out of a file image.
+func writtenBytes(image []byte) int {
+	n := 0
+	for off := 0; off < len(image); off += pageSize {
+		pg := image[off:min(off+pageSize, len(image))]
+		if !bytes.Equal(pg, make([]byte, len(pg))) {
+			n += len(pg)
+		}
+	}
+	return n
+}
+
 // TestBootLeavesARecord: a boot says what it was and what it cost — in
 // the registry and as one trace event — and a fresh boot's cost is its
-// tables and ack slots, not its journal.
+// tables and ack slots, not its journal; a restored one loads the file's
+// written pages and nothing else.
 func TestBootLeavesARecord(t *testing.T) {
 	cfg := testCfg(t, lpstore.ModeLP)
 	cfg.MaxOps = 1 << 18
 	for restored, kind := range []string{"fresh", "restored"} {
 		cfg.Registry, cfg.Tracer = obs.NewRegistry(), obs.NewTracer(16)
 		cfg.Tracer.Enable(true)
+		loaded := 0 // the non-zero pages of the file's image
+		if kind == "restored" {
+			file, err := os.ReadFile(cfg.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded = writtenBytes(file[headerSize:])
+		}
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatalf("%s boot: %v", kind, err)
@@ -197,6 +240,7 @@ func TestBootLeavesARecord(t *testing.T) {
 			fmt.Sprintf(`kvserve_boot_seconds_count{kind=%q} 1`, kind),
 			fmt.Sprintf("kvserve_image_bytes %d", image),
 			fmt.Sprintf("kvserve_boot_persisted_bytes %d", persisted),
+			fmt.Sprintf("kvserve_boot_loaded_bytes %d", loaded),
 		} {
 			if !strings.Contains(prom.String(), line+"\n") {
 				t.Fatalf("%s boot: registry lacks %q in\n%s", kind, line, prom.String())
@@ -207,6 +251,9 @@ func TestBootLeavesARecord(t *testing.T) {
 			if ev.Type == obs.EvBoot {
 				boots = append(boots, ev)
 			}
+		}
+		if kind == "restored" && (loaded == 0 || loaded >= image/4) {
+			t.Fatalf("a restored boot loaded %d bytes of a %d-byte image", loaded, image)
 		}
 		if len(boots) != 1 || boots[0].A != uint64(restored) || boots[0].B != uint64(persisted) {
 			t.Fatalf("%s boot traced %+v, want one boot event (%d, %d)", kind, boots, restored, persisted)

@@ -87,6 +87,7 @@ func (s *Server) flushItem(sd *shardState, it *commitItem) {
 	if err != nil {
 		s.failFile(err)
 	} else {
+		s.releaseJournal(sd, it.seq)
 		s.ctBatches.Inc()
 		sd.obs.batchFill.Observe(uint64(len(it.pending)))
 		s.stage[obs.StageFlush].Observe(uint64(now.Sub(it.sealed).Nanoseconds()))
@@ -139,6 +140,33 @@ func (s *Server) flushItem(sd *shardState, it *commitItem) {
 		sd.replq.push([]replJob{{pending: waiting, runs: append([]ReplRun(nil), it.runs...), err: err, flushed: now}})
 		clear(it.runs)
 	}
+}
+
+// releaseStep is how much committed journal builds up behind a shard's
+// cursor before it is handed back: one madvise per image per step. A
+// smaller step holds less journal resident but pays the syscalls more
+// often (EXPERIMENTS.md, "Committed journal pages leave memory").
+const releaseStep = 1 << 20
+
+// releaseJournal hands the shard's committed journal back to the kernel,
+// once a batch ending before record seq is durable: every page wholly
+// below the line that holds record seq, from both images, in steps of
+// releaseStep. Nothing touches those pages again in this incarnation —
+// the owner appends at or after seq, a later seal snapshots only its own
+// batch's lines (the first of which holds record seq), and only boot
+// reads the journal (recovery, truncateTail) — so the heap's copy, zero
+// once released, is never read, and the file's stays in the page cache
+// until written back. This is the paper's committed region leaving the
+// cache at no cost: the image costs its live pages, not its history.
+func (s *Server) releaseJournal(sd *shardState, seq int) {
+	to := (sd.sh.Jrn.Base + memsim.Addr(16*seq)) &^ memsim.Addr(pageSize-1) // a record is two words
+	if to < sd.released+releaseStep {
+		return
+	}
+	if s.pf.release(int(sd.released), int(to)) {
+		s.ctReleased.Add(uint64(to - sd.released))
+	}
+	sd.released = to
 }
 
 // replWaiter drains one shard's replication completion queue: for each

@@ -86,8 +86,12 @@ type shardState struct {
 	// lines have a single writer — the leaker — so FIFO order keeps
 	// the file monotone).
 	tabLo, tabHi memsim.Addr
-	leakRun      []lineSnap // leak's scratch: one run's snapshots, reused
-	ackRun       []byte     // the flusher's scratch: one connection's acks
+	// released is the flusher's journal cursor (LP): the journal's pages
+	// from its first page boundary up to here have been handed back to
+	// the kernel (see releaseJournal).
+	released memsim.Addr
+	leakRun  []lineSnap // leak's scratch: one run's snapshots, reused
+	ackRun   []byte     // the flusher's scratch: one connection's acks
 
 	obs shardObs
 }
@@ -282,10 +286,16 @@ func (s *Server) apply(sd *shardState, run []request) {
 // if priced) completes — the pipelined group-commit durability point. An
 // exhausted item ring (PipelineDepth sealed batches already in flight)
 // blocks here: flush-side backpressure. cause is booked in
-// kvserve_seals_total. The seal clock is left as it is (see owner).
+// kvserve_seals_total, and a deadline seal's lateness — its start against
+// the batch's deadline, whether the clock's fire or the check after a run
+// called it — in kvserve_seal_lateness_seconds. The seal clock is left as
+// it is (see owner).
 func (s *Server) seal(sd *shardState, cause sealCause) {
 	t0 := time.Now()
 	s.ctSeals[cause].Inc()
+	if cause == sealDeadline {
+		s.sealLate.Observe(uint64(t0.Sub(sd.deadline).Nanoseconds()))
+	}
 	sd.w.Seal(sd.ctx)
 	it := <-sd.freeCh
 	it.seq = sd.w.Seq()

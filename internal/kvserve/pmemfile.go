@@ -56,9 +56,11 @@ func headerBytes(cfg Config, imageSize int) []byte {
 // heap image is the cache a kill -9 loses, and the page cache keeps the
 // stored bytes as it would pwrite()n ones (DESIGN §9 has the argument, and
 // the boot sequence this type is the file half of). Both mappings are
-// lazily zero, so an image costs the pages written into it, not its
-// geometry, and they share this type's lifecycle — open and validate,
-// map, commit the header, sync, close. Disjoint lines may be persisted
+// lazily zero, a restored image is loaded by reading only its written
+// pages (load), and committed journal pages are handed back (release),
+// so an image costs its live pages, not its geometry or its history.
+// Both share this type's lifecycle — open and validate, map, load or
+// commit the header, sync, close. Disjoint lines may be persisted
 // concurrently without coordination: the write-back goroutine, a shard's
 // flusher and its owner never share a line.
 //
@@ -82,7 +84,7 @@ type pmemFile struct {
 // versions could leave — is cut to nothing and sized afresh, and restored=false is returned: the caller
 // formats, preloads and commits. Any other file must match the expected
 // header and size exactly and restored=true is returned: the caller loads
-// the image (Memory.Crash) and runs recovery.
+// the image (load) and runs recovery.
 func openPmemFile(path string, cfg Config, imageSize int) (_ *pmemFile, restored bool, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -134,7 +136,36 @@ func openPmemFile(path string, cfg Config, imageSize int) (_ *pmemFile, restored
 	if err != nil {
 		return nil, false, fmt.Errorf("kvserve: %s: mapping the images: %w", path, err)
 	}
+	storeByLine(pf.img)
 	return pf, restored, nil
+}
+
+// loadChunk is how much of the file load reads per pread.
+const loadChunk = 256 << 10
+
+// pageSize is the unit both images are loaded and released in.
+var pageSize = os.Getpagesize()
+
+// load makes the heap image what survived — the file's image, byte for
+// byte, as Memory.Crash would copy it — and returns the bytes it copied.
+// The heap mapping is fresh and all zero, so load preads the file in
+// chunks and copies only the pages that hold a non-zero byte: a restart
+// faults in neither the file mapping nor the journal nobody wrote.
+func (p *pmemFile) load() (copied int, err error) {
+	buf, zero := make([]byte, loadChunk), make([]byte, pageSize)
+	for off := 0; off < len(p.heap); off += loadChunk {
+		chunk := buf[:min(loadChunk, len(p.heap)-off)]
+		if _, err = p.f.ReadAt(chunk, headerSize+int64(off)); err != nil {
+			return copied, fmt.Errorf("kvserve: %s: loading the image: %w", p.f.Name(), err)
+		}
+		for i := 0; i < len(chunk); i += pageSize {
+			pg := chunk[i:min(i+pageSize, len(chunk))]
+			if !bytes.Equal(pg, zero[:len(pg)]) {
+				copied += copy(p.heap[off+i:], pg)
+			}
+		}
+	}
+	return copied, nil
 }
 
 // commit ends a first boot. The header is what makes the file a kvserve

@@ -20,9 +20,21 @@ func preallocate(f *os.File, size int64) error {
 	return &os.PathError{Op: "fallocate", Path: f.Name(), Err: err}
 }
 
-// storeByLine turns read-around off on the file mapping once a restored
-// image has been loaded front to back: a first store into a page would
-// otherwise pull the device's read-ahead window around it (8 MB on the CI
-// host) into the page cache, and a journal nobody wrote would be resident
-// all the same. Advice only: refused, nothing breaks.
+// storeByLine turns read-around off on the file mapping: nothing reads
+// it front to back (a restored image is loaded with pread, see load), so
+// a first store into a page would only pull the device's read-ahead
+// window around it (8 MB on the CI host) into the page cache, and a
+// journal nobody wrote would be resident all the same. Advice only:
+// refused, nothing breaks.
 func storeByLine(img []byte) { _ = syscall.Madvise(img, syscall.MADV_RANDOM) }
+
+// release returns the pages of [lo, hi) of both images to the kernel. A
+// released heap page reads as zero; a released page of the file mapping
+// stays in the page cache, dirty until written back, and a later access
+// faults it in again. The caller guarantees that nothing touches the
+// range again in this incarnation. Reports whether both were released.
+func (p *pmemFile) release(lo, hi int) bool {
+	eh := syscall.Madvise(p.heap[lo:hi], syscall.MADV_DONTNEED)
+	ei := syscall.Madvise(p.img[lo:hi], syscall.MADV_DONTNEED)
+	return eh == nil && ei == nil
+}

@@ -7,3 +7,5 @@ import "os"
 func preallocate(*os.File, int64) error { return nil }
 
 func storeByLine([]byte) {}
+
+func (*pmemFile) release(int, int) bool { return false }

@@ -16,10 +16,14 @@ import (
 )
 
 // TestBatchDeadlineOnTime: on a server with nothing else to do, a lone
-// put waits for its batch's deadline, so its round trip is BatchWait plus
-// the path's own cost. A runtime timer armed for 500 µs in an idle
-// process fires about 650 µs late (Go waits for timers in a
-// millisecond-granular epoll_wait); the seal clock must not.
+// put waits for its batch's deadline, and the owner seals it then. A
+// runtime timer armed for 500 µs in an idle process fires about 650 µs
+// late (Go waits for timers in a millisecond-granular epoll_wait); the
+// seal clock must not. The test holds the server's own record of each
+// deadline seal's lateness (kvserve_seal_lateness_seconds: seal time
+// minus the batch's deadline) to the budget, not the client's round
+// trip, which also pays for scheduling the client, the reader and the
+// flusher on a loaded host.
 func TestBatchDeadlineOnTime(t *testing.T) {
 	cfg := testCfg(t, lpstore.ModeLP)
 	cfg.Shards = 1
@@ -27,20 +31,20 @@ func TestBatchDeadlineOnTime(t *testing.T) {
 	s := startServer(t, cfg)
 	defer s.Close()
 	cl := dial(t, s.Addr())
-	rtt := make([]time.Duration, 40)
-	for i := range rtt {
-		t0 := time.Now()
+	const puts = 40
+	for i := 0; i < puts; i++ {
 		if st, err := cl.Put(workloads.KVKey(9, i), 1); err != nil || st != StatusOK {
 			t.Fatalf("Put %d = %s, %v", i, StatusName(st), err)
 		}
-		rtt[i] = time.Since(t0)
 	}
-	slices.Sort(rtt)
-	if med, bound := rtt[len(rtt)/2], cfg.BatchWait+300*time.Microsecond; med >= bound {
-		t.Fatalf("median put round trip %v, want under %v (quartiles %v / %v)", med, bound, rtt[len(rtt)/4], rtt[3*len(rtt)/4])
+	if d := s.ctSeals[sealDeadline].Load(); d != puts {
+		t.Fatalf("%d of %d lone puts sealed by deadline", d, puts)
 	}
-	if d := s.ctSeals[sealDeadline].Load(); d != uint64(len(rtt)) {
-		t.Fatalf("%d of %d lone puts sealed by deadline", d, len(rtt))
+	late := s.sealLate.Snapshot()
+	t.Logf("deadline seal lateness: median %v, max %v", time.Duration(late.Quantile(0.5)), time.Duration(late.Max))
+	if med, bound := time.Duration(late.Quantile(0.5)), 300*time.Microsecond; late.Count != puts || med >= bound {
+		t.Fatalf("%d deadline seals, median lateness %v, want %d under %v (quartiles %v / %v)", late.Count, med, puts, bound,
+			time.Duration(late.Quantile(0.25)), time.Duration(late.Quantile(0.75)))
 	}
 }
 

@@ -45,8 +45,8 @@ const (
 // Server is one kvserve instance. Build with New (which performs
 // preload or crash recovery), then Start to accept traffic, then
 // Close to drain gracefully. Contents is only safe while no put is in
-// flight and VerifyRecovered only before Start; both fail by name after
-// Close/Abort, which unmap the images.
+// flight and VerifyRecovered only before Start (after it, an error); both
+// fail by name after Close/Abort, which unmap the images.
 type Server struct {
 	cfg      Config
 	mem      *memsim.Memory
@@ -80,8 +80,10 @@ type Server struct {
 	ctBatches                            *obs.Counter
 	ctSeals                              [numSealCauses]*obs.Counter // kvserve_seals_total{cause}
 	ctClockArms                          *obs.Counter                // kvserve_seal_clock_arms_total
+	sealLate                             *obs.Histogram              // kvserve_seal_lateness_seconds: deadline seal time − the batch's deadline
 	ctLeaked, ctDropped                  *obs.Counter
 	ctCommitLines, ctLeakLines           *obs.Counter // kvserve_persisted_lines_total{path}: lines the flushers / write-back persisted
+	ctReleased                           *obs.Counter // kvserve_journal_released_bytes_total: committed journal handed back to the kernel
 	ctSeqRetries, ctSeqRetried           *obs.Counter // spins in SeqGet, and gets that spun at all
 	getLat                               *obs.Histogram
 	// hWriteFrames observes response frames per socket write syscall —
@@ -132,10 +134,12 @@ func New(cfg Config) (*Server, error) {
 		s.ctSeals[c] = root.With("cause", sealCause(c).String()).Counter("kvserve_seals_total")
 	}
 	s.ctClockArms = root.Counter("kvserve_seal_clock_arms_total")
+	s.sealLate = root.HistogramScaled("kvserve_seal_lateness_seconds", 1e-9)
 	s.ctLeaked = root.Counter("kvserve_leaked_lines_total")
 	s.ctDropped = root.Counter("kvserve_leak_dropped_total")
 	s.ctCommitLines = root.With("path", "commit").Counter("kvserve_persisted_lines_total")
 	s.ctLeakLines = root.With("path", "leak").Counter("kvserve_persisted_lines_total")
+	s.ctReleased = root.Counter("kvserve_journal_released_bytes_total")
 	s.ctSeqRetries = root.Counter("kvserve_seqlock_retries_total")
 	s.ctSeqRetried = root.Counter("kvserve_seqlock_retried_gets_total")
 	s.getLat = root.HistogramScaled(MetricGetLatency, 1e-9)
@@ -217,6 +221,7 @@ func New(cfg Config) (*Server, error) {
 			}
 			sd.sh = lpstore.LayoutShardLP(s.mem, name, id, cfg.Capacity, cfg.MaxOps, cfg.BatchK, batchKind)
 			sd.w = sd.sh.NewLPWriter()
+			sd.released = (sd.sh.Jrn.Base + memsim.Addr(pageSize-1)) &^ memsim.Addr(pageSize-1)
 			sd.commitCh = make(chan *commitItem, cfg.PipelineDepth)
 			sd.freeCh = make(chan *commitItem, cfg.PipelineDepth)
 			for i := 0; i < cfg.PipelineDepth; i++ {
@@ -260,20 +265,19 @@ func New(cfg Config) (*Server, error) {
 		s.shards = append(s.shards, sd)
 	}
 
-	persisted := 0 // bytes this boot stored into the durable image
+	persisted, loaded := 0, 0 // bytes this boot stored into the durable image, and copied out of it
 	if restored {
 		// Loading the file is the simulator's crash: the heap image
 		// becomes what survived, RAM == NVMM, and recovery runs on that.
-		s.mem.Crash()
-		storeByLine(pf.img)
-		err = s.recoverAll()
+		if loaded, err = pf.load(); err == nil {
+			err = s.recoverAll()
+		}
 		for _, sd := range s.shards {
 			persisted += sd.ctx.persisted * memsim.LineSize
 		}
 	} else {
 		// Nothing but format is written: the rest of a blank image is
 		// zero in both mappings because neither has been touched.
-		storeByLine(pf.img)
 		persisted = s.format()
 		err = pf.commit(headerBytes(cfg, size))
 	}
@@ -293,6 +297,7 @@ func New(cfg Config) (*Server, error) {
 	root.With("kind", kind).HistogramScaled("kvserve_boot_seconds", 1e-9).Observe(uint64(time.Since(t0)))
 	root.Gauge("kvserve_image_bytes").Set(int64(size))
 	root.Gauge("kvserve_boot_persisted_bytes").Set(int64(persisted))
+	root.Gauge("kvserve_boot_loaded_bytes").Set(int64(loaded))
 	s.trace(obs.EvBoot, -1, kindArg, uint64(persisted))
 	return s, nil
 }
@@ -475,11 +480,16 @@ func (s *Server) Contents() map[uint64]uint64 {
 // VerifyRecovered runs a second LP recovery pass over every shard and
 // reports an error unless each verifies cleanly — the idempotence
 // check a restarted operator runs before trusting the image. A no-op
-// under the other modes. Only safe between New and Start; after
-// Close/Abort, which unmap the images, it is an error.
+// under the other modes. Only between New and Start: once Start has run,
+// the flushers release committed journal pages, a replay would find them
+// zero and rebuild the table to the preload, so it is an error; after
+// Close/Abort, which unmap the images, it is one too.
 func (s *Server) VerifyRecovered() error {
 	if s.closed.Load() {
 		return fmt.Errorf("kvserve: VerifyRecovered after Close or Abort: the images are unmapped")
+	}
+	if s.started {
+		return fmt.Errorf("kvserve: VerifyRecovered after Start: the journal is live")
 	}
 	if s.cfg.Mode != lpstore.ModeLP {
 		return nil
