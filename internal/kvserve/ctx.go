@@ -27,45 +27,79 @@ import (
 // stores since the last takeDirty, which the owner feeds to the
 // background write-back queue — the "natural evictions" that leak
 // unacknowledged state into the durable image. The dirty and pending
-// sets are deduplicated by linear scan over their (short, bounded)
-// order slices rather than maps, keeping the steady-state put path
-// allocation-free.
+// sets are lineSets: a put run dirties a few dozen lines, which a scan
+// dedups without allocating, and RecoverLP's rebuild stores to every
+// table line before anyone drains, which the set's map absorbs.
 type fileCtx struct {
 	mem *memsim.Memory
 	pf  *pmemFile
 	id  int
 
-	dirtyOrder []memsim.Addr
-	pendOrder  []memsim.Addr
-	persisted  int   // lines persistLines has written (recovery's share is the boot record's)
-	err        error // first fsync error; surfaced at commit points
+	dirty     lineSet
+	pend      lineSet
+	persisted int   // lines persistLines has written (recovery's share is the boot record's)
+	err       error // first fsync error; surfaced at commit points
 }
 
 var _ pmem.Ctx = (*fileCtx)(nil)
 
 func newFileCtx(mem *memsim.Memory, pf *pmemFile, id int) *fileCtx {
 	return &fileCtx{
-		mem:        mem,
-		pf:         pf,
-		id:         id,
-		dirtyOrder: make([]memsim.Addr, 0, 64),
-		pendOrder:  make([]memsim.Addr, 0, 64),
+		mem:   mem,
+		pf:    pf,
+		id:    id,
+		dirty: lineSet{order: make([]memsim.Addr, 0, 64)},
+		pend:  lineSet{order: make([]memsim.Addr, 0, 64)},
 	}
 }
 
-// appendLine adds la to set if absent (linear-scan dedup: the sets
-// stay a handful of lines between drains, so a scan beats a map and
-// never allocates once the backing array has grown). The one place the
-// handful grows long is RecoverLP's rebuild, which stores to every
-// table line before anyone drains: a repairing restart is quadratic in
-// table lines (BenchmarkRestartRepair measures it).
-func appendLine(set []memsim.Addr, la memsim.Addr) []memsim.Addr {
-	for _, x := range set {
+// lineSetScanMax is the most lines a lineSet dedups by scanning its
+// order; a run of 64 puts dirties about 85, so the put path stays here.
+const lineSetScanMax = 256
+
+// lineSet is an exact set of line addresses kept in first-added order.
+// Up to lineSetScanMax lines a duplicate is found by scanning order,
+// which never allocates once the backing array has grown; past that,
+// membership moves into a map, so a set that grows to every table line
+// (a repairing restart) costs O(1) per add instead of a scan. take
+// drops the map: a set grows that far once, at recovery, where
+// ep.LineSet keeps its map for regions that grow every time.
+type lineSet struct {
+	order []memsim.Addr
+	index map[memsim.Addr]struct{} // nil while len(order) <= lineSetScanMax
+}
+
+// add puts la in the set if it is absent.
+func (s *lineSet) add(la memsim.Addr) {
+	if s.index != nil {
+		if _, ok := s.index[la]; !ok {
+			s.index[la] = struct{}{}
+			s.order = append(s.order, la)
+		}
+		return
+	}
+	for _, x := range s.order {
 		if x == la {
-			return set
+			return
 		}
 	}
-	return append(set, la)
+	s.order = append(s.order, la)
+	if len(s.order) > lineSetScanMax {
+		s.index = make(map[memsim.Addr]struct{}, 2*len(s.order))
+		for _, x := range s.order {
+			s.index[x] = struct{}{}
+		}
+	}
+}
+
+// take returns the lines in first-added order and empties the set,
+// dropping its map. The slice aliases the set's buffer: it is valid
+// only until the next add.
+func (s *lineSet) take() []memsim.Addr {
+	out := s.order
+	s.order = s.order[:0]
+	s.index = nil
+	return out
 }
 
 // Load64 implements pmem.Ctx.
@@ -75,7 +109,7 @@ func (c *fileCtx) Load64(a memsim.Addr) uint64 { return c.mem.Load64(a) }
 // image and remembers the dirty line.
 func (c *fileCtx) Store64(a memsim.Addr, v uint64) {
 	c.mem.AtomicStore64(a, v)
-	c.dirtyOrder = appendLine(c.dirtyOrder, memsim.LineOf(a))
+	c.dirty.add(memsim.LineOf(a))
 }
 
 // LoadF implements pmem.Ctx.
@@ -86,17 +120,16 @@ func (c *fileCtx) StoreF(a memsim.Addr, v float64) { c.Store64(a, math.Float64bi
 
 // Flush implements pmem.Ctx: the line joins the set Fence will write.
 func (c *fileCtx) Flush(a memsim.Addr) {
-	c.pendOrder = appendLine(c.pendOrder, memsim.LineOf(a))
+	c.pend.add(memsim.LineOf(a))
 }
 
 // Fence implements pmem.Ctx: every flushed line is persisted, then the
 // list resets; with Config.Fsync the set is also fsynced. This is the
 // cost of an EP or WAL ordering point.
 func (c *fileCtx) Fence() {
-	if err := c.persistLines(c.pendOrder); err != nil && c.err == nil {
+	if err := c.persistLines(c.pend.take()); err != nil && c.err == nil {
 		c.err = err
 	}
-	c.pendOrder = c.pendOrder[:0]
 }
 
 // Compute implements pmem.Ctx (no accounting natively).
@@ -126,11 +159,7 @@ func (c *fileCtx) persistLines(lines []memsim.Addr) error {
 // call, in first-dirtied order. The returned slice aliases the ctx's
 // reusable buffer: it is valid only until the next Store64 on this
 // ctx, and callers must finish with it before mutating again.
-func (c *fileCtx) takeDirty() []memsim.Addr {
-	out := c.dirtyOrder
-	c.dirtyOrder = c.dirtyOrder[:0]
-	return out
-}
+func (c *fileCtx) takeDirty() []memsim.Addr { return c.dirty.take() }
 
 // takeErr returns and clears the first deferred fsync error.
 func (c *fileCtx) takeErr() error {

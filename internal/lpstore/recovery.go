@@ -69,6 +69,7 @@ func (sh *Shard) AckedPrefix(c pmem.Ctx) (puts, windows int) {
 	if sh.Ack == nil {
 		panic("lpstore: AckedPrefix on a shard without the LP mechanism")
 	}
+	var addrs []memsim.Addr // one window's journal words, reused
 	for w := 0; w < sh.windows(); w++ {
 		if !sh.Ack.Written(c, w) {
 			break
@@ -82,7 +83,7 @@ func (sh *Shard) AckedPrefix(c pmem.Ctx) (puts, windows int) {
 		if n == 0 {
 			break
 		}
-		addrs := make([]memsim.Addr, 0, 2*n)
+		addrs = addrs[:0]
 		for i := 0; i < n; i++ {
 			addrs = append(addrs, sh.Jrn.Addr(2*(base+i)), sh.Jrn.Addr(2*(base+i)+1))
 		}
@@ -121,26 +122,113 @@ func (sh *Shard) ackedShort(c pmem.Ctx, w int, addrs []memsim.Addr) (records int
 	return records
 }
 
+// replayTable is the table recovery expects, in volatile memory: the
+// baseline pairs and the acknowledged journal prefix put, in that
+// order, into slots of the live table's capacity with Store.Put's hash
+// and linear probe. The live table took the same puts in the same
+// order, so the replay refuses exactly the inserts the live table
+// refused once full. matched marks the slots verification has found in
+// the live table.
+type replayTable struct {
+	kv      []uint64 // 2*cap words: slot i = (key at 2i, value at 2i+1)
+	matched []bool
+	// refused holds the keys a full replay could not place; nil until
+	// one is refused. They stay expected, as they were in the map this
+	// table replaced, so a table filled to rejection still repairs at
+	// every restart (kvserve rejects puts before its tables fill).
+	refused map[uint64]struct{}
+}
+
+func newReplayTable(capacity int) *replayTable {
+	return &replayTable{kv: make([]uint64, 2*capacity), matched: make([]bool, capacity)}
+}
+
+// find is Store.probe over the volatile words: the slot holding k, or
+// the first empty slot, or -1 when the table is full without k.
+func (t *replayTable) find(k uint64) (slot int, found bool) {
+	mask := len(t.matched) - 1
+	i := int(mix64(k)) & mask
+	for n := 0; n <= mask; n++ {
+		switch t.kv[2*i] {
+		case k:
+			return i, true
+		case 0:
+			return i, false
+		}
+		i = (i + 1) & mask
+	}
+	return -1, false
+}
+
+// put applies (k, v) as Store.Put would and reports whether k is new to
+// the replay (placed now, or refused for the first time).
+func (t *replayTable) put(k, v uint64) (first bool) {
+	i, found := t.find(k)
+	switch {
+	case found:
+		t.kv[2*i+1] = v
+		return false
+	case i >= 0:
+		t.kv[2*i], t.kv[2*i+1] = k, v
+		return true
+	}
+	if _, ok := t.refused[k]; ok {
+		return false
+	}
+	if t.refused == nil {
+		t.refused = make(map[uint64]struct{})
+	}
+	t.refused[k] = struct{}{}
+	return true
+}
+
+// value returns the replayed value of a placed key.
+func (t *replayTable) value(k uint64) uint64 {
+	i, _ := t.find(k)
+	return t.kv[2*i+1]
+}
+
+// match reports whether the live pair (k, v) is an expected pair no
+// earlier live slot matched, and marks it matched.
+func (t *replayTable) match(k, v uint64) bool {
+	i, found := t.find(k)
+	if !found || t.kv[2*i+1] != v || t.matched[i] {
+		return false
+	}
+	t.matched[i] = true
+	return true
+}
+
+// unmatched counts the expected keys no live slot matched.
+func (t *replayTable) unmatched() int {
+	n := len(t.refused)
+	for i, m := range t.matched {
+		if !m && t.kv[2*i] != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // replayJournal overlays the first `puts` journal entries on the
 // baseline pairs and returns the expected table contents (last write
 // per key) plus the keys in first-insert order, which rebuild follows.
-func (sh *Shard) replayJournal(c pmem.Ctx, puts, baseN int, basePair func(i int) (k, v uint64)) (expect map[uint64]uint64, order []uint64) {
-	expect = make(map[uint64]uint64, baseN+puts)
+func (sh *Shard) replayJournal(c pmem.Ctx, puts, baseN int, basePair func(i int) (k, v uint64)) (expect *replayTable, order []uint64) {
+	expect = newReplayTable(sh.Tab.cap)
 	order = make([]uint64, 0, baseN+puts)
 	for i := 0; i < baseN; i++ {
 		k, v := basePair(i)
 		c.Compute(2)
-		expect[k] = v
+		expect.put(k, v)
 		order = append(order, k)
 	}
 	for i := 0; i < puts; i++ {
 		k := c.Load64(sh.Jrn.Addr(2 * i))
 		v := c.Load64(sh.Jrn.Addr(2*i + 1))
 		c.Compute(2)
-		if _, ok := expect[k]; !ok {
+		if expect.put(k, v) {
 			order = append(order, k)
 		}
-		expect[k] = v
 	}
 	return expect, order
 }
@@ -167,7 +255,6 @@ func (sh *Shard) RecoverLP(c pmem.Ctx, baseN int, basePair func(i int) (k, v uin
 	// every expected key must be present. (A key is only ever written to
 	// the one slot its probe chain reached during the run, so duplicate
 	// occupancy cannot occur; the check still counts it as deviation.)
-	present := make(map[uint64]struct{}, len(expect))
 	mism := 0
 	for i := 0; i < sh.Tab.cap; i++ {
 		k := c.Load64(sh.Tab.KeyAddr(i))
@@ -175,19 +262,11 @@ func (sh *Shard) RecoverLP(c pmem.Ctx, baseN int, basePair func(i int) (k, v uin
 		if k == 0 {
 			continue
 		}
-		v := c.Load64(sh.Tab.ValAddr(i))
-		_, dup := present[k]
-		if ev, ok := expect[k]; ok && ev == v && !dup {
-			present[k] = struct{}{}
-		} else {
+		if !expect.match(k, c.Load64(sh.Tab.ValAddr(i))) {
 			mism++
 		}
 	}
-	for k := range expect {
-		if _, ok := present[k]; !ok {
-			mism++
-		}
-	}
+	mism += expect.unmatched()
 	if mism == 0 {
 		st.Verified = true
 		return st
@@ -218,7 +297,7 @@ func (sh *Shard) RecoverLP(c pmem.Ctx, baseN int, basePair func(i int) (k, v uin
 		if !found {
 			base.Store64(c, sh.Tab.KeyAddr(i), k)
 		}
-		base.Store64(c, sh.Tab.ValAddr(i), expect[k])
+		base.Store64(c, sh.Tab.ValAddr(i), expect.value(k))
 		lines.Add(sh.Tab.KeyAddr(i))
 	}
 	for _, la := range lines.Lines() {
