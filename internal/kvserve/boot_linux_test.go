@@ -12,9 +12,8 @@ import (
 	"lazyp/internal/obs"
 )
 
-// residentBytes counts the pages of a mapping that are in memory: for the
-// file mapping, pages of the file in the page cache; for the anonymous
-// one, pages something was loaded from or stored to.
+// residentBytes counts the pages of the file mapping that are in memory:
+// pages of the file in the page cache.
 func residentBytes(t *testing.T, m []byte) int {
 	t.Helper()
 	page := os.Getpagesize()
@@ -31,9 +30,9 @@ func residentBytes(t *testing.T, m []byte) int {
 
 // TestBootFootprint: what a fresh boot costs follows the data, not the
 // journal's geometry. Across New the Go heap grows by less than a quarter
-// of the image (no heap image, no throwaway durable image), and the pages
-// resident in the two mappings afterwards are the tables, the ack slots
-// and a megabyte of slack — the same at a journal of 4 Ki entries per
+// of the image (no Go-heap image, no throwaway durable image), and the
+// pages of the file mapping resident afterwards are the tables, the ack
+// slots and a megabyte of slack — the same at a journal of 4 Ki entries per
 // shard as at 1 Mi, where the image is 34 MB.
 func TestBootFootprint(t *testing.T) {
 	var fs syscall.Statfs_t
@@ -64,14 +63,11 @@ func TestBootFootprint(t *testing.T) {
 		for _, sd := range s.shards {
 			budget += 16*sd.sh.Tab.Cap() + 8*sd.sh.Ack.Slots()
 		}
-		for name, m := range map[string][]byte{"file": s.pf.img, "heap": s.pf.heap} {
-			if name == "file" && fs.Type == tmpfsMagic {
-				continue // fallocate on tmpfs instantiates every page: the file's pages are its blocks
-			}
-			if got := residentBytes(t, m); got > budget {
-				t.Errorf("MaxOps %d: %d bytes of the %s mapping are resident after a fresh boot, budget %d (image %d)",
-					maxOps, got, name, budget, image)
-			}
+		// On tmpfs fallocate instantiates every page: the file's pages
+		// are its blocks.
+		if got := residentBytes(t, s.pf.img); fs.Type != tmpfsMagic && got > budget {
+			t.Errorf("MaxOps %d: %d bytes of the file mapping are resident after a fresh boot, budget %d (image %d)",
+				maxOps, got, budget, image)
 		}
 		s.Abort()
 	}

@@ -7,32 +7,24 @@ import (
 	"lazyp/internal/obs"
 )
 
-// commit.go is the commit stage: a sealed batch persisted by the shard's
-// flusher and completed — acked at once, or after its forwarded
-// replication runs resolve in the shard's completion goroutine.
+// commit.go is the commit stage: a sealed batch synced (if fsync is
+// priced) by the shard's flusher and completed — acked at once, or after
+// its forwarded replication runs resolve in the shard's completion
+// goroutine.
 
 // commitItem is one sealed LP batch in flight through a shard's commit
-// pipeline: the batch's durable write set captured as line snapshots at
-// seal time, plus the client puts to ack once the set (and fsync, if
-// priced) completes. Items cycle through a fixed ring (freeCh ⇄
-// commitCh), so the steady-state commit path never allocates.
-//
-// The snapshots are taken by the owner, not read later by the flusher:
-// a window's checksum slot is committed again by every later seal inside
-// the window (and its line holds seven more windows' slots), and a
-// journal line may hold the next batch's first records — by the time the
-// flusher ran, the owner might have stored the next batch's checksum into
-// the very line whose write would acknowledge this one. Sealing freezes
-// the bytes instead; the per-shard flusher writes items in FIFO order, so
-// the file image of a shared line only ever moves forward.
+// pipeline: the client puts to ack once the batch is durable. The batch's
+// records and its checksum are in the file from the seal on (see seal),
+// so what the pipeline adds is the fsync, if priced, and the acks. Items
+// cycle through a fixed ring (freeCh ⇄ commitCh), so the steady-state
+// commit path never allocates.
 type commitItem struct {
 	batch   int       // journal window of the batch's last record (trace)
 	seq     int       // journal put seq after this batch (trace)
 	sealed  time.Time // commit latency epoch
 	pending []request
 	runs    []ReplRun // the batch's forwarded runs (clustered LP only)
-	lines   []memsim.Addr
-	bufs    [][memsim.LineSize]byte
+	lines   int       // lines of the batch's durable write set (kvserve_persisted_lines_total)
 }
 
 // replJob is one flushed batch's reply work, handed from the flusher
@@ -46,11 +38,10 @@ type replJob struct {
 	flushed time.Time // local write set durable (repl stage epoch)
 }
 
-// flusher drains one shard's commit pipeline in FIFO order: write the
-// sealed batch's frozen line snapshots, fsync if priced, then — and
-// only then — ack the batch's clients. Runs concurrently with the
-// owner filling the next batch; per-shard FIFO keeps the file image of
-// lines shared between consecutive batches monotone.
+// flusher drains one shard's commit pipeline in FIFO order: fsync the
+// sealed batch if priced, release the committed journal, then — and only
+// then — ack the batch's clients. Runs concurrently with the owner
+// filling the next batch.
 func (s *Server) flusher(sd *shardState) {
 	defer s.wgFlush.Done()
 	for it := range sd.commitCh {
@@ -59,7 +50,7 @@ func (s *Server) flusher(sd *shardState) {
 	}
 }
 
-// flushItem persists one sealed batch and completes it — the one path
+// flushItem syncs one sealed batch and completes it — the one path
 // every flushed batch takes, clustered or not. Batch accounting and
 // every reply that waits on no run happen right here, at local-commit
 // time; only puts with a forwarded run in flight (clustered servers)
@@ -75,10 +66,7 @@ func (s *Server) flushItem(sd *shardState, it *commitItem) {
 	if ep := s.fileErr.Load(); ep != nil {
 		err = *ep
 	} else {
-		for i, la := range it.lines {
-			s.mem.PersistLine(la, &it.bufs[i])
-		}
-		s.ctCommitLines.Add(uint64(len(it.lines)))
+		s.ctCommitLines.Add(uint64(it.lines))
 		if s.pf.fsync {
 			err = s.pf.sync()
 		}
@@ -143,21 +131,19 @@ func (s *Server) flushItem(sd *shardState, it *commitItem) {
 }
 
 // releaseStep is how much committed journal builds up behind a shard's
-// cursor before it is handed back: one madvise per image per step. A
+// cursor before it is handed back: one madvise per step. A
 // smaller step holds less journal resident but pays the syscalls more
 // often (EXPERIMENTS.md, "Committed journal pages leave memory").
 const releaseStep = 1 << 20
 
 // releaseJournal hands the shard's committed journal back to the kernel,
 // once a batch ending before record seq is durable: every page wholly
-// below the line that holds record seq, from both images, in steps of
-// releaseStep. Nothing touches those pages again in this incarnation —
-// the owner appends at or after seq, a later seal snapshots only its own
-// batch's lines (the first of which holds record seq), and only boot
-// reads the journal (recovery, truncateTail) — so the heap's copy, zero
-// once released, is never read, and the file's stays in the page cache
-// until written back. This is the paper's committed region leaving the
-// cache at no cost: the image costs its live pages, not its history.
+// below the line that holds record seq, in steps of releaseStep. Nothing
+// touches those pages again in this incarnation — the owner appends at or
+// after seq, and only boot reads the journal (recovery, truncateTail) —
+// and they stay in the page cache until written back. This is the
+// paper's committed region leaving the cache at no cost: the image costs
+// its live pages, not its history.
 func (s *Server) releaseJournal(sd *shardState, seq int) {
 	to := (sd.sh.Jrn.Base + memsim.Addr(16*seq)) &^ memsim.Addr(pageSize-1) // a record is two words
 	if to < sd.released+releaseStep {

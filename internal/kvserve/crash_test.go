@@ -4,8 +4,8 @@ package kvserve_test
 // a real server process killed with SIGKILL mid-load, restarted, and
 // held to the acked-prefix durability contract. The test binary
 // re-execs itself as the server (TestMain's child branch) so the kill
-// destroys a genuine process — heap gone, file as torn as the group
-// commit and the write-back queue left it.
+// destroys a genuine process — its memory gone, the file holding every
+// store it executed, sealed batch or not.
 
 import (
 	"bufio"
@@ -153,8 +153,8 @@ func runCrashKill(t *testing.T, fsync bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// SIGKILL: no drain, no pad, no sync. The file holds whatever the
-	// group commits and leaked write-backs got to it.
+	// SIGKILL: no drain, no pad, no sync. The file holds every store
+	// the server executed, its unsealed batches' included.
 	cmd.Process.Kill()
 	cmd.Wait()
 	rep := <-loadDone

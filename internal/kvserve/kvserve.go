@@ -3,17 +3,18 @@
 // closed-loop, in-process persistency study into a request-serving
 // system under open-loop concurrent load.
 //
-// The deployment mapping inverts the simulator's: here the process's
-// own memory plays the cache hierarchy and a backing file plays NVMM —
-// and not by analogy: the server's memsim.Memory is built over an
-// anonymous mapping (the heap image) and the file's mapped image region
-// (its durable image; pmemfile.go), so a plain store mutates only the
-// heap image, durability is Memory.Persist of a 64-byte line, and a
-// restart loads the file with Memory.Crash. Kill -9 loses the heap
-// image and keeps the file — exactly the simulator's crash,
-// but produced by a real process death with a genuinely torn image:
-// committed journal prefixes, a half-written open batch, and table
-// lines leaked out of order by the background write-back goroutine.
+// The deployment mapping: a backing file plays NVMM, and the crash is a
+// process death, which the page cache survives. The server's
+// memsim.Memory is built over the file's mapped image region alone
+// (pmemfile.go), as both its architectural and its durable image: every
+// store lands in the page cache as it executes and is durable under that
+// crash at once — the paper's natural eviction, with nothing volatile
+// between a store and the file, so no line is ever copied into it. What
+// orders durability is LP's alone: a batch is durable at its seal's
+// checksum store, which program order puts after the batch's records.
+// Kill -9 keeps every store the process executed — committed journal
+// prefixes, an open batch's records and its table stores — and a restart
+// recovers that image where it is mapped, wiping the open batch's ghosts.
 //
 // Request flow:
 //
@@ -22,22 +23,19 @@
 //     state themselves (the same single-writer discipline lpstore's
 //     shards assume, so no locks anywhere on the data path);
 //   - under LP, the owner group-commits: puts journal and mutate the
-//     table with plain heap stores, and when the batch reaches BatchK
-//     puts (or BatchWait expires and it is sealed short), the batch's
-//     journal lines and the lp.Table checksum line of its journal
-//     window are written to the file in one burst — one file write set
-//     per batch, as long as the records the batch holds.
-//     Clients are acked only after that write set completes, so the
-//     service's durability contract is exactly lpstore's acked-prefix
-//     guarantee: a put is durable iff recovery acknowledges its record;
-//   - under EP every put flushes and fences its own lines (one write
-//     set per put), and under WAL every put runs a durable undo-logged
-//     transaction (several write sets per put) — the same Figure-10
-//     baselines, now priced in syscalls instead of simulated cycles;
-//   - table lines dirtied by LP puts drift to the file through a
-//     bounded background write-back queue — the "natural eviction"
-//     that leaks unacknowledged inserts and makes restart recovery's
-//     ghost-wipe path real;
+//     table with plain stores, and when the batch reaches BatchK puts
+//     (or BatchWait expires and it is sealed short), the owner stores
+//     the checksum of its journal window, which makes the batch durable.
+//     The shard's flusher fsyncs the file if Config.Fsync prices it and
+//     only then acks the batch's clients, so the service's durability
+//     contract is exactly lpstore's acked-prefix guarantee: a put is
+//     durable iff recovery acknowledges its record;
+//   - under EP every put flushes and fences its own lines, and under WAL
+//     every put runs a durable undo-logged transaction — the same
+//     Figure-10 baselines; a fence is an fsync when Config.Fsync prices
+//     it and free otherwise;
+//   - an unsealed batch's table stores are in the file as they execute,
+//     which makes restart recovery's ghost-wipe path real;
 //   - admission control: a full mailbox rejects instead of queueing
 //     (StatusOverload), and near-full tables or an exhausted journal
 //     reject puts (StatusFull);
@@ -101,16 +99,17 @@ type Config struct {
 	// elsewhere it is a runtime timer, which an idle process may fire up
 	// to a millisecond late. 0 means 500 µs.
 	BatchWait time.Duration
-	// Fsync fsyncs the backing file on every commit write set. Off by
-	// default: the contract defended by the crash tests is process
-	// death (page cache survives), not power loss.
+	// Fsync fsyncs the backing file before every LP batch is acked, and
+	// at every EP or WAL fence. Off by default: the contract defended by
+	// the crash tests is process death, under which a store is durable
+	// once it executes (the page cache survives), not power loss.
 	Fsync bool
 	// PipelineDepth is the LP commit pipeline depth: how many sealed
 	// batches may be in flight through a shard's flusher while the
 	// owner fills the next. 1 degenerates to the synchronous group
 	// commit of earlier incarnations (seal blocks until the previous
-	// batch's write set — and fsync, if priced — completed). Not a
-	// geometry field: the file image is identical at any depth.
+	// batch was acked — after its fsync, if priced). Not a geometry
+	// field: the file image is identical at any depth.
 	PipelineDepth int
 
 	// Registry receives the server's metrics (kvserve_* series, plus
@@ -119,7 +118,7 @@ type Config struct {
 	// they just aren't shared.
 	Registry *obs.Registry
 	// Tracer receives persistency events (batch commits, rejects,
-	// recovery repairs, leaks). Nil means a private, disabled tracer
+	// recovery repairs). Nil means a private, disabled tracer
 	// of obs.DefaultTraceCap events, reachable through Server.Tracer;
 	// recording starts only when some caller enables it.
 	Tracer *obs.Tracer

@@ -10,20 +10,7 @@ import (
 
 // owner.go is the owner stage: a shard's state and its single mutator —
 // apply a run, seal a batch into the commit ring, forward it to the
-// replicator — plus the leak of dirtied table lines to the write-back
-// goroutine.
-
-// leakDepth is the write-back queue's capacity in lines: deep enough
-// that a burst of puts leaks rather than drops, small enough (288 KiB of
-// snapshots) not to matter. A full queue drops; see leak.
-const leakDepth = 4096
-
-// lineSnap is one leaked line: a snapshot its owner took, persisted
-// later by the write-back goroutine.
-type lineSnap struct {
-	la  memsim.Addr
-	buf [memsim.LineSize]byte
-}
+// replicator.
 
 // shardState is one shard's server-side state. The owner goroutine is
 // the sole mutator once the server starts; the flusher goroutine only
@@ -80,18 +67,11 @@ type shardState struct {
 	repKeys, repVals, repTids []uint64
 	repIn                     []uint16
 
-	// tabLo/tabHi bound the table's line addresses: only table lines
-	// may leak through the write-back queue (a stale journal-line
-	// snapshot could clobber a later group commit's file write; table
-	// lines have a single writer — the leaker — so FIFO order keeps
-	// the file monotone).
-	tabLo, tabHi memsim.Addr
 	// released is the flusher's journal cursor (LP): the journal's pages
 	// from its first page boundary up to here have been handed back to
 	// the kernel (see releaseJournal).
 	released memsim.Addr
-	leakRun  []lineSnap // leak's scratch: one run's snapshots, reused
-	ackRun   []byte     // the flusher's scratch: one connection's acks
+	ackRun   []byte // the flusher's scratch: one connection's acks
 
 	obs shardObs
 }
@@ -247,15 +227,13 @@ func (s *Server) apply(sd *shardState, run []request) {
 			}
 			continue
 		case lpstore.ModeEP, lpstore.ModeWAL:
-			c.takeDirty() // everything that matters was fenced to the file
 			if err := c.takeErr(); err != nil {
 				s.failFile(err)
 				r.reply(StatusShutdown, 0)
 				continue
 			}
 		}
-		// EP, WAL, base: settled on the spot. (Base's only path to the file
-		// is the leak below.)
+		// EP, WAL, base: settled on the spot.
 		s.ctAcked.Inc()
 		sd.obs.putLat.Observe(uint64(time.Since(r.enq).Nanoseconds()))
 		r.reply(StatusOK, 0)
@@ -263,8 +241,7 @@ func (s *Server) apply(sd *shardState, run []request) {
 	if len(sd.pending) > 0 && !now.Before(sd.deadline) {
 		s.seal(sd, sealDeadline)
 	}
-	s.leak(sd)
-	// The run's owner time, seals and leak included (and a seal's wait for
+	// The run's owner time, seals included (and a seal's wait for
 	// a free commit item, which only a saturated pipeline imposes), booked
 	// as len(run) samples of its per-put share.
 	if n := uint64(len(run)); n > 0 {
@@ -274,16 +251,16 @@ func (s *Server) apply(sd *shardState, run []request) {
 
 // seal closes the open LP batch — the records journaled since the last
 // seal, BatchK of them or fewer (deadline, seal hint, drain) — by
-// committing the open window's checksum over the records it holds, then
-// snapshots the batch's durable write set into a free commitItem and
-// hands the item to the shard's flusher. The write set is the journal
-// lines of the batch's records and the checksum line of each window they
-// fall in: one, or two when the batch straddles a window boundary, the
-// lower window's first — the order recovery walks, so a crash between the
-// two leaves the lower window acknowledged whole and the upper one as it
-// was. The owner returns to filling the next batch immediately; the
-// batch's clients are acked by the flusher once the write set (and fsync,
-// if priced) completes — the pipelined group-commit durability point. An
+// committing the open window's checksum over the records it holds, and
+// hands the batch to the shard's flusher in a free commitItem. The
+// checksum store is the batch's durability point under process death:
+// program order puts the batch's records in the file before it, and the
+// window's slot, once stored, acknowledges them. The durable write set
+// counted for the batch is the journal lines of its records and the
+// checksum line of each window they fall in: one, or two when the batch
+// straddles a window boundary. The owner returns to filling the next
+// batch immediately; the batch's clients are acked by the flusher, after
+// the fsync if it is priced — the pipelined group commit. An
 // exhausted item ring (PipelineDepth sealed batches already in flight)
 // blocks here: flush-side backpressure. cause is booked in
 // kvserve_seals_total, and a deadline seal's lateness — its start against
@@ -320,20 +297,10 @@ func (s *Server) seal(sd *shardState, cause sealCause) {
 
 	first := memsim.LineOf(sd.sh.Jrn.Addr(2 * from))
 	last := memsim.LineOf(sd.sh.Jrn.Addr(2*it.seq - 1))
-	it.lines = it.lines[:0]
-	for la := first; la <= last; la += memsim.LineSize {
-		it.lines = append(it.lines, la)
-	}
 	lo := memsim.LineOf(sd.sh.Ack.SlotAddr(from / sd.sh.BatchK))
-	it.lines = append(it.lines, lo)
-	if hi := memsim.LineOf(sd.sh.Ack.SlotAddr(it.batch)); hi != lo {
-		it.lines = append(it.lines, hi)
-	}
-	for i, la := range it.lines {
-		it.bufs[i] = s.mem.LoadLine(la)
-	}
+	hi := memsim.LineOf(sd.sh.Ack.SlotAddr(it.batch)) // lo's line or the next
+	it.lines = int(last-first+hi-lo)/memsim.LineSize + 2
 	sd.obs.jrnUsed.Set(int64(it.seq))
-	s.leak(sd) // table lines this batch dirtied may still drift out
 	sd.obs.pipeInflight.Add(1)
 	sd.commitCh <- it
 }
@@ -370,42 +337,5 @@ func (s *Server) forwardBatch(sd *shardState, it *commitItem) {
 			it.pending[i].rrun = in[j]
 			j++
 		}
-	}
-}
-
-// leak snapshots the table lines the shard dirtied since the last call
-// (after every run and at every seal; a line dirtied twice leaks once)
-// and offers them to the write-back queue as one run — the service's
-// stand-in for natural cache evictions. Non-blocking: a full queue drops
-// what it cannot take (the line stays dirty only in the heap), exactly as
-// a line may simply not be evicted before a crash. Journal and checksum
-// lines never leak; see shardState.tabLo.
-func (s *Server) leak(sd *shardState) {
-	run := sd.leakRun[:0]
-	for _, la := range sd.ctx.takeDirty() {
-		if la < sd.tabLo || la > sd.tabHi {
-			continue
-		}
-		run = append(run, lineSnap{la: la, buf: s.mem.LoadLine(la)})
-	}
-	sd.leakRun = run
-	acc, _ := s.leakq.push(run)
-	s.ctLeaked.Add(uint64(acc))
-	s.ctDropped.Add(uint64(len(run) - acc))
-	for i := range run[:acc] {
-		s.trace(obs.EvEvictionLeak, int32(sd.id), uint64(run[i].la), 0)
-	}
-}
-
-// writeBack drains the leak queue into the durable image.
-func (s *Server) writeBack() {
-	defer s.wgLeak.Done()
-	run := make([]lineSnap, 0, leakDepth)
-	for ok := true; ok; {
-		run, ok = s.leakq.takeWait(run)
-		for i := range run {
-			s.mem.PersistLine(run[i].la, &run[i].buf)
-		}
-		s.ctLeakLines.Add(uint64(len(run)))
 	}
 }

@@ -47,44 +47,40 @@ func headerBytes(cfg Config, imageSize int) []byte {
 	return h
 }
 
-// pmemFile is the durability domain and the owner of both of the
-// server's images: a file holding the geometry header followed by the
-// memory image, whose MAP_SHARED mapping (img) is the memsim.Memory's
-// durable image, and an anonymous private mapping of the same size (heap),
-// its architectural one. The file therefore *is* the Memory's NVMM: a line
-// is durable exactly when Memory.Persist/PersistLine has stored it, the
-// heap image is the cache a kill -9 loses, and the page cache keeps the
-// stored bytes as it would pwrite()n ones (DESIGN §9 has the argument, and
-// the boot sequence this type is the file half of). Both mappings are
-// lazily zero, a restored image is loaded by reading only its written
-// pages (load), and committed journal pages are handed back (release),
-// so an image costs its live pages, not its geometry or its history.
-// Both share this type's lifecycle — open and validate, map, load or
-// commit the header, sync, close. Disjoint lines may be persisted
-// concurrently without coordination: the write-back goroutine, a shard's
-// flusher and its owner never share a line.
+// pmemFile is the durability domain and the owner of the server's one
+// image: a file holding the geometry header followed by the memory image,
+// whose MAP_SHARED mapping (img) is both the memsim.Memory's architectural
+// image and its durable one. A store lands in the page cache as it
+// executes, and the page cache is what survives the contract's crash, a
+// process death (DESIGN §9 has the argument, and the boot sequence this
+// type is the file half of): nothing volatile sits between a store and
+// the file, so the file *is* the Memory's NVMM and no line is ever copied
+// into it. The mapping is lazily zero and committed journal pages are
+// handed back (release), so an image costs its live pages, not its
+// geometry or its history; a restart maps the file as it is and copies
+// nothing. The type's lifecycle: open and validate, map, commit the
+// header, sync, close.
 //
-// Platform rule: kvserve needs a shared file mapping and an anonymous one
-// (syscall.Mmap — linux, darwin, freebsd). There is no positional-write
-// fallback and no Go-heap image; where a mapping cannot be made, open
-// fails. Linux also preallocates the file's blocks and turns read-around
-// off (pmemfile_linux.go); elsewhere the file stays sparse.
+// Platform rule: kvserve needs a shared file mapping (syscall.Mmap —
+// linux, darwin, freebsd). There is no positional-write fallback and no
+// Go-heap image; where the mapping cannot be made, open fails. Linux also
+// preallocates the file's blocks and turns read-around off
+// (pmemfile_linux.go); elsewhere the file stays sparse.
 type pmemFile struct {
 	f     *os.File
 	fsync bool
 	img   []byte // MAP_SHARED view of the file's image region
-	heap  []byte // MAP_ANON|MAP_PRIVATE, same size
 }
 
 // openPmemFile opens or creates the backing file for an image of
-// imageSize bytes and maps both images. A file that never completed a
+// imageSize bytes and maps its image. A file that never completed a
 // first boot — no longer than the image and its header page blank (an
 // empty file reads so), since commit writes the header last; or the
 // header and nothing else, which the header-first order of earlier
 // versions could leave — is cut to nothing and sized afresh, and restored=false is returned: the caller
 // formats, preloads and commits. Any other file must match the expected
-// header and size exactly and restored=true is returned: the caller loads
-// the image (load) and runs recovery.
+// header and size exactly and restored=true is returned: the caller runs
+// recovery over the mapped image.
 func openPmemFile(path string, cfg Config, imageSize int) (_ *pmemFile, restored bool, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -129,43 +125,37 @@ func openPmemFile(path string, cfg Config, imageSize int) (_ *pmemFile, restored
 	// headerSize is one page, so the offset is always aligned.
 	pf.img, err = syscall.Mmap(int(f.Fd()), headerSize, imageSize,
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-	if err == nil {
-		pf.heap, err = syscall.Mmap(-1, 0, imageSize,
-			syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
-	}
 	if err != nil {
-		return nil, false, fmt.Errorf("kvserve: %s: mapping the images: %w", path, err)
+		return nil, false, fmt.Errorf("kvserve: %s: mapping the image: %w", path, err)
 	}
 	storeByLine(pf.img)
 	return pf, restored, nil
 }
 
-// loadChunk is how much of the file load reads per pread.
-const loadChunk = 256 << 10
+// sweepChunk is how much of the file eachNonZero reads per pread.
+const sweepChunk = 256 << 10
 
-// pageSize is the unit both images are loaded and released in.
+// pageSize is the unit the image is released in.
 var pageSize = os.Getpagesize()
 
-// load makes the heap image what survived — the file's image, byte for
-// byte, as Memory.Crash would copy it — and returns the bytes it copied.
-// The heap mapping is fresh and all zero, so load preads the file in
-// chunks and copies only the pages that hold a non-zero byte: a restart
-// faults in neither the file mapping nor the journal nobody wrote.
-func (p *pmemFile) load() (copied int, err error) {
-	buf, zero := make([]byte, loadChunk), make([]byte, pageSize)
-	for off := 0; off < len(p.heap); off += loadChunk {
-		chunk := buf[:min(loadChunk, len(p.heap)-off)]
-		if _, err = p.f.ReadAt(chunk, headerSize+int64(off)); err != nil {
-			return copied, fmt.Errorf("kvserve: %s: loading the image: %w", p.f.Name(), err)
+// eachNonZero preads the image's bytes [from, to) through the file, in
+// chunks of sweepChunk, and calls f with the offset of every non-zero
+// 8-byte word. A read maps nothing: a sweep over a journal nobody wrote
+// leaves the process's footprint as it was.
+func (p *pmemFile) eachNonZero(from, to int, f func(off int)) error {
+	buf := make([]byte, sweepChunk)
+	for off := from; off < to; off += len(buf) {
+		chunk := buf[:min(len(buf), to-off)]
+		if _, err := p.f.ReadAt(chunk, headerSize+int64(off)); err != nil {
+			return fmt.Errorf("kvserve: %s: reading the image: %w", p.f.Name(), err)
 		}
-		for i := 0; i < len(chunk); i += pageSize {
-			pg := chunk[i:min(i+pageSize, len(chunk))]
-			if !bytes.Equal(pg, zero[:len(pg)]) {
-				copied += copy(p.heap[off+i:], pg)
+		for i := 0; i < len(chunk); i += 8 {
+			if binary.LittleEndian.Uint64(chunk[i:]) != 0 {
+				f(off + i)
 			}
 		}
 	}
-	return copied, nil
+	return nil
 }
 
 // commit ends a first boot. The header is what makes the file a kvserve
@@ -182,20 +172,17 @@ func (p *pmemFile) commit(header []byte) error {
 	return err
 }
 
-// sync makes every line persisted so far storage-durable: fsync flushes
-// all dirty pages of the inode, including pages dirtied through the
-// shared mapping.
+// sync makes every store so far storage-durable: fsync flushes all dirty
+// pages of the inode, including pages dirtied through the shared mapping.
 func (p *pmemFile) sync() error { return p.f.Sync() }
 
-// close unmaps what is mapped and closes the file. The Memory must have
-// been detached from the images first (see Server.release).
+// close unmaps the image, if mapped, and closes the file. The Memory
+// must have been detached from it first (see Server.release).
 func (p *pmemFile) close() error {
 	err := p.f.Close()
-	for _, m := range [][]byte{p.img, p.heap} {
-		if m != nil {
-			err = errors.Join(err, syscall.Munmap(m))
-		}
+	if p.img != nil {
+		err = errors.Join(err, syscall.Munmap(p.img))
 	}
-	p.img, p.heap = nil, nil
+	p.img = nil
 	return err
 }

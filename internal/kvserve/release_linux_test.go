@@ -2,7 +2,7 @@ package kvserve
 
 import (
 	"bufio"
-	"bytes"
+	"encoding/binary"
 	"os"
 	"strconv"
 	"strings"
@@ -16,12 +16,10 @@ import (
 	"lazyp/internal/workloads"
 )
 
-// mappingRss is the Rss /proc/self/smaps reports for the mapping m: the
-// pages of m mapped into the process. smaps reports whole VMAs, and the
-// kernel may have merged an anonymous mapping with a neighbour whose pages
-// would then count too; so m is first given a VMA of its own by advice
-// that anonymous memory ignores (MADV_RANDOM, which the file mapping
-// already has: it only steers file read-around).
+// mappingRss is the Rss /proc/self/smaps reports for the file mapping m:
+// the pages of m mapped into the process. smaps reports whole VMAs, so m
+// is first given a VMA of its own by advice it already has (MADV_RANDOM,
+// see storeByLine), and a VMA reaching past m fails the test.
 func mappingRss(t *testing.T, m []byte) int {
 	t.Helper()
 	if err := syscall.Madvise(m, syscall.MADV_RANDOM); err != nil {
@@ -64,10 +62,9 @@ func mappingRss(t *testing.T, m []byte) int {
 }
 
 // driveJournal journals n puts through sd by hand, as the stage benchmarks
-// do (apply seals every BatchK, flushItem persists and releases), with
-// every leaked table line written back; it records each put in model and
-// returns the largest Rss either image mapping reached, sampled every
-// releaseStep of journal.
+// do (apply seals every BatchK, flushItem acks and releases); it records
+// each put in model and returns the largest Rss the file mapping reached,
+// sampled every releaseStep of journal.
 func driveJournal(t *testing.T, s *Server, sd *shardState, n int, model map[uint64]uint64) (peak int) {
 	t.Helper()
 	cn := absorbConn()
@@ -85,26 +82,20 @@ func driveJournal(t *testing.T, s *Server, sd *shardState, n int, model map[uint
 			s.flushItem(sd, it)
 			sd.freeCh <- it
 		}
-		for leaked, _ := s.leakq.take(nil); leaked != nil; leaked, _ = s.leakq.take(nil) {
-			for i := range leaked {
-				s.mem.PersistLine(leaked[i].la, &leaked[i].buf)
-			}
-		}
 		if r%sample == 0 {
-			peak = max(peak, mappingRss(t, s.pf.heap), mappingRss(t, s.pf.img))
+			peak = max(peak, mappingRss(t, s.pf.img))
 		}
 	}
 	if len(sd.pending) != 0 {
 		t.Fatalf("%d puts left unsealed: n must be a multiple of the run", len(sd.pending))
 	}
-	return max(peak, mappingRss(t, s.pf.heap), mappingRss(t, s.pf.img))
+	return max(peak, mappingRss(t, s.pf.img))
 }
 
 // TestCommittedJournalReleased: as a shard's journal grows past 3 MiB, the
-// committed part leaves both images in steps of releaseStep, so neither
-// mapping's Rss grows with it; a released heap word reads zero while the
-// file still holds the record; and a restart brings every acked put back
-// from the file with a clean re-verification.
+// committed part leaves the file mapping in steps of releaseStep, so its
+// Rss does not grow with it; the file still holds every record; and a
+// restart brings every acked put back with a clean re-verification.
 func TestCommittedJournalReleased(t *testing.T) {
 	cfg := testCfg(t, lpstore.ModeLP)
 	cfg.Shards, cfg.Streams, cfg.MaxOps = 1, 1, 1<<18 // a 4 MiB journal
@@ -121,9 +112,9 @@ func TestCommittedJournalReleased(t *testing.T) {
 	const puts = 240 << 10 // 3.75 MiB of records
 	peak := driveJournal(t, s, sd, puts, model)
 	budget := 2*releaseStep + 16*sd.sh.Tab.Cap() + 8*sd.sh.Ack.Slots()
-	t.Logf("peak Rss of an image mapping %d bytes, budget %d, journal %d", peak, budget, 16*puts)
+	t.Logf("peak Rss of the file mapping %d bytes, budget %d, journal %d", peak, budget, 16*puts)
 	if peak >= budget {
-		t.Errorf("an image mapping's Rss reached %d bytes over a %d-byte journal, budget %d", peak, 16*puts, budget)
+		t.Errorf("the file mapping's Rss reached %d bytes over a %d-byte journal, budget %d", peak, 16*puts, budget)
 	}
 
 	first := (sd.sh.Jrn.Base + memsim.Addr(pageSize-1)) &^ memsim.Addr(pageSize-1)
@@ -131,17 +122,8 @@ func TestCommittedJournalReleased(t *testing.T) {
 		t.Fatalf("kvserve_journal_released_bytes_total = %d, the cursor moved %d: want them equal and at least %d", got, want, 2*releaseStep)
 	}
 	for i := 0; i < puts; i++ {
-		a := sd.sh.Jrn.Addr(2 * i)
-		key := workloads.KVKey(0, i%(2*cfg.Keys))
-		if d := s.mem.DurableLoad64(a); d != key {
+		if d, key := s.mem.DurableLoad64(sd.sh.Jrn.Addr(2*i)), workloads.KVKey(0, i%(2*cfg.Keys)); d != key {
 			t.Fatalf("record %d: the file holds key %#x, want %#x", i, d, key)
-		}
-		want := key
-		if a >= first && a < sd.released {
-			want = 0
-		}
-		if h := s.mem.Load64(a); h != want {
-			t.Fatalf("record %d at %#x (released below %#x): the heap holds %#x, want %#x", i, a, sd.released, h, want)
 		}
 	}
 
@@ -170,10 +152,10 @@ func TestCommittedJournalReleased(t *testing.T) {
 	}
 }
 
-// TestRestoredLoadMatchesImage: a restart loads the heap image by reading
-// only the file's written pages, and the result is Memory.Crash's: the
-// heap equals the file's image byte for byte, the file mapping is barely
-// touched, and the boot record's loaded bytes are the non-zero pages.
+// TestRestoredLoadMatchesImage: a restart maps the file as it is and
+// copies nothing: the file mapping is barely touched — recovery reads the
+// acked journal, the tables and the ack slots — and the unsealed tail
+// left in the file is repaired away.
 func TestRestoredLoadMatchesImage(t *testing.T) {
 	cfg := testCfg(t, lpstore.ModeLP)
 	cfg.Shards, cfg.Streams, cfg.MaxOps = 2, 2, 1<<20 // a 32 MiB journal, a few written
@@ -184,17 +166,58 @@ func TestRestoredLoadMatchesImage(t *testing.T) {
 	}
 	model := map[uint64]uint64{}
 	driveJournal(t, s, s.shards[1], 96<<10, model)
-	// A tail that must not survive: an unsealed run whose table lines
-	// all reach the file, so recovery repairs.
+	// A tail that must not survive: an unsealed run, whose table stores
+	// are in the file as they executed, so recovery repairs.
 	sd := s.shards[1]
 	tail := make([]request, cfg.BatchK-1)
 	for j := range tail {
 		tail[j] = request{key: workloads.KVKey(1, j), val: 7, enq: time.Now(), cn: absorbConn()}
 	}
 	s.apply(sd, tail)
-	for leaked, _ := s.leakq.take(nil); leaked != nil; leaked, _ = s.leakq.take(nil) {
-		for i := range leaked {
-			s.mem.PersistLine(leaked[i].la, &leaked[i].buf)
+	if err := s.Abort(); err != nil {
+		t.Fatalf("Abort: %v", err)
+	}
+
+	s, err = New(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s.Close()
+	image := int(s.Metrics().Gauge("kvserve_image_bytes").Load())
+	rss := mappingRss(t, s.pf.img)
+	t.Logf("file mapping Rss %d bytes of a %d-byte image", rss, image)
+	if rss > image/8 {
+		t.Errorf("the file mapping has %d bytes resident after a restart, want far below the %d-byte image", rss, image)
+	}
+	if st := s.RecoveryStats()[1]; st.AckedPuts != 96<<10 || st.Repaired == 0 {
+		t.Fatalf("shard 1 recovered %d acked puts with %d repairs, want %d and some", st.AckedPuts, st.Repaired, 96<<10)
+	}
+}
+
+// TestTruncateTailPastAHole: the journal past a restored image's acked
+// prefix holds non-zero records after a zero one — stale records beyond a
+// hole, as a record zeroed by an earlier truncation or a torn batch leaves
+// them. After New every journal word past the prefix is zero, which a
+// sweep that stopped at the first zero record would not achieve, and the
+// sweep went through the file, not the mapping: the file mapping's Rss
+// stays far below the image.
+func TestTruncateTailPastAHole(t *testing.T) {
+	cfg := testCfg(t, lpstore.ModeLP)
+	cfg.Shards, cfg.Streams, cfg.MaxOps = 2, 2, 1<<20 // a 32 MiB journal
+	cfg.BatchWait = time.Hour
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	const acked = 4 << 10
+	driveJournal(t, s, s.shards[1], acked, map[uint64]uint64{})
+	prefix := []int{0, acked} // acked puts per shard
+	for si, sd := range s.shards {
+		// Record prefix[si] stays zero: the hole. Stale records follow it
+		// in its window, in the next, mid-journal and in the last slot.
+		for _, r := range []int{prefix[si] + 1, prefix[si] + cfg.BatchK + 3, cfg.MaxOps / 2, cfg.MaxOps - 1} {
+			s.mem.Store64(sd.sh.Jrn.Addr(2*r), workloads.KVKey(5, r))
+			s.mem.Store64(sd.sh.Jrn.Addr(2*r+1), uint64(r))
 		}
 	}
 	if err := s.Abort(); err != nil {
@@ -208,32 +231,25 @@ func TestRestoredLoadMatchesImage(t *testing.T) {
 	defer s.Close()
 	image := int(s.Metrics().Gauge("kvserve_image_bytes").Load())
 	rss := mappingRss(t, s.pf.img)
-	t.Logf("file mapping Rss %d bytes of a %d-byte image; loaded %d", rss, image, s.Metrics().Gauge("kvserve_boot_loaded_bytes").Load())
-	if rss > image/16 {
+	t.Logf("file mapping Rss %d bytes of a %d-byte image", rss, image)
+	if rss > image/8 {
 		t.Errorf("the file mapping has %d bytes resident after a restart, want far below the %d-byte image", rss, image)
+	}
+	if got, want := s.Metrics().Gauge("kvserve_boot_persisted_bytes").Load(), int64(2*4*2*8); got != want {
+		t.Errorf("kvserve_boot_persisted_bytes = %d, want %d: two shards' four stale records of two words", got, want)
 	}
 	file, err := os.ReadFile(cfg.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	file = file[headerSize:]
-	if !bytes.Equal(s.pf.heap, file) {
-		for i := range file {
-			if s.pf.heap[i] != file[i] {
-				t.Fatalf("heap and file images differ first at byte %#x: %#x against %#x", i, s.pf.heap[i], file[i])
+	for si, sd := range s.shards {
+		if st := s.RecoveryStats()[si]; st.AckedPuts != prefix[si] {
+			t.Fatalf("shard %d acked %d puts, want %d", si, st.AckedPuts, prefix[si])
+		}
+		for i := 2 * prefix[si]; i < 2*cfg.MaxOps; i++ {
+			if w := binary.LittleEndian.Uint64(file[headerSize+int(sd.sh.Jrn.Addr(i)):]); w != 0 {
+				t.Fatalf("shard %d: journal word %d past the %d acked records holds %#x", si, i, prefix[si], w)
 			}
 		}
-	}
-	// What load copied: the non-zero pages of the file image as it was
-	// before recovery, which only zeroes journal words and rewrites lines
-	// of pages that already held data — no fewer than the image's non-zero
-	// pages now.
-	written := writtenBytes(file)
-	loaded := int(s.Metrics().Gauge("kvserve_boot_loaded_bytes").Load())
-	if loaded < written || 4*loaded > image {
-		t.Errorf("kvserve_boot_loaded_bytes = %d, want at least the %d bytes of written pages and under a quarter of the %d-byte image", loaded, written, image)
-	}
-	if st := s.RecoveryStats()[1]; st.AckedPuts != 96<<10 || st.Repaired == 0 {
-		t.Fatalf("shard 1 recovered %d acked puts with %d repairs, want %d and some", st.AckedPuts, st.Repaired, 96<<10)
 	}
 }

@@ -17,12 +17,15 @@ import (
 // TestRestartResumesMidWindow drives one shard by hand, as the stage
 // benchmarks do (New, never Start: apply, seal and flushItem on this
 // goroutine), through 200 crash-and-restart laps on one image. A lap
-// applies a few puts, seals them short of K and flushes; then leaves a
-// tail that must not survive — puts never sealed whose table lines all
-// leaked, or a sealed batch of which only journal lines reached the file —
-// and dies. Every New resumes inside a window, and finds: a verified
-// image holding exactly the acked puts, a journal with no zero key inside
-// the acked prefix and nothing but zeroes beyond it.
+// applies a few puts, seals them short of K and flushes; then applies a
+// tail of fewer than K puts, whose records and table stores are in the
+// file as they executed, and either seals it without flushing — a sealed
+// batch is durable at its checksum store, so it must survive, unacked —
+// or leaves it unsealed, and dies. Of an unsealed tail only the puts up
+// to a window boundary it crossed survive: the put that fills a window
+// stores its checksum. Every New resumes inside a window, and finds: a
+// verified image holding exactly the durable puts, a journal with no zero
+// key inside the acked prefix and nothing but zeroes beyond it.
 func TestRestartResumesMidWindow(t *testing.T) {
 	for _, k := range []int{4, 16} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
@@ -31,7 +34,7 @@ func TestRestartResumesMidWindow(t *testing.T) {
 			cfg.BatchWait = time.Hour // only the test seals short
 			rng := rand.New(rand.NewSource(int64(k)))
 			cn := absorbConn()
-			model := map[uint64]uint64{} // the preload, then every acked put
+			model := map[uint64]uint64{} // the preload, then every durable put
 			acked, midWindow := 0, 0
 			for lap := 0; lap < 200; lap++ {
 				s, err := New(cfg)
@@ -81,46 +84,29 @@ func TestRestartResumesMidWindow(t *testing.T) {
 					s.apply(sd, run)
 					return run
 				}
-				// flush persists what is sealed: whole, or — torn — a batch's
-				// journal lines only.
-				flush := func(torn bool) {
-					for len(sd.commitCh) > 0 {
-						it := <-sd.commitCh
-						if torn {
-							jrn := 0 // the write set's journal lines: those below the ack table
-							for it.lines[jrn] < sd.sh.Ack.SlotAddr(0) {
-								jrn++
-							}
-							for i, la := range it.lines[:rng.Intn(jrn+1)] {
-								s.mem.PersistLine(la, &it.bufs[i])
-							}
-							it.pending = it.pending[:0]
-						} else {
-							s.flushItem(sd, it)
-						}
-						sd.freeCh <- it
+				durable := func(run []request) {
+					for _, r := range run {
+						model[r.key] = r.val
 					}
+					acked += len(run)
 				}
 				run := puts(1 + rng.Intn(2*k))
 				if len(sd.pending) > 0 {
 					s.seal(sd, sealDeadline)
 				}
-				flush(false)
-				for _, r := range run {
-					model[r.key] = r.val
+				for len(sd.commitCh) > 0 {
+					it := <-sd.commitCh
+					s.flushItem(sd, it)
+					sd.freeCh <- it
 				}
-				acked += len(run)
+				durable(run)
 
-				puts(rng.Intn(k)) // the tail: fewer than K, so apply seals none of it
+				tail := puts(rng.Intn(k)) // fewer than K, so apply seals none of it
 				if rng.Intn(2) == 0 && len(sd.pending) > 0 {
-					s.seal(sd, sealDeadline)
-					flush(true)
-				}
-				// Every table line the lap dirtied leaks.
-				for leaked, _ := s.leakq.take(nil); leaked != nil; leaked, _ = s.leakq.take(nil) {
-					for i := range leaked {
-						s.mem.PersistLine(leaked[i].la, &leaked[i].buf)
-					}
+					s.seal(sd, sealDeadline) // left in the ring, never flushed
+					durable(tail)
+				} else {
+					durable(tail[:max(0, sd.w.Seq()/k*k-acked)])
 				}
 				s.Abort()
 			}

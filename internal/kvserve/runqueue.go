@@ -7,7 +7,7 @@ import "sync"
 // everything queued for its previous, drained slice — a hop costs a lock
 // and a wake-up per run, not per item, and the two slices ping-pong, so
 // the steady state allocates nothing. Its instances: a shard's mailbox
-// and replication completion queue, and the server's leak queue. wake
+// and replication completion queue, and a connection's ack queue. wake
 // and space are cap-1 pokes, not counters: a token means "look again".
 type runQueue[T any] struct {
 	mu     sync.Mutex

@@ -29,8 +29,7 @@ type Stats struct {
 	Expired     uint64 `json:"expired"` // always 0 (there is no queue deadline); kept for bench/, which reads it
 	Full        uint64 `json:"full"`
 	Moved       uint64 `json:"moved"`
-	LeakedLines uint64 `json:"leaked_lines"`
-	LeakDropped uint64 `json:"leak_dropped"`
+	LeakedLines uint64 `json:"leaked_lines"` // always 0 (there is no write-back to leak through); kept for bench/, which reads it
 }
 
 // The histograms a client reads back from a scrape to calibrate the
@@ -46,7 +45,7 @@ const (
 // preload or crash recovery), then Start to accept traffic, then
 // Close to drain gracefully. Contents is only safe while no put is in
 // flight and VerifyRecovered only before Start (after it, an error); both
-// fail by name after Close/Abort, which unmap the images.
+// fail by name after Close/Abort, which unmap the image.
 type Server struct {
 	cfg      Config
 	mem      *memsim.Memory
@@ -64,8 +63,6 @@ type Server struct {
 	wgOwners sync.WaitGroup
 	wgFlush  sync.WaitGroup
 	wgRepl   sync.WaitGroup
-	wgLeak   sync.WaitGroup
-	leakq    *runQueue[lineSnap] // limit leakDepth
 	started  bool
 	draining atomic.Bool
 	closed   atomic.Bool
@@ -81,10 +78,9 @@ type Server struct {
 	ctSeals                              [numSealCauses]*obs.Counter // kvserve_seals_total{cause}
 	ctClockArms                          *obs.Counter                // kvserve_seal_clock_arms_total
 	sealLate                             *obs.Histogram              // kvserve_seal_lateness_seconds: deadline seal time − the batch's deadline
-	ctLeaked, ctDropped                  *obs.Counter
-	ctCommitLines, ctLeakLines           *obs.Counter // kvserve_persisted_lines_total{path}: lines the flushers / write-back persisted
-	ctReleased                           *obs.Counter // kvserve_journal_released_bytes_total: committed journal handed back to the kernel
-	ctSeqRetries, ctSeqRetried           *obs.Counter // spins in SeqGet, and gets that spun at all
+	ctCommitLines                        *obs.Counter                // kvserve_persisted_lines_total{path="commit"}: lines of the batches' durable write sets
+	ctReleased                           *obs.Counter                // kvserve_journal_released_bytes_total: committed journal handed back to the kernel
+	ctSeqRetries, ctSeqRetried           *obs.Counter                // spins in SeqGet, and gets that spun at all
 	getLat                               *obs.Histogram
 	// hWriteFrames observes response frames per socket write syscall —
 	// the syscall-coalescing gauge of the vectored response path.
@@ -135,10 +131,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.ctClockArms = root.Counter("kvserve_seal_clock_arms_total")
 	s.sealLate = root.HistogramScaled("kvserve_seal_lateness_seconds", 1e-9)
-	s.ctLeaked = root.Counter("kvserve_leaked_lines_total")
-	s.ctDropped = root.Counter("kvserve_leak_dropped_total")
 	s.ctCommitLines = root.With("path", "commit").Counter("kvserve_persisted_lines_total")
-	s.ctLeakLines = root.With("path", "leak").Counter("kvserve_persisted_lines_total")
 	s.ctReleased = root.Counter("kvserve_journal_released_bytes_total")
 	s.ctSeqRetries = root.Counter("kvserve_seqlock_retries_total")
 	s.ctSeqRetried = root.Counter("kvserve_seqlock_retried_gets_total")
@@ -154,7 +147,7 @@ func New(cfg Config) (*Server, error) {
 	s.slowNs = cfg.TraceSlow.Nanoseconds()
 
 	// The boot sequence (DESIGN §9): open → attach → layout →
-	// format+preload+commit | load+recover. Open comes first, so every
+	// format+preload+commit | recover. Open comes first, so every
 	// later failure leaves through release.
 	t0 := time.Now()
 	cap2 := 1
@@ -168,8 +161,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.pf, s.restored = pf, restored
-	s.mem = memsim.NewMemoryOver(pf.heap, pf.img)
-	s.leakq = newRunQueue[lineSnap](leakDepth, leakDepth)
+	s.mem = memsim.NewMemoryOver(pf.img, pf.img)
 
 	// The allocation order below is the layout contract with every
 	// prior incarnation of this config: guard line, persistence
@@ -206,11 +198,6 @@ func New(cfg Config) (*Server, error) {
 			base[si] = append(base[si], [2]uint64{k, workloads.KVInitVal(cfg.Seed, k)})
 		}
 	}
-	// A batch's durable write set at its largest: the journal lines
-	// 2*BatchK words span from any record (one more than from a line
-	// boundary), plus the checksum lines of the two windows a batch can
-	// straddle. Sizes the commitItem snapshot buffers.
-	maxBatchLines := (2*cfg.BatchK*8+memsim.LineSize-1)/memsim.LineSize + 3
 	for id := 0; id < cfg.Shards; id++ {
 		name := fmt.Sprintf("kvserve.s%d", id)
 		sd := &shardState{id: id, baseline: base[id], ctx: newFileCtx(s.mem, pf, id)}
@@ -225,11 +212,7 @@ func New(cfg Config) (*Server, error) {
 			sd.commitCh = make(chan *commitItem, cfg.PipelineDepth)
 			sd.freeCh = make(chan *commitItem, cfg.PipelineDepth)
 			for i := 0; i < cfg.PipelineDepth; i++ {
-				sd.freeCh <- &commitItem{
-					pending: make([]request, 0, cfg.BatchK),
-					lines:   make([]memsim.Addr, 0, maxBatchLines),
-					bufs:    make([][memsim.LineSize]byte, maxBatchLines),
-				}
+				sd.freeCh <- &commitItem{pending: make([]request, 0, cfg.BatchK)}
 			}
 			if cfg.Repl != nil {
 				sd.replq = newRunQueue[replJob](math.MaxInt, cfg.PipelineDepth) // unbounded: see shardState.replq
@@ -253,8 +236,6 @@ func New(cfg Config) (*Server, error) {
 		// so every mode can serve gets lock-free under the seqlock.
 		sd.sh.Tab.EnableSeqlock()
 		sd.highWater = sd.sh.Tab.Cap() - sd.sh.Tab.Cap()/8
-		sd.tabLo = memsim.LineOf(sd.sh.Tab.KeyAddr(0))
-		sd.tabHi = memsim.LineOf(sd.sh.Tab.ValAddr(sd.sh.Tab.Cap() - 1))
 		sd.mb = newRunQueue[request](cfg.Mailbox, cfg.Mailbox)
 		sc := s.reg.Scope("shard", strconv.Itoa(id))
 		sd.obs = newShardObs(sc)
@@ -265,19 +246,13 @@ func New(cfg Config) (*Server, error) {
 		s.shards = append(s.shards, sd)
 	}
 
-	persisted, loaded := 0, 0 // bytes this boot stored into the durable image, and copied out of it
+	var persisted int // bytes this boot stored into the image
 	if restored {
-		// Loading the file is the simulator's crash: the heap image
-		// becomes what survived, RAM == NVMM, and recovery runs on that.
-		if loaded, err = pf.load(); err == nil {
-			err = s.recoverAll()
-		}
-		for _, sd := range s.shards {
-			persisted += sd.ctx.persisted * memsim.LineSize
-		}
+		// The mapped file is what survived, and recovery runs on it.
+		persisted, err = s.recoverAll()
 	} else {
 		// Nothing but format is written: the rest of a blank image is
-		// zero in both mappings because neither has been touched.
+		// zero because it has not been touched.
 		persisted = s.format()
 		err = pf.commit(headerBytes(cfg, size))
 	}
@@ -297,14 +272,13 @@ func New(cfg Config) (*Server, error) {
 	root.With("kind", kind).HistogramScaled("kvserve_boot_seconds", 1e-9).Observe(uint64(time.Since(t0)))
 	root.Gauge("kvserve_image_bytes").Set(int64(size))
 	root.Gauge("kvserve_boot_persisted_bytes").Set(int64(persisted))
-	root.Gauge("kvserve_boot_loaded_bytes").Set(int64(loaded))
 	s.trace(obs.EvBoot, -1, kindArg, uint64(persisted))
 	return s, nil
 }
 
 // format writes a blank image's only non-zero contents — progress
 // markers and ack slots at their never-written sentinels, then the
-// preload — into both images, and returns the bytes it persisted.
+// preload — and returns the bytes it persisted.
 func (s *Server) format() (persisted int) {
 	switch s.cfg.Mode {
 	case lpstore.ModeEP:
@@ -321,21 +295,24 @@ func (s *Server) format() (persisted int) {
 	return persisted
 }
 
-// recoverAll runs each mode's restart recovery over the loaded image.
-func (s *Server) recoverAll() error {
+// recoverAll runs each mode's restart recovery over the mapped image and
+// returns the bytes it stored: under LP, 16 per repaired slot and 8 per
+// zeroed journal word.
+func (s *Server) recoverAll() (persisted int, err error) {
 	switch s.cfg.Mode {
 	case lpstore.ModeLP:
 		for _, sd := range s.shards {
 			t0 := time.Now()
 			st := sd.sh.RecoverLP(sd.ctx, len(sd.baseline), sd.basePair)
 			if err := sd.ctx.takeErr(); err != nil {
-				return fmt.Errorf("kvserve: shard %d repair: %w", sd.id, err)
+				return 0, fmt.Errorf("kvserve: shard %d repair: %w", sd.id, err)
 			}
-			if err := s.truncateTail(sd, st); err != nil {
-				return fmt.Errorf("kvserve: shard %d tail truncation: %w", sd.id, err)
+			zeroed, err := s.truncateTail(sd, st)
+			if err != nil {
+				return 0, fmt.Errorf("kvserve: shard %d tail truncation: %w", sd.id, err)
 			}
+			persisted += 16*st.Repaired + 8*zeroed
 			sd.w.ResumeAt(sd.ctx, st.AckedPuts)
-			sd.ctx.takeDirty() // the open window's records, stored back unchanged
 			st.RecoverNs = time.Since(t0).Nanoseconds()
 			sd.obs.recovery.Observe(uint64(st.RecoverNs))
 			sd.obs.jrnUsed.Set(int64(sd.w.Seq()))
@@ -343,54 +320,52 @@ func (s *Server) recoverAll() error {
 		}
 	case lpstore.ModeWAL:
 		for _, sd := range s.shards {
-			// Roll back the at-most-one in-flight transaction; the eager
-			// stores inside WALRecover persist through the fileCtx.
+			// Roll back the at-most-one in-flight transaction.
 			s.wal.WALRecover(sd.ctx, sd.id)
 			if err := sd.ctx.takeErr(); err != nil {
-				return fmt.Errorf("kvserve: shard %d WAL rollback: %w", sd.id, err)
+				return 0, fmt.Errorf("kvserve: shard %d WAL rollback: %w", sd.id, err)
 			}
-			sd.ctx.takeDirty()
 		}
 	case lpstore.ModeEP, lpstore.ModeBase:
 		// EP persists each put before acking and a slot's key+value
-		// share a line, so the image is consistent as loaded. Base makes
+		// share a line, so the image is consistent as it is. Base makes
 		// no durability claim.
 	}
-	return nil
+	return persisted, nil
 }
 
-// truncateTail durably zeroes the journal beyond the acknowledged
-// prefix — which may end inside a window — and invalidates the ack slots
-// of the windows beyond it. The unacked tail is garbage from the previous
-// incarnation (journal lines of a batch whose checksum line never
-// followed); the resumed writer will overwrite the heap words, but until
-// its next commit the *file* would still hold them, and recovery measures
-// a window by its leading non-zero keys: a stale record behind the
-// resumed writer's next short seal must never count. A crash in here is
-// harmless: the slots up to the prefix are untouched, so the next
-// recovery acknowledges the same prefix and truncates again.
-func (s *Server) truncateTail(sd *shardState, st lpstore.RecoverStats) error {
-	c := sd.ctx
-	sh := sd.sh
-	c.takeDirty() // discard repair-path residue; it was persisted by RecoverLP
-	for i := 2 * st.AckedPuts; i < 2*sh.MaxOps; i++ {
-		if c.Load64(sh.Jrn.Addr(i)) != 0 {
-			c.Store64(sh.Jrn.Addr(i), 0)
-		}
+// truncateTail zeroes the journal beyond the acknowledged prefix — which
+// may end inside a window — invalidates the ack slots of the windows
+// beyond it, and returns the journal words it zeroed. The unacked tail is
+// garbage from the previous incarnation (records of a batch whose
+// checksum never followed), and recovery measures a window by its leading
+// non-zero keys: a stale record behind the resumed writer's next short
+// seal must never count. The sweep covers the whole tail, past any zero
+// record, so a hole in it hides nothing; it preads the file (eachNonZero)
+// and stores only over non-zero words, so a restart faults in no page of
+// a journal nobody wrote. A crash in here is harmless: the slots up to
+// the prefix are untouched, so the next recovery acknowledges the same
+// prefix and truncates again.
+func (s *Server) truncateTail(sd *shardState, st lpstore.RecoverStats) (zeroed int, err error) {
+	c, sh := sd.ctx, sd.sh
+	from, to := int(sh.Jrn.Base)+16*st.AckedPuts, int(sh.Jrn.Base)+16*sh.MaxOps // a record is two words
+	if err := s.pf.eachNonZero(from, to, func(off int) {
+		c.Store64(memsim.Addr(off), 0)
+		zeroed++
+	}); err != nil {
+		return zeroed, err
 	}
 	for b := st.AckedBatches; b < sh.Ack.Slots(); b++ {
 		if sh.Ack.Written(c, b) {
-			sh.Ack.Invalidate(c, b) // store+flush+fence → durable via fileCtx
+			sh.Ack.Invalidate(c, b) // store+flush+fence: fsynced if priced
 		}
 	}
-	if err := c.persistLines(c.takeDirty()); err != nil {
-		return err
-	}
-	return c.takeErr()
+	c.Fence()
+	return zeroed, c.takeErr()
 }
 
 // Start binds the listener and launches the shard owners, the commit
-// flushers (LP), the write-back goroutine, and the accept loop.
+// flushers and replication completers (LP), and the accept loop.
 func (s *Server) Start() error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
@@ -398,8 +373,6 @@ func (s *Server) Start() error {
 	}
 	s.ln = ln
 	s.started = true
-	s.wgLeak.Add(1)
-	go s.writeBack()
 	for _, sd := range s.shards {
 		if sd.commitCh != nil {
 			s.wgFlush.Add(1)
@@ -433,8 +406,7 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		Gets: s.ctGets.Load(), GetMisses: s.ctGetMisses.Load(),
 		Puts: s.ctPuts.Load(), AckedPuts: s.ctAcked.Load(),
-		Batches:     s.ctBatches.Load(),
-		LeakedLines: s.ctLeaked.Load(), LeakDropped: s.ctDropped.Load(),
+		Batches: s.ctBatches.Load(),
 	}
 	for _, sd := range s.shards {
 		st.Overloads += sd.obs.rejOver.Load()
@@ -463,10 +435,10 @@ func (s *Server) trace(typ obs.EventType, src int32, a, b uint64) {
 
 // Contents merges every shard's architectural contents. Only safe while
 // no put is in flight (before Start, or with every put sent answered): it
-// reads the heap image, which Close/Abort unmap — after them it panics.
+// reads the image, which Close/Abort unmap — after them it panics.
 func (s *Server) Contents() map[uint64]uint64 {
 	if s.closed.Load() {
-		panic("kvserve: Contents after Close or Abort: the images are unmapped")
+		panic("kvserve: Contents after Close or Abort: the image is unmapped")
 	}
 	out := make(map[uint64]uint64)
 	for _, sd := range s.shards {
@@ -481,12 +453,11 @@ func (s *Server) Contents() map[uint64]uint64 {
 // reports an error unless each verifies cleanly — the idempotence
 // check a restarted operator runs before trusting the image. A no-op
 // under the other modes. Only between New and Start: once Start has run,
-// the flushers release committed journal pages, a replay would find them
-// zero and rebuild the table to the preload, so it is an error; after
-// Close/Abort, which unmap the images, it is one too.
+// the owners write the journal under it, so it is an error; after
+// Close/Abort, which unmap the image, it is one too.
 func (s *Server) VerifyRecovered() error {
 	if s.closed.Load() {
-		return fmt.Errorf("kvserve: VerifyRecovered after Close or Abort: the images are unmapped")
+		return fmt.Errorf("kvserve: VerifyRecovered after Close or Abort: the image is unmapped")
 	}
 	if s.started {
 		return fmt.Errorf("kvserve: VerifyRecovered after Start: the journal is live")
@@ -508,15 +479,14 @@ func (s *Server) VerifyRecovered() error {
 
 // Close drains gracefully: stop accepting, tear down connections,
 // let owners empty their mailboxes and seal open batches,
-// drain the commit pipelines and the write-back queue, and sync the
-// file. Idempotent.
+// drain the commit pipelines, and sync the file. Idempotent.
 func (s *Server) Close() error { return s.shutdown(false) }
 
 // Abort tears the server down without sealing open LP batches or
 // syncing — the closest an in-process caller gets to an unclean death
 // (the real one is SIGKILL; see the crash test). Batches already
-// sealed into the pipeline still flush: their write sets were frozen
-// at seal, exactly like batch commits that had left the CPU.
+// sealed are in the file, as their checksums are; the flushers still
+// ack them.
 func (s *Server) Abort() error { return s.shutdown(true) }
 
 func (s *Server) shutdown(abort bool) error {
@@ -550,8 +520,6 @@ func (s *Server) shutdown(abort bool) error {
 			}
 		}
 		s.wgRepl.Wait()
-		s.leakq.close()
-		s.wgLeak.Wait()
 	}
 	var err error
 	if ep := s.fileErr.Load(); ep != nil {
@@ -573,10 +541,10 @@ func (s *Server) shutdown(abort bool) error {
 }
 
 // release closes the shards' seal clocks (their owners have exited, or
-// never ran), detaches the Memory from both images, then unmaps them and
+// never ran), detaches the Memory from the image, then unmaps it and
 // closes the file — the one exit of whoever opened it, New's failures
 // included. The order matters: an access that arrives after Close/Abort
-// must find empty images and panic like any Go out-of-range access, not
+// must find an empty image and panic like any Go out-of-range access, not
 // fault on unmapped pages.
 func (s *Server) release() error {
 	for _, sd := range s.shards {

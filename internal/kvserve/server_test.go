@@ -502,14 +502,13 @@ func TestServeGeometryMismatch(t *testing.T) {
 }
 
 // TestBackingFileIsDurableImage: the file's image region is the
-// Memory's durable image, not a copy kept in step with it — a line
-// persisted through a shard's ctx is what memsim's inspection helper
+// Memory's durable image, not a copy kept in step with it — a plain store
+// through a shard's ctx is, at once, what memsim's inspection helper
 // returns and what the file holds, on a fresh boot and on a reopen; and
-// once the server is closed, a late persist is an ordinary panic, never
-// a fault on the unmapped file. Byte identity holds in both directions:
-// a fresh boot, which writes only what is not zero, leaves the two images
-// equal on every allocation, and reopening that file finds nothing to
-// repair.
+// once the server is closed, a late store is an ordinary panic, never a
+// fault on the unmapped file. A fresh boot, which writes only what is not
+// zero, leaves every allocation as the format says, and reopening that
+// file finds nothing to repair.
 func TestBackingFileIsDurableImage(t *testing.T) {
 	cfg := testCfg(t, lpstore.ModeLP)
 	cfg.MaxOps = 1 << 18 // a journal 16 times the tables: what a boot must not write
@@ -533,9 +532,9 @@ func TestBackingFileIsDurableImage(t *testing.T) {
 		}
 	}
 
-	// A fresh boot leaves RAM == NVMM, allocation by allocation: format
-	// and Preload persist what they write, and everything they do not
-	// write is zero in both images because neither was ever touched.
+	// A fresh boot, allocation by allocation: format and Preload write
+	// what is not zero, and everything they do not write is zero because
+	// it was never touched.
 	for _, al := range s.mem.Allocations() {
 		var want func(i int, w uint64) bool
 		switch {
@@ -553,7 +552,7 @@ func TestBackingFileIsDurableImage(t *testing.T) {
 			a := al.Base + memsim.Addr(8*i)
 			ram, nvmm := s.mem.Load64(a), s.mem.DurableLoad64(a)
 			if ram != nvmm || !want(i, ram) {
-				t.Fatalf("fresh boot: %s word %d: heap image %#x, durable image %#x", al.Name, i, ram, nvmm)
+				t.Fatalf("fresh boot: %s word %d: architectural %#x, durable %#x", al.Name, i, ram, nvmm)
 			}
 		}
 	}
@@ -565,13 +564,8 @@ func TestBackingFileIsDurableImage(t *testing.T) {
 	addr := s.shards[0].sh.Jrn.Addr(5)
 	const word = 0xfeedface0badf00d
 	c.Store64(addr, word)
-	if got := s.mem.DurableLoad64(addr); got != 0 {
-		t.Fatalf("a plain store reached the durable image: %#x", got)
-	}
-	c.Flush(addr)
-	c.Fence()
 	if got := s.mem.DurableLoad64(addr); got != word {
-		t.Fatalf("DurableLoad64 after Store64+Flush+Fence = %#x, want %#x", got, uint64(word))
+		t.Fatalf("DurableLoad64 after a plain Store64 = %#x, want %#x", got, uint64(word))
 	}
 	imageIsFile(s)
 
@@ -581,12 +575,10 @@ func TestBackingFileIsDurableImage(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Fence on a closed server's ctx did not panic")
+				t.Fatal("Store64 on a closed server's ctx did not panic")
 			}
 		}()
 		c.Store64(addr, 1)
-		c.Flush(addr)
-		c.Fence()
 	}()
 
 	s2, err := New(cfg)
@@ -602,8 +594,7 @@ func TestBackingFileIsDurableImage(t *testing.T) {
 			t.Fatalf("reopening a fresh boot's file: %+v", st)
 		}
 	}
-	// Recovery truncated the unacknowledged journal word — durably, or
-	// the images would differ here.
+	// Recovery truncated the unacknowledged journal word, in the file.
 	if got := s2.mem.DurableLoad64(addr); got != 0 {
 		t.Fatalf("unacked journal word survived recovery durably: %#x", got)
 	}
@@ -612,7 +603,7 @@ func TestBackingFileIsDurableImage(t *testing.T) {
 
 // BenchmarkRestartRepair times kvserve.New on an image whose shard must
 // be rebuilt: a half-full table (the densest preload validate allows)
-// plus one leaked, never-acknowledged insert, so RecoverLP wipes and
+// plus one never-acknowledged insert, in the file, so RecoverLP wipes and
 // re-puts every occupied slot through the shard's fileCtx. Reported per
 // table slot, so the two sizes read the same when a repairing restart
 // is linear in the table and 4x apart when it is quadratic.
@@ -630,10 +621,7 @@ func BenchmarkRestartRepair(b *testing.B) {
 				b.Fatalf("New: %v", err)
 			}
 			sd := s.shards[0]
-			sd.w.Put(sd.ctx, workloads.KVKey(7, 0), 1) // the ghost: leaks, never acked
-			if err := sd.ctx.persistLines(sd.ctx.takeDirty()); err != nil {
-				b.Fatalf("persistLines: %v", err)
-			}
+			sd.w.Put(sd.ctx, workloads.KVKey(7, 0), 1) // the ghost: stored, never acked
 			s.Abort()
 			crashed, err := os.ReadFile(cfg.Path)
 			if err != nil {

@@ -125,16 +125,14 @@ func BenchmarkStageGet(b *testing.B) {
 
 // BenchmarkStageApply: the owner's apply for a run of puts — queue-stage
 // observe, admission, lpstore's Put (journal append, running checksum,
-// table store under the seqlock), the batch's pending entry, and the
-// run's leak snapshots. BatchK is the whole journal, so no batch fills
-// and no seal is inside.
+// table store under the seqlock) and the batch's pending entry. BatchK is
+// the whole journal, so no batch fills and no seal is inside.
 func BenchmarkStageApply(b *testing.B) {
 	const maxOps = 1 << 16
 	var s *Server
 	var sd *shardState
 	cn := absorbConn()
 	run := make([]request, stageRun)
-	var leaked []lineSnap
 	puts := 0
 	b.ResetTimer()
 	for ; puts < b.N; puts += len(run) {
@@ -152,9 +150,6 @@ func BenchmarkStageApply(b *testing.B) {
 		}
 		s.apply(sd, run)
 		sd.pending = sd.pending[:0]
-		if l, _ := s.leakq.take(leaked); l != nil {
-			leaked = l
-		}
 	}
 	b.StopTimer()
 	perPut(b, b.Elapsed(), puts)
@@ -185,7 +180,6 @@ func stageBatches(b *testing.B, skew, fill int, cn *srvConn, stage func(s *Serve
 	var s *Server
 	var sd *shardState
 	var spent time.Duration
-	var leaked []lineSnap
 	puts, lines := 0, 0
 	for ; puts < b.N; puts += fill {
 		if s == nil || sd.w.Seq()+batchK > maxOps {
@@ -203,9 +197,6 @@ func stageBatches(b *testing.B, skew, fill int, cn *srvConn, stage func(s *Serve
 		d, n := stage(s, sd)
 		spent += d
 		lines += n
-		if l, _ := s.leakq.take(leaked); l != nil {
-			leaked = l
-		}
 	}
 	perPut(b, spent, puts)
 	b.ReportMetric(float64(lines*memsim.LineSize)/float64(puts), "B/put")
@@ -218,15 +209,14 @@ func recycle(sd *shardState) int {
 	it := <-sd.commitCh
 	it.pending = it.pending[:0]
 	sd.freeCh <- it
-	return len(it.lines)
+	return it.lines
 }
 
 // BenchmarkStageSeal: seal alone — the window's checksum commit, stage
-// observes, the write set's line snapshots, the leak — for a full batch
+// observes, the write set's line count — for a full batch
 // on its window, a batch of 4 (put_few's fill), and a full batch
 // straddling two windows. Two clock reads per batch sit inside the figure
-// (≈ 1–2 ns/put at K = 32). B/put is the write set the flusher will
-// persist.
+// (≈ 1–2 ns/put at K = 32). B/put is the batch's durable write set.
 func BenchmarkStageSeal(b *testing.B) {
 	for _, c := range []struct {
 		name       string
@@ -243,9 +233,9 @@ func BenchmarkStageSeal(b *testing.B) {
 	}
 }
 
-// BenchmarkStageFlush: flushItem alone — the sealed write set persisted
-// line by line into the mapped file, the batch's stage and latency
-// observes, and its acks encoded and queued on the connection as one run.
+// BenchmarkStageFlush: flushItem alone — the journal release, the batch's
+// stage and latency observes, and its acks encoded and queued on the
+// connection as one run.
 func BenchmarkStageFlush(b *testing.B) {
 	cn := newSrvConn(&burstConn{})
 	var acks []byte
@@ -259,7 +249,7 @@ func BenchmarkStageFlush(b *testing.B) {
 		if run, _ := cn.acks.take(acks); run != nil {
 			acks = run
 		}
-		return d, len(it.lines)
+		return d, it.lines
 	})
 }
 
@@ -335,8 +325,8 @@ func BenchmarkReplCodec(b *testing.B) {
 // at a sixteenth of its size and at a quarter (MaxOps 1<<17 and 1<<19 per
 // shard). ns/boot and persisted-B/boot of a fresh boot must read the same
 // in both rows — it writes tables and ack slots, whatever the journal; a
-// restored boot of a drained image persists nothing and still pays the
-// load and recovery's passes over the journal, both linear in MaxOps
+// restored boot of a drained image persists nothing and still pays
+// truncateTail's pread sweep of the unwritten journal, linear in MaxOps
 // (ROADMAP item 2).
 func BenchmarkBoot(b *testing.B) {
 	for _, maxOps := range []int{1 << 17, 1 << 19} {
@@ -387,8 +377,8 @@ func BenchmarkBoot(b *testing.B) {
 // TestGetSeesUnsealedPut pins the get contract as it stands: gets are
 // read-uncommitted. A put applied but not sealed — not durable, not
 // acked — is what the get path returns for its key, even though a crash
-// erases it: the image restarted after Abort (New's load is the crash)
-// holds the old value, though every table line the put dirtied leaked.
+// erases it: the image restarted after Abort holds the old value, though
+// the put's table store was in the file (recovery repairs it away).
 func TestGetSeesUnsealedPut(t *testing.T) {
 	s, sd := stageServer(t, 32, 1<<10)
 	key := stageKey(sd, 0)
@@ -408,11 +398,6 @@ func TestGetSeesUnsealedPut(t *testing.T) {
 	}
 	if got := get(s); got != old+1 {
 		t.Fatalf("get before the seal = %d, want the unsealed put's %d", got, old+1)
-	}
-	for leaked, _ := s.leakq.take(nil); leaked != nil; leaked, _ = s.leakq.take(nil) {
-		for i := range leaked {
-			s.mem.PersistLine(leaked[i].la, &leaked[i].buf)
-		}
 	}
 	s.Abort()
 

@@ -12,8 +12,8 @@ import (
 // exactly on the lines that are dirty somewhere in the cache hierarchy;
 // WriteBackLine reconciles one line and accounts one NVMM write. The
 // images are heap arrays (NewMemory) or the caller's (NewMemoryOver —
-// kvserve: an anonymous mapping and the mapped backing file, so "durable"
-// means what survives there), who calls Detach before unmapping them.
+// kvserve: its mapped backing file as both), who calls Detach before
+// unmapping them.
 //
 // Memory also embeds a trivial bump allocator so that workloads can carve
 // named, line-aligned regions out of the address space. Address 0 is never
@@ -64,6 +64,9 @@ func NewMemory(capacity int) *Memory {
 // nothing is copied or written, so a fresh pair must be zero (Alloc's
 // promise) and a durable image holding a prior run is followed by Crash.
 // Both are the same whole number of lines; backing is 8-byte aligned.
+// They may be one slice (kvserve's file mapping, where a store is durable
+// once it executes): then the two images never diverge, and Persist,
+// WriteBackLine and Crash leave the contents as they are.
 func NewMemoryOver(backing, durable []byte) *Memory {
 	if len(backing) == 0 || len(backing)&LineMask != 0 || len(durable) != len(backing) {
 		panic(fmt.Sprintf("memsim: NewMemoryOver: images of %d and %d bytes", len(backing), len(durable)))
