@@ -150,9 +150,6 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // Stats returns a copy of the accumulated statistics.
 func (h *Hierarchy) Stats() Stats { return h.st }
 
-// ResetStats zeroes the statistics (e.g. after warm-up).
-func (h *Hierarchy) ResetStats() { h.st = Stats{} }
-
 // Reset invalidates all caches without writing anything back — the state
 // of the machine immediately after a crash and restart.
 func (h *Hierarchy) Reset() {
@@ -169,20 +166,21 @@ func (h *Hierarchy) Reset() {
 // only via eviction, flush, or cleanup.
 //
 // The body is just the L1 probe — the dominant outcome on every
-// workload. The set memo (inlined) answers repeat accesses to the
-// thread's current line with no call at all; the set scan and
-// everything past an L1 hit live out of line.
+// workload. The way predictor answers most hits with one tag compare
+// and no call; a wrong or stale prediction scans the set, and
+// everything past an L1 hit (a miss, an S→M upgrade) lives out of
+// line.
 func (h *Hierarchy) Access(core int, a Addr, write bool, now int64) AccessKind {
 	la := LineOf(a)
 	l1 := h.l1[core]
-	i := l1.memoHit(la)
+	i := l1.predicted(la)
 	if i < 0 {
-		if i = l1.lookup(la); i < 0 {
+		if i = l1.scan(la); i < 0 {
 			return h.accessSlow(core, la, write, now)
 		}
 	}
 	l1.tick++
-	l1.lines[i].lru = l1.tick
+	l1.lru[i] = l1.tick
 	h.st.L1Hits++
 	if write && l1.lines[i].state != stateModified {
 		h.upgrade(core, la, l1, i, now)
@@ -411,14 +409,6 @@ func (h *Hierarchy) Flush(core int, a Addr, now int64) bool {
 	return dirty
 }
 
-// CleanAll is the periodic hardware cleanup of §III-E.1 applied to the
-// whole hierarchy at once: every dirty line is written back to NVMM but
-// *not* evicted (clwb-like). Lines stay valid and resident; their dirty
-// state clears. It returns the number of lines written.
-func (h *Hierarchy) CleanAll(now int64) int {
-	return h.CleanOlder(now, 0)
-}
-
 // CleanOlder is the spaced form of the periodic cleanup the paper
 // describes ("the hardware cache cleanup logic can space out write backs
 // to avoid bursty writeback traffic"): only lines that have been dirty
@@ -457,7 +447,7 @@ func (h *Hierarchy) CleanOlder(now, age int64) int {
 // DrainDirty writes back every dirty line (eviction-cause accounting) and
 // leaves the caches clean. Used at the end of an un-crashed run when an
 // experiment needs the final durable image (e.g. to verify outputs), and
-// by tests. Unlike CleanAll it counts as natural eviction traffic only
+// by tests. Unlike CleanOlder it counts as natural eviction traffic only
 // when countWrites is true.
 func (h *Hierarchy) DrainDirty(now int64, countWrites bool) int {
 	n := 0
@@ -483,26 +473,6 @@ func (h *Hierarchy) DrainDirty(now int64, countWrites bool) int {
 	})
 	return n
 }
-
-// DirtyLines returns how many lines are currently dirty in the hierarchy.
-func (h *Hierarchy) DirtyLines() int {
-	n := 0
-	h.l2.forEachValid(func(_ int, la Addr, l2l *cacheLine) {
-		if l2l.state == stateModified {
-			n++
-			return
-		}
-		if own := l2l.dirtyOwner; own >= 0 {
-			if oi := h.l1[own].lookup(la); oi >= 0 && h.l1[own].lines[oi].state == stateModified {
-				n++
-			}
-		}
-	})
-	return n
-}
-
-// Cached reports whether the line containing a is resident anywhere.
-func (h *Hierarchy) Cached(a Addr) bool { return h.l2.lookup(LineOf(a)) >= 0 }
 
 func (h *Hierarchy) recordVdur(d int64) {
 	if d < 0 {

@@ -31,8 +31,8 @@ const soloQuanta = 4
 // Engine owns one simulation session: the memory hierarchy plus the set
 // of simulated threads. A session may call Run several times (e.g.
 // warm-up then measurement, or recovery then resumed execution) — cache
-// state and clocks persist across calls; statistics windows are managed
-// with Memory.ResetCounters and Hierarchy.ResetStats.
+// state and clocks persist across calls; Memory.ResetCounters starts a
+// new window of NVMM traffic counts.
 //
 // Scheduling is by coroutines (DESIGN.md §3a): every simulated thread
 // of a Run is a coroutine of the goroutine that called Run. The running
